@@ -10,6 +10,7 @@ cancel in the softmax); they do enter the absolute KDE density.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -37,9 +38,18 @@ __all__ = [
 
 _UNIT_NORM_TOL = 1e-9
 
+# Largest weight block the smoother core materializes (8 MiB of float64).  The
+# rows per block follow from the support size alone, so memory is O(block * m)
+# whatever the number of queries and the dimension.
+_BLOCK_ELEMS = 1 << 20
+
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
+    """A C-contiguous float64 copy of `a` that cannot be written to.
+
+    Always a copy, so freezing never reaches the caller's array.
+    """
+    a = np.array(a, dtype=np.float64, order="C")
     a.setflags(write=False)
     return a
 
@@ -72,6 +82,13 @@ class SupportSet:
         import hashlib
 
         return hashlib.sha256(self.points.tobytes()).hexdigest()
+
+    @cached_property
+    def _centred(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Support mean c, the centred rows s - c, and their squared norms."""
+        c = self.points.mean(axis=0)
+        centred = _readonly(self.points - c)
+        return _readonly(c), centred, _readonly(np.einsum("ij,ij->i", centred, centred))
 
 
 @dataclass(frozen=True)
@@ -196,6 +213,11 @@ def softmax_weights(raw: np.ndarray) -> np.ndarray:
     raw = np.asarray(raw, dtype=np.float64)
     top = np.max(raw, axis=-1, keepdims=True)
     finite_top = np.isfinite(top)
+    if np.all(finite_top):
+        out = raw - top
+        np.exp(out, out=out)
+        out /= np.sum(out, axis=-1, keepdims=True)
+        return out
     shifted = np.where(finite_top, raw - np.where(finite_top, top, 0.0), 0.0)
     expd = np.exp(shifted)
     if not np.all(finite_top):
@@ -230,28 +252,52 @@ def local_mean(
     return w @ values
 
 
-def nw_local_means(
-    queries: np.ndarray,
-    points: np.ndarray,
-    h: float,
-    chunk: int = 128,
-) -> np.ndarray:
-    """Batched isotropic local means, chunked so huge supports stay in memory.
+def nw_local_means(queries: np.ndarray, points: np.ndarray, h: float) -> np.ndarray:
+    """Batched isotropic local means at bandwidth h over a (possibly huge) support.
 
     Used by the variance-scaling experiment where the reference support runs
-    to tens of thousands of rows.
+    to tens of thousands of rows; memory stays O(block * m).
     """
-    from scipy.spatial.distance import cdist
-
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    points = np.asarray(points, dtype=np.float64)
-    out = np.empty((queries.shape[0], points.shape[1]))
-    inv = 1.0 / (2.0 * h * h)
-    for lo in range(0, queries.shape[0], chunk):
-        block = queries[lo : lo + chunk]
-        lg = -cdist(block, points, "sqeuclidean") * inv
-        out[lo : lo + chunk] = softmax_weights(lg) @ points
-    return out
+    return _smooth(queries, SupportSet(points), 1.0, h)[0]
+
+
+def _smooth(
+    x: np.ndarray,
+    support: SupportSet,
+    t: float,
+    sigma: float,
+    values: Optional[np.ndarray] = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Local means and n_eff of the weights softmax(-||x - t s||^2 / (2 sigma^2)).
+
+    `x` is an (n, d) batch; the means average the support rows, or `values`
+    (m, p) when given.  The logits are one GEMM about the support mean c:
+
+        (t / sigma^2) (x - t c) . (s - c) - (t^2 / (2 sigma^2)) ||s - c||^2,
+
+    which drops the row constant -||x - t c||^2 / (2 sigma^2) that the softmax
+    cancels.  Centring keeps the rounding error at the scale of the support's
+    spread rather than its offset from the origin.  At t = 0 every logit is
+    exactly 0, so the weights are exactly uniform.  Query rows are processed in
+    blocks of at most _BLOCK_ELEMS weights.
+    """
+    c, centred, sq_norms = support._centred
+    vals = support.points if values is None else values
+    scale = t / (sigma * sigma)
+    q = (x - t * c) * scale
+    bias = (0.5 * t * scale) * sq_norms
+    n = x.shape[0]
+    means = np.empty((n, vals.shape[1]))
+    neff = np.empty(n)
+    rows = max(1, _BLOCK_ELEMS // support.m)
+    for lo in range(0, n, rows):
+        lg = q[lo : lo + rows] @ centred.T
+        lg -= bias
+        w = softmax_weights(lg)
+        means[lo : lo + rows] = w @ vals
+        neff[lo : lo + rows] = 1.0 / np.einsum("ij,ij->i", w, w)
+    return means, neff
 
 
 def _sq_dists(x_tilde: np.ndarray, support: SupportSet) -> np.ndarray:

@@ -9,7 +9,7 @@ import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
 from .errors import DegenerateScale, LogDomainError, SizeError
-from .kernels import SupportSet, softmax_weights
+from .kernels import SupportSet, _smooth
 from .schedule import PathSchedule
 
 __all__ = [
@@ -139,8 +139,9 @@ def neff_profile(
     """Median (and quartile) n_eff of the kernel weights along the flow clock.
 
     Queries default to the model's own path marginal at each time: a support
-    row scaled by t plus sigma_t noise.  Weights are evaluated in the
-    de-scaled frame at bandwidth h(t), which is where the smoothing happens.
+    row scaled by t plus sigma_t noise.  The weights are those of the
+    de-scaled query x/t at bandwidth h(t), where the smoothing happens; the
+    same logits are evaluated on the path state x at scale sigma_t.
     """
     t_arr = np.asarray(list(t_grid), dtype=np.float64)
     if np.any(t_arr <= 0.0) or np.any(t_arr > 1.0):
@@ -152,17 +153,13 @@ def neff_profile(
     rng = np.random.default_rng(np.random.SeedSequence([11, seed]))
     for i, t in enumerate(t_arr):
         sig = sched.sigma(t)
-        h = sched.bandwidth(t)
-        hs[i] = h
+        hs[i] = sched.bandwidth(t)
         if query_law is None:
             idx = rng.integers(support.m, size=n_queries)
             x = t * support.points[idx] + sig * rng.standard_normal((n_queries, support.d))
         else:
             x = np.atleast_2d(query_law(rng, float(t), n_queries))
-        x_tilde = x / t
-        lg = -cdist(x_tilde, support.points, "sqeuclidean") / (2.0 * h * h)
-        w = softmax_weights(lg)
-        neff = 1.0 / np.sum(w * w, axis=1)
+        neff = _smooth(x, support, float(t), sig)[1]
         med[i], q25[i], q75[i] = (
             float(np.median(neff)),
             float(np.percentile(neff, 25)),

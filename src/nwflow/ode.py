@@ -15,7 +15,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ConfigError, NumericalBlowup, StepLimit
-from .kernels import SupportSet
+from .kernels import SupportSet, _readonly
 from .schedule import FlowTime
 from .velocity import AnisotropicField, VelocityField
 
@@ -104,10 +104,8 @@ class PrecisionBase:
     metric: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.metric, dtype=np.float64)
+        m = _readonly(self.metric)
         np.linalg.cholesky(m)  # SPD or raise
-        m = m.copy()
-        m.setflags(write=False)
         object.__setattr__(self, "metric", m)
 
 
@@ -128,8 +126,7 @@ class SampleBatch:
             raise ValueError(f"samples must be a nonempty n x d matrix, got {s.shape}")
         if not np.all(np.isfinite(s)):
             raise NumericalBlowup("sample batch contains non-finite values")
-        s.setflags(write=False)
-        object.__setattr__(self, "samples", s)
+        object.__setattr__(self, "samples", _readonly(s))
 
 
 # Dormand-Prince 5(4) tableau.

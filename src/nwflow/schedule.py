@@ -67,6 +67,7 @@ class PathSchedule:
 
 
 def _tval(t: FlowTime | float) -> float:
+    """The float value of a flow time given as a FlowTime or a plain number."""
     return t.t if isinstance(t, FlowTime) else float(t)
 
 

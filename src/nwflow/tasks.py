@@ -22,7 +22,7 @@ from .errors import (
     SamplerStall,
     SingularCovariance,
 )
-from .kernels import SupportSet
+from .kernels import SupportSet, _readonly
 
 __all__ = [
     "Gmm",
@@ -64,9 +64,7 @@ class FeatureTable:
             raise DimError(f"feature table must be 2-d, got shape {rows.shape}")
         if not np.all(np.isfinite(rows)):
             raise DataError("feature table contains non-finite entries")
-        rows = np.ascontiguousarray(rows)
-        rows.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rows", _readonly(rows))
         if self.names is not None:
             object.__setattr__(self, "names", tuple(self.names))
 

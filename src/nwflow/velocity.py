@@ -19,13 +19,20 @@ exactly at zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .errors import DimError, DivergentBandwidth, InputError
-from .kernels import IsotropicGaussian, SupportSet, local_mean, softmax_weights
-from .schedule import FlowTime, PathSchedule
+from .kernels import (
+    IsotropicGaussian,
+    SupportSet,
+    _readonly,
+    _smooth,
+    local_mean,
+    softmax_weights,
+)
+from .schedule import FlowTime, PathSchedule, _tval
 
 __all__ = [
     "VelocityField",
@@ -47,10 +54,6 @@ __all__ = [
 VelocityField = Callable[[np.ndarray, float], np.ndarray]
 
 
-def _tval(t: FlowTime | float) -> float:
-    return t.t if isinstance(t, FlowTime) else float(t)
-
-
 def _prepare_states(x: np.ndarray, d: int) -> tuple[np.ndarray, bool]:
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
@@ -62,23 +65,11 @@ def _prepare_states(x: np.ndarray, d: int) -> tuple[np.ndarray, bool]:
     return xs, single
 
 
-def _stable_velocity(
-    points: np.ndarray,
-    sched: PathSchedule,
-    x: np.ndarray,
-    t: float,
-    metric: Optional[np.ndarray] = None,
+def _readout(
+    sched: PathSchedule, xs: np.ndarray, single: bool, sig: float, means: np.ndarray
 ) -> np.ndarray:
-    """Shared stable-frame evaluation; `metric` switches on the Mahalanobis form."""
-    xs, single = _prepare_states(x, points.shape[1])
-    sig = sched.sigma(t)
-    diff = xs[:, None, :] - t * points[None, :, :]
-    if metric is None:
-        quad = np.einsum("nmi,nmi->nm", diff, diff)
-    else:
-        quad = np.einsum("nmi,ij,nmj->nm", diff, metric, diff)
-    w = softmax_weights(-quad / (2.0 * sig * sig))
-    u = (w @ points - (1.0 - sched.sigma_min) * xs) / sig
+    """The stable-frame velocity (m - (1 - sigma_min) x) / sigma_t from the local means."""
+    u = (means - (1.0 - sched.sigma_min) * xs) / sig
     return u[0] if single else u
 
 
@@ -90,12 +81,20 @@ class PluginField:
     schedule: PathSchedule
 
     def __call__(self, x: np.ndarray, t: FlowTime | float) -> np.ndarray:
-        return _stable_velocity(self.support.points, self.schedule, x, _tval(t))
+        tv = _tval(t)
+        xs, single = _prepare_states(x, self.support.d)
+        sig = self.schedule.sigma(tv)
+        return _readout(self.schedule, xs, single, sig, _smooth(xs, self.support, tv, sig)[0])
 
 
 @dataclass(frozen=True)
 class AnisotropicField:
-    """Plug-in field under an SPD metric M; pairs with base noise N(0, M^-1)."""
+    """Plug-in field under an SPD metric M; pairs with base noise N(0, M^-1).
+
+    With M = L L', (x - t s)' M (x - t s) = ||x L - t s L||^2, so the field is
+    the isotropic smoother on the Cholesky coordinates x L, averaging the
+    original support rows.
+    """
 
     support: SupportSet
     schedule: PathSchedule
@@ -105,13 +104,17 @@ class AnisotropicField:
         m = np.asarray(self.metric, dtype=np.float64)
         if m.shape != (self.support.d, self.support.d):
             raise DimError(f"metric shape {m.shape} does not match dimension {self.support.d}")
-        np.linalg.cholesky(m)  # SPD or raise
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "metric", m)
+        chol = np.linalg.cholesky(m)  # SPD or raise
+        object.__setattr__(self, "metric", _readonly(m))
+        object.__setattr__(self, "_chol", _readonly(chol))
+        object.__setattr__(self, "_chol_support", SupportSet(self.support.points @ chol))
 
     def __call__(self, x: np.ndarray, t: FlowTime | float) -> np.ndarray:
-        return _stable_velocity(self.support.points, self.schedule, x, _tval(t), self.metric)
+        tv = _tval(t)
+        xs, single = _prepare_states(x, self.support.d)
+        sig = self.schedule.sigma(tv)
+        means = _smooth(xs @ self._chol, self._chol_support, tv, sig, self.support.points)[0]
+        return _readout(self.schedule, xs, single, sig, means)
 
 
 def plugin_velocity(field: PluginField, x: np.ndarray, t: FlowTime | float) -> np.ndarray:
@@ -223,7 +226,7 @@ class MultiHeadParams:
         if w_o.shape != (h, d_model, d_k):
             raise DimError("w_o must be stacked as (H, d_model, d_k)")
         for name, arr in (("w_q", w_q), ("w_k", w_k), ("w_v", w_v), ("w_o", w_o)):
-            object.__setattr__(self, name, _ro(arr))
+            object.__setattr__(self, name, _readonly(arr))
 
     @property
     def n_heads(self) -> int:
@@ -249,12 +252,6 @@ class MultiHeadParams:
             w_v=rng.standard_normal((n_heads, d_k, d_model)) * scale,
             w_o=rng.standard_normal((n_heads, d_model, d_k)) * scale,
         )
-
-
-def _ro(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    a.setflags(write=False)
-    return a
 
 
 def multihead_forward(params: MultiHeadParams, q: np.ndarray, keys: np.ndarray) -> np.ndarray:

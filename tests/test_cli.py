@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,23 @@ from nwflow.tasks import FourierDensity, Gmm, Moons, Shell
 def read(path: str) -> bytes:
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def test_generate_bytes_independent_of_blas_threads_and_jobs(tmp_path):
+    # Fresh processes, because OpenBLAS reads its thread count at import.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    argv = ["generate", "--task", "gmm16d", "--m", "8192", "--n", "512", "--euler", "20"]
+    samples = {}
+    for threads in ("1", "2"):
+        for jobs in ("1", "2"):
+            out = tmp_path / f"blas{threads}-jobs{jobs}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            cmd = [sys.executable, "-m", "nwflow.cli", *argv, "--jobs", jobs, "--out", str(out)]
+            proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            samples[threads, jobs] = read(str(out / "samples.csv"))
+    assert len(set(samples.values())) == 1
 
 
 def test_parse_task_names():

@@ -14,6 +14,7 @@ from nwflow.kernels import (
     local_mean,
     logits,
     low_rank_metric,
+    nw_local_means,
     nw_weights,
     softmax_weights,
 )
@@ -104,6 +105,49 @@ def test_softmax_all_underflow_uniform_over_argmax():
     assert np.allclose(w, [1 / 3] * 3)
     w = softmax_weights(np.array([-np.inf, -3.0, -np.inf]))
     assert np.allclose(w, [0.0, 1.0, 0.0])
+
+
+def test_softmax_2d_underflow_row_next_to_finite_rows():
+    raw = np.array([[-np.inf, -np.inf, -np.inf], [0.0, -2.0, -np.inf], [5.0, 5.0, 5.0]])
+    before = raw.copy()
+    w = softmax_weights(raw)
+    assert np.allclose(w[0], [1 / 3] * 3)
+    assert w[1] == pytest.approx([W0, W1, 0.0], abs=1e-15)
+    assert np.array_equal(w[2], [1 / 3] * 3)
+    assert np.array_equal(raw, before)  # the input is never normalized in place
+
+
+def test_softmax_finite_rows_match_max_shift_formula_bitwise():
+    rng = np.random.default_rng(21)
+    for shape in ((7,), (5, 9), (3, 4, 6)):
+        for scale in (1.0, 1e3, 1e6):
+            raw = scale * rng.normal(size=shape)
+            top = np.max(raw, axis=-1, keepdims=True)
+            expd = np.exp(raw - top)
+            want = expd / np.sum(expd, axis=-1, keepdims=True)
+            assert np.array_equal(softmax_weights(raw), want)
+
+
+def test_nw_local_means_matches_per_query_local_mean():
+    rng = np.random.default_rng(22)
+    for offset in (0.0, 1e3):
+        pts = offset + rng.normal(size=(300, 3))
+        queries = offset + 1.5 * rng.normal(size=(40, 3))
+        for h in (0.05, 0.4, 3.0):
+            got = nw_local_means(queries, pts, h)
+            kern = IsotropicGaussian(h)
+            want = np.stack([local_mean(q, SupportSet(pts), kern) for q in queries])
+            rel = np.max(np.abs(got - want)) / np.max(np.abs(want))
+            assert rel <= 1e-12
+
+
+def test_support_set_copies_instead_of_freezing_the_caller_array():
+    pts = np.zeros((3, 2))
+    s = SupportSet(pts)
+    pts[0, 0] = 1.0  # the caller's array stays writable
+    assert s.points[0, 0] == 0.0
+    with pytest.raises(ValueError):
+        s.points[0, 0] = 1.0
 
 
 def test_shift_equivariance():

@@ -144,6 +144,38 @@ def test_attention_realization_matches_plugin():
     assert worst <= 1e-10
 
 
+def test_plugin_matches_attention_on_offset_support():
+    # The smoother forms its logits as a GEMM about the support mean; without
+    # the centring, an offset of 1e3 costs about 1e-10 of relative accuracy.
+    rng = np.random.default_rng(14)
+    worst = 0.0
+    for _ in range(100):
+        d = int(rng.choice([1, 2, 8, 16]))
+        m = int(rng.integers(2, 200))
+        t = float(rng.uniform(1e-3, 1.0))
+        s = SupportSet(1e3 + rng.normal(0, 2, size=(m, d)))
+        x = t * s.points[int(rng.integers(m))] + SCHED.sigma(t) * rng.standard_normal(d)
+        want = attention_realized_velocity(s, SCHED, x, t)
+        got = PluginField(s, SCHED)(x, t)
+        worst = max(worst, float(np.max(np.abs(got - want)) / np.max(np.abs(want))))
+    assert worst <= 1e-12
+
+
+def test_field_memory_is_bounded_by_the_block_budget():
+    import tracemalloc
+
+    rng = np.random.default_rng(15)
+    fld = PluginField(SupportSet(rng.normal(size=(8192, 16))), SCHED)
+    x = rng.normal(size=(256, 16))
+    tracemalloc.start()
+    try:
+        fld(x, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20  # a 256 x 8192 x 16 broadcast alone is 256 MiB
+
+
 def test_attention_worked_example_and_m1():
     got = attention_realized_velocity(S12, SCHED, np.array([0.25]), 0.5)
     assert got[0] == pytest.approx(U_WORKED, abs=1e-12)
@@ -243,6 +275,23 @@ def test_anisotropic_diag_metric_oracle():
     w /= w.sum()
     expect = (w @ s.points - 0.99 * x) / sig
     assert np.allclose(fld(x, t), expect, atol=1e-12)
+
+
+def test_anisotropic_diag_metric_oracle_offset_support():
+    rng = np.random.default_rng(16)
+    metric = np.diag([4.0, 1.0, 0.25])
+    s = SupportSet(1e3 + rng.normal(size=(40, 3)))
+    fld = AnisotropicField(s, SCHED, metric)
+    for t in (0.05, 0.5, 1.0):
+        sig = SCHED.sigma(t)
+        x = t * s.points[3] + sig * rng.standard_normal(3)
+        diff = x - t * s.points
+        quad = diff**2 @ np.diag(metric)
+        lg = -quad / (2 * sig * sig)
+        w = np.exp(lg - lg.max())
+        w /= w.sum()
+        expect = (w @ s.points - 0.99 * x) / sig
+        assert np.max(np.abs(fld(x, t) - expect)) / np.max(np.abs(expect)) <= 1e-12
 
 
 def test_anisotropic_single_point_any_metric():
