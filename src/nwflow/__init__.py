@@ -32,7 +32,7 @@ from .ode import (
     integrate,
     kde_direct_sample,
 )
-from .schedule import FlowTime, PathSchedule, bandwidth_at, sigma_at
+from .schedule import PathSchedule
 from .tasks import (
     External,
     FeatureTable,
@@ -57,7 +57,6 @@ from .velocity import (
     dot_product_lift,
     logit_rank,
     multihead_forward,
-    plugin_velocity,
     velocity_from_score,
 )
 

@@ -1,10 +1,15 @@
 """Command-line entry point: generation, diagnostics, and the experiment suite.
 
 Exit codes: 0 success / all criteria passed, 1 an experiment criterion
-failed, 2 configuration error, 3 numerical failure.  All file outputs are
-byte-deterministic for a fixed resolved configuration: floats print through
-17-significant-digit round-trip formatting and nothing time- or host-
-dependent is written (wall clock goes to stderr).
+failed, 2 configuration, input or OS error, 3 numerical failure.  All file
+outputs are byte-deterministic for a fixed resolved configuration: floats
+print through 17-significant-digit round-trip formatting and nothing time-
+or host-dependent is written (wall clock goes to stderr).
+
+A flag takes precedence over the --config file, which takes precedence over
+the parser's defaults; an unset seed comes from NWFLOW_SEED, else 0.  Library
+parameters are passed on only when their flag is set, so their defaults live
+in the library signatures alone.
 """
 
 from __future__ import annotations
@@ -13,30 +18,18 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional, Sequence
+import time
+from typing import Callable, NamedTuple, Optional, Sequence
 
-import numpy as np
-
-from . import __version__
-from .errors import NwflowError
-from .experiments import (
-    RunReport,
-    exp_anisotropic_shells,
-    exp_endpoint_check,
-    exp_kde_identity,
-    exp_neff_collapse,
-    exp_realization_fuzz,
-    exp_solver_control,
-    exp_sphere_rate,
-    exp_variance_scaling,
-    exp_whitening_control,
-    save_report,
-)
+from . import __version__, experiments
+from .errors import ConfigError, NwflowError
+from .experiments import save_report
 from .metrics import neff_profile
 from .ode import AdaptiveRK45, Euler, IntegratorConfig, generate
 from .schedule import PathSchedule
 from .tasks import (
     External,
+    FeatureTable,
     FourierDensity,
     Gmm,
     Moons,
@@ -49,42 +42,12 @@ from .tasks import (
     make_support_and_eval,
     save_feature_table,
     whiten,
+    write_csv,
 )
 from .velocity import PluginField
 
 EXIT_OK = 0
 EXIT_FAIL = 1
-EXIT_CONFIG = 2
-EXIT_NUMERIC = 3
-
-EXPERIMENTS = (
-    "realization-fuzz",
-    "kde-identity",
-    "neff-collapse",
-    "variance-scaling",
-    "endpoint-check",
-    "solver-control",
-    "sphere-rate",
-    "whitening-control",
-    "anisotropic-shells",
-)
-
-
-class CliError(Exception):
-    """Configuration problem surfaced to the user with exit code 2."""
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
-def write_csv(path: str, rows: np.ndarray, header: Optional[Sequence[str]] = None) -> None:
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    with open(path, "w", encoding="utf-8") as fh:
-        if header is not None:
-            fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def write_json(path: str, payload: dict) -> None:
@@ -92,15 +55,14 @@ def write_json(path: str, payload: dict) -> None:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+_PLANAR_TASKS = {"moons": Moons, "rings": Rings, "spirals": Spirals}
+
+
 def parse_task(name: str, seed: int) -> TaskSpec:
     """Task names: gmm<d>d, shell<d>d, fourier<d>d, moons, rings, spirals."""
     low = name.strip().lower()
-    if low == "moons":
-        return Moons(seed=seed)
-    if low == "rings":
-        return Rings(seed=seed)
-    if low == "spirals":
-        return Spirals(seed=seed)
+    if low in _PLANAR_TASKS:
+        return _PLANAR_TASKS[low](seed=seed)
     for prefix, cls in (("gmm", Gmm), ("shell", Shell), ("fourier", FourierDensity)):
         if low.startswith(prefix):
             tail = low[len(prefix):]
@@ -109,77 +71,59 @@ def parse_task(name: str, seed: int) -> TaskSpec:
             try:
                 d = int(tail)
             except ValueError:
-                raise CliError(f"cannot parse dimension from task name {name!r}")
+                raise ConfigError(f"cannot parse dimension from task name {name!r}")
             return cls(d=d, seed=seed)
-    raise CliError(
+    raise ConfigError(
         f"unknown task {name!r}; expected moons, rings, spirals, gmm<d>d, shell<d>d or fourier<d>d"
     )
 
 
-def _default_seed() -> int:
-    env = os.environ.get("NWFLOW_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise CliError(f"NWFLOW_SEED must be an integer, got {env!r}")
-    return 0
+def _given(args: argparse.Namespace, **keywords: str) -> dict:
+    """Library keyword -> flag value, for the flags (named by dest) that are set."""
+    values = {kw: getattr(args, dest) for kw, dest in keywords.items()}
+    return {kw: v for kw, v in values.items() if v is not None}
 
 
-def _resolve_seeds(args: argparse.Namespace, default_count: int = 4) -> list[int]:
-    if getattr(args, "seeds", None):
-        try:
-            return [int(s) for s in str(args.seeds).split(",") if s != ""]
-        except ValueError:
-            raise CliError(f"--seeds must be a comma list of integers, got {args.seeds!r}")
-    if getattr(args, "n_seeds", None):
-        return list(range(int(args.n_seeds)))
-    base = args.seed if getattr(args, "seed", None) is not None else _default_seed()
-    return list(range(base, base + default_count))
+def _load_table(args: argparse.Namespace) -> FeatureTable:
+    if args.features is None:
+        raise ConfigError(f"{args.command} needs --features")
+    return load_feature_table(args.features, _table_format(args))
+
+
+def _table_format(args: argparse.Namespace) -> str:
+    """--format when given, else the format the --features extension names."""
+    if args.format is not None:
+        return args.format
+    return "bin" if args.features.endswith(".bin") else "csv"
+
+
+def _support(args: argparse.Namespace):
+    if args.features is not None:
+        spec: TaskSpec = External(_load_table(args))
+    elif args.task is not None:
+        task_seed = args.seed if args.task_seed is None else args.task_seed
+        spec = parse_task(args.task, seed=task_seed)
+    else:
+        raise ConfigError("need --task or --features")
+    return make_support_and_eval(spec, args.m, 0, args.seed)[0]
 
 
 def _integrator(args: argparse.Namespace) -> IntegratorConfig:
-    if getattr(args, "rk45", False):
-        return IntegratorConfig(
-            method=AdaptiveRK45(rtol=args.rtol or 1e-5, atol=args.atol or 1e-7)
-        )
-    return IntegratorConfig(method=Euler(args.euler or 100))
-
-
-def _load_table_arg(args: argparse.Namespace):
-    fmt = args.format or ("bin" if str(args.features).endswith(".bin") else "csv")
-    return load_feature_table(args.features, fmt)
-
-
-def _support_from_args(args: argparse.Namespace, seed: int, n_eval: int = 0):
-    m = args.m if args.m is not None else 50
-    if m < 1:
-        raise CliError(f"--m must be >= 1, got {m}")
-    if getattr(args, "features", None):
-        spec: TaskSpec = External(_load_table_arg(args))
-    elif getattr(args, "task", None):
-        spec = parse_task(args.task, seed=args.task_seed if args.task_seed is not None else seed)
-    else:
-        raise CliError("need --task or --features")
-    return make_support_and_eval(spec, m, n_eval, seed), spec
+    if args.rk45:
+        return IntegratorConfig(method=AdaptiveRK45(**_given(args, rtol="rtol", atol="atol")))
+    return IntegratorConfig(method=Euler(**_given(args, n_steps="euler")))
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
-    (support, _), spec = _support_from_args(args, seed)
-    sched = PathSchedule(args.sigma_min if args.sigma_min is not None else 0.01)
+    support = _support(args)
+    sched = PathSchedule(**_given(args, sigma_min="sigma_min"))
     cfg = _integrator(args)
-    n = args.n if args.n is not None else 1000
-    if n < 1:
-        raise CliError(f"--n must be >= 1, got {n}")
     field = PluginField(support, sched)
-    batch = generate(field, n, support.d, seed=seed, cfg=cfg, jobs=args.jobs or 1)
-    write_csv(os.path.join(out, "support.csv"), support.points)
-    write_csv(os.path.join(out, "samples.csv"), batch.samples)
+    batch = generate(field, args.n, support.d, seed=args.seed, cfg=cfg, jobs=args.jobs)
+    write_csv(os.path.join(args.out, "support.csv"), support.points)
+    write_csv(os.path.join(args.out, "samples.csv"), batch.samples)
     write_json(
-        os.path.join(out, "meta.json"),
+        os.path.join(args.out, "meta.json"),
         {
             "command": "generate",
             "library_version": __version__,
@@ -187,8 +131,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
             "features": args.features,
             "m": support.m,
             "d": support.d,
-            "n": n,
-            "seed": seed,
+            "n": args.n,
+            "seed": args.seed,
             "sigma_min": sched.sigma_min,
             "integrator": cfg.describe(),
             **batch.meta,
@@ -198,44 +142,30 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_diag_neff(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
-    (support, _), _ = _support_from_args(args, seed)
-    sched = PathSchedule(args.sigma_min if args.sigma_min is not None else 0.01)
-    if args.t_grid:
-        try:
-            grid = [float(t) for t in args.t_grid.split(",")]
-        except ValueError:
-            raise CliError(f"--t-grid must be a comma list of floats, got {args.t_grid!r}")
-    else:
-        grid = [round(0.04 * k, 2) for k in range(1, 26)]  # includes 0.56 and 1.0
-    prof = neff_profile(support, sched, grid, n_queries=args.n or 256, seed=seed)
-    table = np.column_stack([prof.t, prof.h, prof.median, prof.q25, prof.q75])
+    support = _support(args)
+    sched = PathSchedule(**_given(args, sigma_min="sigma_min"))
+    prof = neff_profile(
+        support, sched, seed=args.seed, **_given(args, t_grid="t_grid", n_queries="n")
+    )
     write_csv(
-        os.path.join(out, "neff.csv"), table, header=["t", "h_t", "median_neff", "q25", "q75"]
+        os.path.join(args.out, "neff.csv"),
+        list(zip(prof.t, prof.h, prof.median, prof.q25, prof.q75)),
+        header=["t", "h_t", "median_neff", "q25", "q75"],
     )
     return EXIT_OK
 
 
 def cmd_whiten(args: argparse.Namespace) -> int:
-    if not args.features:
-        raise CliError("whiten needs --features")
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
-    table = _load_table_arg(args)
-    cfg = WhitenConfig(
-        strength=args.strength if args.strength is not None else 1.0,
-        regularization=args.ridge or 0.0,
+    table = _load_table(args)
+    whitened, record = whiten(
+        table, WhitenConfig(strength=args.strength, **_given(args, regularization="ridge"))
     )
-    whitened, record = whiten(table, cfg)
-    fmt = args.format or "csv"
-    ext = "csv" if fmt == "csv" else "bin"
+    fmt = _table_format(args)
     save_feature_table(
-        whitened.rows, os.path.join(out, f"whitened.{ext}"), fmt=fmt, names=table.names
+        whitened.rows, os.path.join(args.out, f"whitened.{fmt}"), fmt=fmt, names=table.names
     )
     write_json(
-        os.path.join(out, "transform.json"),
+        os.path.join(args.out, "transform.json"),
         {
             "command": "whiten",
             "library_version": __version__,
@@ -251,17 +181,13 @@ def cmd_whiten(args: argparse.Namespace) -> int:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    if not args.features:
-        raise CliError("ingest needs --features")
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
-    table = _load_table_arg(args)
-    in_fmt = args.format or ("bin" if str(args.features).endswith(".bin") else "csv")
-    fmt = args.to or ("bin" if in_fmt == "csv" else "csv")
-    ext = "csv" if fmt == "csv" else "bin"
-    save_feature_table(table.rows, os.path.join(out, f"table.{ext}"), fmt=fmt, names=table.names)
+    table = _load_table(args)
+    fmt = args.to
+    if fmt is None:  # convert to the other format
+        fmt = "bin" if _table_format(args) == "csv" else "csv"
+    save_feature_table(table.rows, os.path.join(args.out, f"table.{fmt}"), fmt=fmt, names=table.names)
     write_json(
-        os.path.join(out, "table_meta.json"),
+        os.path.join(args.out, "table_meta.json"),
         {
             "command": "ingest",
             "library_version": __version__,
@@ -275,103 +201,119 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Experiment(NamedTuple):
+    """How `nwflow experiment <name>` calls `experiments.exp_<name>` (dashes as underscores)."""
+
+    # exp_* keyword -> flag dest; passed on only when the flag is set
+    flags: dict[str, str]
+    # length of the default seed list; 0 for an experiment that takes one `seed`
+    seeds: int = 0
+    # further keywords that depend on several flags
+    extra: Callable[[argparse.Namespace], dict] = lambda args: {}
+
+
+# variance-scaling: each family's default dimension, and the acceptance bands
+# (alpha range, r^2 floor) of the two documented (family, d) configurations.
+# Library calls get no bands, so they report an exploratory verdict.
+_VARIANCE_DIMS = {"fourier": 8, "gmm": 2}
+_VARIANCE_BANDS = {("fourier", 8): ((0.25, 0.40), 0.95), ("gmm", 2): ((0.9, float("inf")), None)}
+
+
+def _variance_scaling(args: argparse.Namespace) -> dict:
+    kw = {"family": args.family, "d": _VARIANCE_DIMS.get(args.family), **_given(args, d="d")}
+    kw["alpha_range"], kw["r2_min"] = _VARIANCE_BANDS.get((kw["family"], kw["d"]), (None, None))
+    return kw
+
+
+def _whitening_table(args: argparse.Namespace) -> dict:
+    return {} if args.features is None else {"table": _load_table(args)}
+
+
+EXPERIMENTS = {
+    "realization-fuzz": _Experiment({"n_configs": "configs"}),
+    "kde-identity": _Experiment({"n_configs": "configs"}),
+    "neff-collapse": _Experiment({"m": "m"}, seeds=8),
+    "variance-scaling": _Experiment({"m_ref": "m_ref"}, seeds=4, extra=_variance_scaling),
+    "endpoint-check": _Experiment(
+        {"m": "m", "n": "n", "bandwidth_factor": "bandwidth_factor",
+         "mmd_bandwidth": "mmd_bandwidth"},
+        seeds=4,
+    ),
+    "solver-control": _Experiment(
+        {"m": "m", "n": "n", "rtol": "rtol", "atol": "atol", "mmd_bandwidth": "mmd_bandwidth"},
+        seeds=4,
+    ),
+    "sphere-rate": _Experiment({"d_k": "d"}, seeds=3),
+    "whitening-control": _Experiment({"m": "m"}, seeds=4, extra=_whitening_table),
+    "anisotropic-shells": _Experiment({"d": "d", "m": "m"}, seeds=3),
+}
+
+
+def _seed_list(args: argparse.Namespace, count: int) -> list[int]:
+    """--seeds as given, else --n-seeds (or `count`) consecutive seeds from the seed."""
+    if args.seeds is not None:
+        return args.seeds
+    if args.n_seeds is not None:
+        count = args.n_seeds
+    if count < 1:
+        raise ConfigError(f"--n-seeds must be >= 1, got {count}")
+    return list(range(args.seed, args.seed + count))
+
+
 def cmd_experiment(args: argparse.Namespace) -> int:
-    name = args.name
-    if name not in EXPERIMENTS:
-        raise CliError(f"unknown experiment {name!r}; choose from {', '.join(EXPERIMENTS)}")
-    out = args.out or "."
-    seed = args.seed if args.seed is not None else _default_seed()
-    report = _dispatch_experiment(name, args, seed)
-    jpath, cpath = save_report(report, out)
-    print(f"wall clock: {report.wall_clock:.2f}s", file=sys.stderr)
+    spec = EXPERIMENTS[args.name]
+    kwargs = {**_given(args, **spec.flags), **spec.extra(args)}
+    if spec.seeds:
+        kwargs["seeds"] = _seed_list(args, spec.seeds)
+    else:
+        kwargs["seed"] = args.seed
+    # Looked up on the module at each call, so perfbench's tracer, which rebinds
+    # module attributes, sees the call.
+    run = getattr(experiments, "exp_" + args.name.replace("-", "_"))
+    t0 = time.perf_counter()
+    report = run(**kwargs)
+    wall_clock = time.perf_counter() - t0
+    jpath, cpath = save_report(report, args.out)
+    print(f"wall clock: {wall_clock:.2f}s", file=sys.stderr)
     verdict = "PASS" if report.passed else ("EXPLORATORY" if report.passed is None else "FAIL")
-    print(f"{name}: {verdict} ({jpath}, {cpath})")
+    print(f"{args.name}: {verdict} ({jpath}, {cpath})")
     if report.passed is False:
         return EXIT_FAIL
     return EXIT_OK
 
 
-def _seed_override(args: argparse.Namespace, default_count: int) -> dict:
-    """Seed-list kwarg only when the user asked for specific seeds."""
-    if getattr(args, "seeds", None) or getattr(args, "n_seeds", None):
-        return {"seeds": _resolve_seeds(args, default_count)}
-    if getattr(args, "seed", None) is not None:
-        base = int(args.seed)
-        return {"seeds": list(range(base, base + default_count))}
-    return {}
+def _comma_list(kind: type) -> Callable[[str], list]:
+    """argparse type: a comma list of `kind` values, such as 0,1,2."""
 
+    def comma_list(text: str) -> list:
+        return [kind(v) for v in text.split(",")]
 
-def _dispatch_experiment(name: str, args: argparse.Namespace, seed: int) -> RunReport:
-    if name == "realization-fuzz":
-        return exp_realization_fuzz(n_configs=args.configs or 1000, seed=seed)
-    if name == "kde-identity":
-        return exp_kde_identity(n_configs=args.configs or 200, seed=seed)
-    if name == "neff-collapse":
-        return exp_neff_collapse(m=args.m or 64, **_seed_override(args, 8))
-    if name == "variance-scaling":
-        family = (args.family or "fourier").lower()
-        d = args.d or (8 if family == "fourier" else 2)
-        bands = {("fourier", 8): ((0.25, 0.40), 0.95), ("gmm", 2): ((0.9, float("inf")), None)}
-        alpha_range, r2_min = bands.get((family, d), (None, None))
-        return exp_variance_scaling(
-            family=family,
-            d=d,
-            m_ref=args.m_ref or 50_000,
-            alpha_range=alpha_range,
-            r2_min=r2_min,
-            **_seed_override(args, 4),
-        )
-    if name == "endpoint-check":
-        return exp_endpoint_check(
-            m=args.m or 50,
-            n=args.n or 2000,
-            bandwidth_factor=args.bandwidth_factor or 1.0,
-            mmd_bandwidth=args.mmd_bandwidth,
-            **_seed_override(args, 4),
-        )
-    if name == "solver-control":
-        return exp_solver_control(
-            m=args.m or 50,
-            n=args.n or 2000,
-            rtol=args.rtol or 1e-5,
-            atol=args.atol or 1e-7,
-            mmd_bandwidth=args.mmd_bandwidth,
-            **_seed_override(args, 4),
-        )
-    if name == "sphere-rate":
-        return exp_sphere_rate(d_k=args.d or 3, **_seed_override(args, 3))
-    if name == "whitening-control":
-        table = _load_table_arg(args) if args.features else None
-        return exp_whitening_control(table=table, m=args.m or 64, **_seed_override(args, 4))
-    if name == "anisotropic-shells":
-        return exp_anisotropic_shells(
-            d=args.d or 8, m=args.m or 64, **_seed_override(args, 3)
-        )
-    raise CliError(f"unhandled experiment {name!r}")
+    return comma_list
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--task", help="task name, e.g. gmm2d, shell16d, fourier8d, moons")
-    p.add_argument("--task-seed", type=int, default=None, help="task instance seed")
+    p.add_argument("--task-seed", type=int, help="task instance seed (default: the seed)")
     p.add_argument("--features", help="path to a feature table (csv or NWF1 binary)")
-    p.add_argument("--format", choices=["csv", "bin"], default=None, help="feature table format")
-    p.add_argument("--m", type=int, default=None, help="support size")
-    p.add_argument("--n", type=int, default=None, help="sample / query count")
-    p.add_argument("--d", type=int, default=None, help="dimension override")
-    p.add_argument("--seed", type=int, default=None, help="root seed (env NWFLOW_SEED fallback)")
-    p.add_argument("--seeds", default=None, help="explicit comma list of seeds")
-    p.add_argument("--n-seeds", type=int, default=None, help="use seeds 0..n-1")
-    p.add_argument("--sigma-min", type=float, default=None, help="terminal noise scale")
-    p.add_argument("--euler", type=int, default=None, metavar="N", help="fixed-step Euler steps")
+    p.add_argument("--format", choices=["csv", "bin"], help="feature table format")
+    p.add_argument("--m", type=int, help="support size")
+    p.add_argument("--n", type=int, help="sample / query count")
+    p.add_argument("--d", type=int, help="dimension override")
+    p.add_argument("--seed", type=int, help="root seed (default: env NWFLOW_SEED, else 0)")
+    p.add_argument("--seeds", type=_comma_list(int), help="explicit comma list of seeds")
+    p.add_argument("--n-seeds", type=int, help="use this many consecutive seeds from the seed")
+    p.add_argument("--sigma-min", type=float, help="terminal noise scale")
+    p.add_argument("--euler", type=int, metavar="N", help="fixed-step Euler steps")
     p.add_argument("--rk45", action="store_true", help="use the adaptive integrator")
-    p.add_argument("--rtol", type=float, default=None)
-    p.add_argument("--atol", type=float, default=None)
-    p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--jobs", type=int, default=os.cpu_count(), help="worker threads")
-    p.add_argument("--config", default=None, help="JSON config file mirroring these flags")
+    p.add_argument("--rtol", type=float)
+    p.add_argument("--atol", type=float)
+    p.add_argument("--out", default=".", help="output directory")
+    p.add_argument("--jobs", type=int, default=os.cpu_count(), help="worker threads (default: the CPU count)")
+    p.add_argument("--config", help="JSON config file mirroring these flags")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(**defaults: object) -> argparse.ArgumentParser:
+    """The `nwflow` parser; `defaults` (a --config file's values) replace its defaults."""
     parser = argparse.ArgumentParser(
         prog="nwflow",
         description="Support-conditioned flow-matching fields, sampling, and diagnostics",
@@ -381,92 +323,93 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("generate", help="integrate the plug-in field from base noise")
     _add_common(p_gen)
-    p_gen.set_defaults(func=cmd_generate)
+    p_gen.set_defaults(func=cmd_generate, m=50, n=1000)
 
     p_exp = sub.add_parser("experiment", help="run one named experiment")
     p_exp.add_argument("name", choices=EXPERIMENTS)
     _add_common(p_exp)
-    p_exp.add_argument("--configs", type=int, default=None, help="fuzz config count")
-    p_exp.add_argument("--family", default=None, help="variance-scaling family (fourier|gmm)")
-    p_exp.add_argument("--m-ref", type=int, default=None, help="reference support size")
-    p_exp.add_argument("--bandwidth-factor", type=float, default=None,
+    p_exp.add_argument("--configs", type=int, help="fuzz config count")
+    p_exp.add_argument("--family", type=str.lower, default="fourier",
+                       help="variance-scaling family (fourier|gmm)")
+    p_exp.add_argument("--m-ref", type=int, help="reference support size")
+    p_exp.add_argument("--bandwidth-factor", type=float,
                        help="endpoint-check reference bandwidth multiplier")
-    p_exp.add_argument("--mmd-bandwidth", type=float, default=None,
+    p_exp.add_argument("--mmd-bandwidth", type=float,
                        help="override the median-heuristic MMD kernel bandwidth")
     p_exp.set_defaults(func=cmd_experiment)
 
     p_diag = sub.add_parser("diag-neff", help="effective-sample-size profile along the flow")
     _add_common(p_diag)
-    p_diag.add_argument("--t-grid", default=None, help="comma list of flow times in (0,1]")
-    p_diag.set_defaults(func=cmd_diag_neff)
+    p_diag.add_argument("--t-grid", type=_comma_list(float),
+                        help="comma list of flow times in (0,1]")
+    p_diag.set_defaults(func=cmd_diag_neff, m=50)
 
     p_whiten = sub.add_parser("whiten", help="whiten a feature table")
     _add_common(p_whiten)
-    p_whiten.add_argument("--strength", type=float, default=None, help="lambda in [0,1]")
-    p_whiten.add_argument("--ridge", type=float, default=None, help="covariance ridge")
+    p_whiten.add_argument("--strength", type=float, default=1.0, help="lambda in [0,1]")
+    p_whiten.add_argument("--ridge", type=float, help="covariance ridge")
     p_whiten.set_defaults(func=cmd_whiten)
 
     p_ingest = sub.add_parser("ingest", help="validate and convert a feature table")
     _add_common(p_ingest)
-    p_ingest.add_argument("--to", choices=["csv", "bin"], default=None, help="output format")
+    p_ingest.add_argument("--to", choices=["csv", "bin"], help="output format")
     p_ingest.set_defaults(func=cmd_ingest)
 
+    for p in sub.choices.values():
+        p.set_defaults(**defaults)
     return parser
 
 
-def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Flags beat config-file values, which beat defaults."""
-    if not getattr(args, "config", None):
-        return
+def _read_config(path: str, flags: set[str]) -> dict:
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read config file {args.config!r}: {exc}")
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config file {path!r}: {exc}")
     if not isinstance(payload, dict):
-        raise CliError("config file must hold a JSON object")
-    for key, value in payload.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            raise CliError(f"config file key {key!r} is not a recognized flag")
-        if getattr(args, attr) is None or getattr(args, attr) is False:
-            setattr(args, attr, value)
+        raise ConfigError("config file must hold a JSON object")
+    config = {key.replace("-", "_"): value for key, value in payload.items()}
+    unknown = sorted(config.keys() - flags)
+    if unknown:
+        raise ConfigError(f"config file keys {unknown} are not recognized flags")
+    return config
+
+
+def _parse(argv: Optional[Sequence[str]]) -> argparse.Namespace:
+    """Flags beat --config values, which beat the parser defaults; then NWFLOW_SEED, then 0."""
+    args = build_parser().parse_args(argv)
+    if args.config is not None:
+        flags = set(vars(args)) - {"command", "func"}
+        args = build_parser(**_read_config(args.config, flags)).parse_args(argv)
+    if args.seed is None:
+        env = os.environ.get("NWFLOW_SEED", "0")
+        try:
+            args.seed = int(env)
+        except ValueError:
+            raise ConfigError(f"NWFLOW_SEED must be an integer, got {env!r}")
+    return args
+
+
+def _fail(exc: BaseException, code: int) -> int:
+    prefix = "error" if code == ConfigError.exit_code else "numerical failure"
+    print(f"{prefix}: {exc}", file=sys.stderr)
+    return code
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse uses 2 for usage errors, matching the config-error contract
-        return int(exc.code or 0)
-    try:
-        _apply_config_file(args, parser)
+        args = _parse(argv)
+        os.makedirs(args.out, exist_ok=True)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, matching the config-error contract
+        return exc.code
     except NwflowError as exc:
-        from .errors import (
-            ConfigError,
-            DataError,
-            DegenerateScale,
-            DimError,
-            EmptyTable,
-            FormatError,
-            SizeError,
-        )
-
-        if isinstance(
-            exc, (ConfigError, DataError, DimError, EmptyTable, FormatError, SizeError, DegenerateScale)
-        ):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return _fail(exc, exc.exit_code)
+    except (ValueError, OSError) as exc:
+        return _fail(exc, ConfigError.exit_code)
+    except MemoryError as exc:
+        return _fail(exc, NwflowError.exit_code)
 
 
 def entrypoint() -> None:

@@ -1,8 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+`exit_code` is the `nwflow` command's exit status for each error: 3 for a
+numerical failure, 2 for the configuration and input errors listed at the end.
+"""
 
 
 class NwflowError(Exception):
     """Base class for all nwflow errors."""
+
+    exit_code = 3
 
 
 class DimError(NwflowError):
@@ -63,3 +69,8 @@ class DegenerateScale(NwflowError):
 
 class LogDomainError(NwflowError):
     """Nonpositive value where a log transform is required."""
+
+
+for _cls in (ConfigError, DataError, DegenerateScale, DimError, EmptyTable, FormatError, SizeError):
+    _cls.exit_code = 2
+del _cls

@@ -2,22 +2,22 @@
 
 Each experiment is a pure function of its configuration and seed list: the
 report JSON it produces is bit-identical across re-runs.  Every PASS/FAIL
-threshold lives in the config echo; timing is reported out-of-band so it
-cannot perturb the deterministic outputs.
+threshold lives in the config echo; reports carry no timing, so nothing
+perturbs the deterministic outputs.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.special import logsumexp
 
 from . import __version__
-from .kernels import SupportSet, nw_local_means, softmax_weights
+from .kernels import SupportSet, kde_descaled_log_density, nw_local_means, softmax_weights
 from .metrics import c2st_1nn, fit_power_law, median_heuristic, mmd2_unbiased, neff_profile
 from .ode import (
     AdaptiveRK45,
@@ -29,6 +29,7 @@ from .ode import (
 )
 from .schedule import PathSchedule
 from .tasks import (
+    External,
     FeatureTable,
     FourierDensity,
     Gmm,
@@ -39,6 +40,7 @@ from .tasks import (
     make_support_and_eval,
     sample_task,
     whiten,
+    write_csv,
 )
 from .velocity import AnisotropicField, PluginField, attention_realized_velocity
 
@@ -64,16 +66,17 @@ class RunReport:
     """Experiment output: config echo, per-row metrics, aggregates, verdict.
 
     `passed` is None for exploratory experiments that have no hard criterion.
-    Wall-clock lives on the object but is excluded from `to_json` so that
-    re-runs serialize to identical bytes.
+    The experiment id is the config's "experiment" entry.
     """
 
-    id: str
     config: dict
     rows: list[dict] = field(default_factory=list)
     aggregates: dict = field(default_factory=dict)
     passed: Optional[bool] = None
-    wall_clock: float = 0.0
+
+    @property
+    def id(self) -> str:
+        return self.config["experiment"]
 
     def to_json(self) -> str:
         payload = {
@@ -92,12 +95,6 @@ def _json_default(obj: object):
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
-def _fmt(v: object) -> str:
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
-
-
 def save_report(report: RunReport, outdir: str) -> tuple[str, str]:
     """Write report.json and rows.csv; returns the two paths."""
     os.makedirs(outdir, exist_ok=True)
@@ -105,15 +102,8 @@ def save_report(report: RunReport, outdir: str) -> tuple[str, str]:
     cpath = os.path.join(outdir, "rows.csv")
     with open(jpath, "w", encoding="utf-8") as fh:
         fh.write(report.to_json() + "\n")
-    cols: list[str] = []
-    for row in report.rows:
-        for key in row:
-            if key not in cols:
-                cols.append(key)
-    with open(cpath, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in report.rows:
-            fh.write(",".join(_fmt(row.get(c, "")) for c in cols) + "\n")
+    cols = list(dict.fromkeys(key for row in report.rows for key in row))
+    write_csv(cpath, [[row.get(c, "") for c in cols] for row in report.rows], header=cols)
     return jpath, cpath
 
 
@@ -156,7 +146,8 @@ def exp_realization_fuzz(
     States are drawn from the path marginal, which is where an ODE solver
     actually evaluates the field.
     """
-    t0 = time.perf_counter()
+    if n_configs < 1:
+        raise ValueError(f"need n_configs >= 1, got {n_configs}")
     sched = PathSchedule(sigma_min)
     rng = np.random.default_rng(np.random.SeedSequence([101, seed]))
     dims = np.array([1, 2, 4, 8, 16])
@@ -173,8 +164,7 @@ def exp_realization_fuzz(
         dev = float(np.max(np.abs(attention_realized_velocity(support, sched, x, t) - fld(x, t))))
         worst = max(worst, dev)
         rows.append({"config": i, "d": d, "m": m, "t": t, "deviation": dev})
-    report = RunReport(
-        id="realization-fuzz",
+    return RunReport(
         config=_base_config(
             "realization-fuzz",
             n_configs=n_configs,
@@ -189,9 +179,7 @@ def exp_realization_fuzz(
         rows=rows,
         aggregates={"max_deviation": worst, "tolerance": tol},
         passed=bool(worst <= tol),
-        wall_clock=time.perf_counter() - t0,
     )
-    return report
 
 
 def exp_kde_identity(
@@ -208,9 +196,8 @@ def exp_kde_identity(
     uses means t*s_i at scale sigma_t plus the d*log(t) Jacobian, the KDE
     uses bandwidth h(t) directly.
     """
-    from .kernels import kde_descaled_log_density
-
-    t0 = time.perf_counter()
+    if n_configs < 1:
+        raise ValueError(f"need n_configs >= 1, got {n_configs}")
     sched = PathSchedule(sigma_min)
     rng = np.random.default_rng(np.random.SeedSequence([102, seed]))
     dims = np.array([1, 2, 4, 8, 16])
@@ -236,14 +223,13 @@ def exp_kde_identity(
                 d * np.log(t)
                 - np.log(m)
                 - 0.5 * d * np.log(2.0 * np.pi * sig * sig)
-                + _logsumexp(-sq / (2.0 * sig * sig))
+                + logsumexp(-sq / (2.0 * sig * sig))
             )
             config_worst = max(config_worst, abs(log_mix - log_kde))
             checked += 1
         worst = max(worst, config_worst)
         rows.append({"config": i, "d": d, "m": m, "t": t, "max_log_diff": config_worst})
-    report = RunReport(
-        id="kde-identity",
+    return RunReport(
         config=_base_config(
             "kde-identity",
             n_configs=n_configs,
@@ -256,15 +242,7 @@ def exp_kde_identity(
         rows=rows,
         aggregates={"max_log_diff": worst, "points_checked": checked, "tolerance": tol},
         passed=bool(worst <= tol and checked > 0),
-        wall_clock=time.perf_counter() - t0,
     )
-    return report
-
-
-def _logsumexp(v: np.ndarray) -> float:
-    from scipy.special import logsumexp
-
-    return float(logsumexp(v))
 
 
 def exp_neff_collapse(
@@ -287,7 +265,6 @@ def exp_neff_collapse(
     collapse (about 9 at d=2 down to about 1 at d=16) and they are echoed
     in full below.
     """
-    t0 = time.perf_counter()
     sched = PathSchedule(sigma_min)
     rows = []
     medians: dict[int, float] = {}
@@ -310,8 +287,7 @@ def exp_neff_collapse(
     monotone = all(a > b for a, b in zip(ordered, ordered[1:]))
     lo_ok = band_low_d[0] <= medians[dims[0]] <= band_low_d[1]
     hi_ok = band_high_d[0] <= medians[dims[-1]] <= band_high_d[1]
-    report = RunReport(
-        id="neff-collapse",
+    return RunReport(
         config=_base_config(
             "neff-collapse",
             seed_list=seeds,
@@ -334,9 +310,7 @@ def exp_neff_collapse(
             "high_dim_in_band": hi_ok,
         },
         passed=bool(monotone and lo_ok and hi_ok),
-        wall_clock=time.perf_counter() - t0,
     )
-    return report
 
 
 def exp_variance_scaling(
@@ -355,7 +329,6 @@ def exp_variance_scaling(
     h = m^(-1/(4+d)) and the squared gap is averaged over queries drawn from
     the task itself, then fitted as a power law in m.
     """
-    t0 = time.perf_counter()
     if family == "fourier":
         make = lambda s: FourierDensity(d=d, seed=s)  # noqa: E731
     elif family == "gmm":
@@ -383,8 +356,7 @@ def exp_variance_scaling(
     if r2_min is not None:
         checks["r2_ok"] = bool(fit.r_squared >= r2_min)
     passed = bool(all(checks.values())) if checks else None
-    report = RunReport(
-        id="variance-scaling",
+    return RunReport(
         config=_base_config(
             "variance-scaling",
             seed_list=seeds,
@@ -407,9 +379,13 @@ def exp_variance_scaling(
             **checks,
         },
         passed=passed,
-        wall_clock=time.perf_counter() - t0,
     )
-    return report
+
+
+def _mmd_bandwidth_rule(mmd_bandwidth: Optional[float]) -> str:
+    if mmd_bandwidth is not None:
+        return "explicit override"
+    return "median heuristic, first seed, shared across seeds"
 
 
 def exp_endpoint_check(
@@ -433,7 +409,6 @@ def exp_endpoint_check(
     share a comparable kernel; the null MMD distribution comes from pairs of
     independent reference draws.
     """
-    t0 = time.perf_counter()
     sched = PathSchedule(sigma_min)
     cfg = IntegratorConfig(method=Euler(n_steps))
     ref_bandwidth = sigma_min * bandwidth_factor
@@ -472,8 +447,7 @@ def exp_endpoint_check(
                 "c2st_ok": c2st_ok,
             }
         )
-    report = RunReport(
-        id="endpoint-check",
+    return RunReport(
         config=_base_config(
             "endpoint-check",
             seed_list=seeds,
@@ -486,10 +460,7 @@ def exp_endpoint_check(
             null_pairs=null_pairs,
             c2st_band=list(c2st_band),
             null_iqr_factor=null_iqr_factor,
-            mmd_bandwidth_rule=(
-                "explicit override" if mmd_bandwidth is not None
-                else "median heuristic, first seed, shared across seeds"
-            ),
+            mmd_bandwidth_rule=_mmd_bandwidth_rule(mmd_bandwidth),
             c2st_rule="leave-one-out 1-NN substitute for a trained classifier",
         ),
         rows=rows,
@@ -501,9 +472,7 @@ def exp_endpoint_check(
             "median_mmd2": float(np.median([r["mmd2"] for r in rows])),
         },
         passed=bool(all_ok),
-        wall_clock=time.perf_counter() - t0,
     )
-    return report
 
 
 def exp_solver_control(
@@ -518,7 +487,6 @@ def exp_solver_control(
     mmd_bandwidth: Optional[float] = None,
 ) -> RunReport:
     """Euler-100 vs adaptive RK45 endpoints, scored by MMD against held-out draws."""
-    t0 = time.perf_counter()
     sched = PathSchedule(sigma_min)
     euler_cfg = IntegratorConfig(method=Euler(100))
     rk_cfg = IntegratorConfig(method=AdaptiveRK45(rtol=rtol, atol=atol))
@@ -537,8 +505,7 @@ def exp_solver_control(
         rel = abs(mmd_r - mmd_e) / abs(mmd_e)
         rows.append({"seed": seed, "mmd2_euler100": mmd_e, "mmd2_rk45": mmd_r, "rel_change": rel})
     median_rel = float(np.median([r["rel_change"] for r in rows]))
-    report = RunReport(
-        id="solver-control",
+    return RunReport(
         config=_base_config(
             "solver-control",
             seed_list=seeds,
@@ -549,17 +516,12 @@ def exp_solver_control(
             rtol=rtol,
             atol=atol,
             rel_tol=rel_tol,
-            mmd_bandwidth_rule=(
-                "explicit override" if mmd_bandwidth is not None
-                else "median heuristic, first seed, shared across seeds"
-            ),
+            mmd_bandwidth_rule=_mmd_bandwidth_rule(mmd_bandwidth),
         ),
         rows=rows,
         aggregates={"median_rel_change": median_rel, "mmd_bandwidth": mmd_bw},
         passed=bool(median_rel <= rel_tol),
-        wall_clock=time.perf_counter() - t0,
     )
-    return report
 
 
 def _uniform_sphere(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
@@ -584,7 +546,6 @@ def exp_sphere_rate(
     control reuses the smallest-m concentration everywhere and must fit a
     strictly smaller exponent (its bias no longer shrinks).
     """
-    t0 = time.perf_counter()
     target_exp = 4.0 / (d_k + 3)
     kappa_pow = 2.0 / (d_k + 3)
     rows = []
@@ -629,8 +590,7 @@ def exp_sphere_rate(
 
     in_band = abs(fit.alpha - target_exp) <= exponent_tol
     ctrl_smaller = fit_ctrl.alpha < fit.alpha
-    report = RunReport(
-        id="sphere-rate",
+    return RunReport(
         config=_base_config(
             "sphere-rate",
             seed_list=seeds,
@@ -653,9 +613,7 @@ def exp_sphere_rate(
             "control_strictly_smaller": bool(ctrl_smaller),
         },
         passed=bool(in_band and ctrl_smaller),
-        wall_clock=time.perf_counter() - t0,
     )
-    return report
 
 
 def exp_whitening_control(
@@ -676,9 +634,6 @@ def exp_whitening_control(
     hard criterion here is only the n_eff drop between the endpoints of the
     strength grid.  Defaults to a synthetic anisotropic table.
     """
-    from .tasks import External
-
-    t0 = time.perf_counter()
     if table is None:
         table = anisotropic_gaussian_features(4096, 16, seed=0)
     sched = PathSchedule(sigma_min)
@@ -709,8 +664,7 @@ def exp_whitening_control(
     lam_lo, lam_hi = strengths[0], strengths[-1]
     drop = neff_by_lam[lam_lo] / max(neff_by_lam[lam_hi], 1e-12)
     mmds = [v for v in mmd_by_lam.values()]
-    report = RunReport(
-        id="whitening-control",
+    return RunReport(
         config=_base_config(
             "whitening-control",
             seed_list=seeds,
@@ -732,9 +686,7 @@ def exp_whitening_control(
             "mmd2_max_over_min": float(max(mmds) / min(mmds)) if min(mmds) > 0 else None,
         },
         passed=bool(drop >= neff_drop_min),
-        wall_clock=time.perf_counter() - t0,
     )
-    return report
 
 
 def _shell_metric(name: str, d: int) -> np.ndarray:
@@ -764,7 +716,6 @@ def exp_anisotropic_shells(
     A fixed global metric cannot track the radial direction around the
     sphere, so no hard criterion applies; the report records MMD ratios.
     """
-    t0 = time.perf_counter()
     sched = PathSchedule(sigma_min)
     cfg = IntegratorConfig(method=Euler(100))
     rows = []
@@ -796,8 +747,7 @@ def exp_anisotropic_shells(
                     "ratio_iso_over_metric": ratio,
                 }
             )
-    report = RunReport(
-        id="anisotropic-shells",
+    return RunReport(
         config=_base_config(
             "anisotropic-shells",
             seed_list=seeds,
@@ -813,6 +763,4 @@ def exp_anisotropic_shells(
             "median_ratio_by_metric": {k: float(np.median(v)) for k, v in ratios.items()}
         },
         passed=None,
-        wall_clock=time.perf_counter() - t0,
     )
-    return report

@@ -9,11 +9,13 @@ cancel in the softmax); they do enter the absolute KDE density.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
+from scipy.special import logsumexp
 
 from .errors import DimError, NormError
 
@@ -79,8 +81,6 @@ class SupportSet:
         return self.points.shape[1]
 
     def sha256(self) -> str:
-        import hashlib
-
         return hashlib.sha256(self.points.tobytes()).hexdigest()
 
     @cached_property
@@ -323,8 +323,6 @@ def kde_descaled_log_density(x_tilde: np.ndarray, support: SupportSet, h: float)
     """log of kde_descaled_density via log-sum-exp; safe for d >= 16."""
     if not h > 0.0:
         raise ValueError(f"bandwidth must be positive, got {h!r}")
-    from scipy.special import logsumexp
-
     sq = _sq_dists(x_tilde, support)
     lse = float(logsumexp(-sq / (2.0 * h * h)))
     return lse - np.log(support.m) - 0.5 * support.d * np.log(2.0 * np.pi * h * h)

@@ -128,10 +128,14 @@ class NeffProfile:
         ]
 
 
+# Flow times 0.04, 0.08, ..., 1.0, which include the mid-flow time 0.56.
+_T_GRID = tuple(round(0.04 * k, 2) for k in range(1, 26))
+
+
 def neff_profile(
     support: SupportSet,
     sched: PathSchedule,
-    t_grid: Sequence[float],
+    t_grid: Sequence[float] = _T_GRID,
     n_queries: int = 256,
     seed: int = 0,
     query_law: Optional[Callable[[np.random.Generator, float, int], np.ndarray]] = None,
@@ -146,6 +150,8 @@ def neff_profile(
     t_arr = np.asarray(list(t_grid), dtype=np.float64)
     if np.any(t_arr <= 0.0) or np.any(t_arr > 1.0):
         raise ValueError("t grid must lie in (0, 1]")
+    if n_queries < 1:
+        raise ValueError(f"need n_queries >= 1, got {n_queries}")
     med = np.empty_like(t_arr)
     q25 = np.empty_like(t_arr)
     q75 = np.empty_like(t_arr)

@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import ConfigError, NumericalBlowup, StepLimit
 from .kernels import SupportSet, _readonly
-from .schedule import FlowTime
 from .velocity import AnisotropicField, VelocityField
 
 __all__ = [
@@ -71,13 +70,18 @@ Method = Union[Euler, AdaptiveRK45]
 
 @dataclass(frozen=True)
 class IntegratorConfig:
+    """Method and flow-time interval, with 0 <= t_start < t_end <= 1."""
+
     method: Method = Euler(100)
-    t_start: FlowTime = FlowTime(0.0)
-    t_end: FlowTime = FlowTime(1.0)
+    t_start: float = 0.0
+    t_end: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.t_start.t < self.t_end.t:
-            raise ValueError("t_start must be strictly below t_end")
+        t0, t1 = float(self.t_start), float(self.t_end)
+        if not 0.0 <= t0 < t1 <= 1.0:  # also rejects NaN
+            raise ValueError(f"need 0 <= t_start < t_end <= 1, got {self.t_start!r}, {self.t_end!r}")
+        object.__setattr__(self, "t_start", t0)
+        object.__setattr__(self, "t_end", t1)
 
     def describe(self) -> dict:
         if isinstance(self.method, Euler):
@@ -89,7 +93,7 @@ class IntegratorConfig:
                 "atol": self.method.atol,
                 "max_steps": self.method.max_steps,
             }
-        return {**m, "t_start": self.t_start.t, "t_end": self.t_end.t}
+        return {**m, "t_start": self.t_start, "t_end": self.t_end}
 
 
 @dataclass(frozen=True)
@@ -199,8 +203,8 @@ def integrate(fieldfn: VelocityField, x0: np.ndarray, cfg: IntegratorConfig) -> 
     """
     x0 = np.asarray(x0, dtype=np.float64)
     if isinstance(cfg.method, Euler):
-        return _euler(fieldfn, x0, cfg.t_start.t, cfg.t_end.t, cfg.method.n_steps)
-    return _rk45(fieldfn, x0, cfg.t_start.t, cfg.t_end.t, cfg.method)
+        return _euler(fieldfn, x0, cfg.t_start, cfg.t_end, cfg.method.n_steps)
+    return _rk45(fieldfn, x0, cfg.t_start, cfg.t_end, cfg.method)
 
 
 def _sample_rng(seed: int, index: int) -> np.random.Generator:
@@ -221,7 +225,7 @@ def generate(
     n: int,
     d: int,
     seed: int,
-    cfg: IntegratorConfig | None = None,
+    cfg: IntegratorConfig = IntegratorConfig(),
     base: Base = IsotropicBase(),
     jobs: int = 1,
 ) -> SampleBatch:
@@ -233,7 +237,6 @@ def generate(
     """
     if n < 1:
         raise ConfigError(f"need n >= 1 samples, got {n}")
-    cfg = cfg or IntegratorConfig()
     if isinstance(base, PrecisionBase):
         if not isinstance(fieldfn, AnisotropicField) or not np.array_equal(
             base.metric, fieldfn.metric

@@ -1,4 +1,4 @@
-"""Flow time, the linear noise schedule, and the de-scaled bandwidth map.
+"""The linear noise schedule and the de-scaled bandwidth map.
 
 The schedule sigma(t) = 1 - (1 - sigma_min) * t interpolates the noise scale
 from 1 at t=0 down to sigma_min at t=1.  Dividing the path state by t turns
@@ -12,24 +12,7 @@ from dataclasses import dataclass
 
 from .errors import DivergentBandwidth
 
-__all__ = ["FlowTime", "PathSchedule", "sigma_at", "bandwidth_at"]
-
-
-@dataclass(frozen=True)
-class FlowTime:
-    """A point on the flow clock, constrained to [0, 1] at construction.
-
-    Operations downstream assume a valid time and carry no range checks of
-    their own, so hot loops pay nothing.
-    """
-
-    t: float
-
-    def __post_init__(self) -> None:
-        t = float(self.t)
-        if not 0.0 <= t <= 1.0:  # also rejects NaN
-            raise ValueError(f"flow time must lie in [0, 1], got {self.t!r}")
-        object.__setattr__(self, "t", t)
+__all__ = ["PathSchedule"]
 
 
 @dataclass(frozen=True)
@@ -65,15 +48,3 @@ class PathSchedule:
             )
         return self.sigma(t) / t
 
-
-def _tval(t: FlowTime | float) -> float:
-    """The float value of a flow time given as a FlowTime or a plain number."""
-    return t.t if isinstance(t, FlowTime) else float(t)
-
-
-def sigma_at(sched: PathSchedule, t: FlowTime | float) -> float:
-    return sched.sigma(_tval(t))
-
-
-def bandwidth_at(sched: PathSchedule, t: FlowTime | float) -> float:
-    return sched.bandwidth(_tval(t))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .errors import (
     FormatError,
     SamplerStall,
     SingularCovariance,
+    SizeError,
 )
 from .kernels import SupportSet, _readonly
 
@@ -41,6 +42,7 @@ __all__ = [
     "whiten",
     "load_feature_table",
     "save_feature_table",
+    "write_csv",
     "anisotropic_gaussian_features",
 ]
 
@@ -415,6 +417,8 @@ def whiten(table: FeatureTable, cfg: WhitenConfig) -> tuple[FeatureTable, Whiten
     if lam == 0.0:
         record = WhitenTransform(mean, np.eye(table.d), lam, eps, np.ones(table.d))
         return table, record
+    if table.n < 2:
+        raise SizeError(f"whitening needs a covariance, which needs at least 2 rows, got {table.n}")
     if table.n < table.d + 1 and eps == 0.0:
         raise SingularCovariance(
             f"{table.n} rows cannot give a full-rank covariance in d={table.d}; set a ridge"
@@ -494,11 +498,7 @@ def save_feature_table(
 ) -> None:
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     if fmt == "csv":
-        with open(path, "w", encoding="utf-8") as fh:
-            if names is not None:
-                fh.write(",".join(names) + "\n")
-            for row in rows:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        write_csv(path, rows, header=names)
     elif fmt == "bin":
         with open(path, "wb") as fh:
             fh.write(_MAGIC)
@@ -506,6 +506,22 @@ def save_feature_table(
             fh.write(np.ascontiguousarray(rows, dtype="<f8").tobytes())
     else:
         raise FormatError(f"unknown format {fmt!r}; expected 'csv' or 'bin'")
+
+
+def _fmt(v: object) -> str:
+    """A float in 17 significant digits, which round-trip a float64; anything else by str."""
+    return f"{v:.17g}" if isinstance(v, float) else str(v)
+
+
+def write_csv(
+    path: str, rows: Iterable[Sequence[object]], header: Optional[Sequence[str]] = None
+) -> None:
+    """Write rows as comma-separated lines, after an optional header line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        if header is not None:
+            fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_fmt, row)) + "\n")
 
 
 def anisotropic_gaussian_features(

@@ -32,15 +32,13 @@ from .kernels import (
     local_mean,
     softmax_weights,
 )
-from .schedule import FlowTime, PathSchedule, _tval
+from .schedule import PathSchedule
 
 __all__ = [
     "VelocityField",
     "PluginField",
     "AnisotropicField",
     "MultiHeadParams",
-    "plugin_velocity",
-    "anisotropic_velocity",
     "velocity_from_score",
     "affine_postmap",
     "attention_realized_velocity",
@@ -80,11 +78,10 @@ class PluginField:
     support: SupportSet
     schedule: PathSchedule
 
-    def __call__(self, x: np.ndarray, t: FlowTime | float) -> np.ndarray:
-        tv = _tval(t)
+    def __call__(self, x: np.ndarray, t: float) -> np.ndarray:
         xs, single = _prepare_states(x, self.support.d)
-        sig = self.schedule.sigma(tv)
-        return _readout(self.schedule, xs, single, sig, _smooth(xs, self.support, tv, sig)[0])
+        sig = self.schedule.sigma(t)
+        return _readout(self.schedule, xs, single, sig, _smooth(xs, self.support, t, sig)[0])
 
 
 @dataclass(frozen=True)
@@ -109,25 +106,16 @@ class AnisotropicField:
         object.__setattr__(self, "_chol", _readonly(chol))
         object.__setattr__(self, "_chol_support", SupportSet(self.support.points @ chol))
 
-    def __call__(self, x: np.ndarray, t: FlowTime | float) -> np.ndarray:
-        tv = _tval(t)
+    def __call__(self, x: np.ndarray, t: float) -> np.ndarray:
         xs, single = _prepare_states(x, self.support.d)
-        sig = self.schedule.sigma(tv)
-        means = _smooth(xs @ self._chol, self._chol_support, tv, sig, self.support.points)[0]
+        sig = self.schedule.sigma(t)
+        means = _smooth(xs @ self._chol, self._chol_support, t, sig, self.support.points)[0]
         return _readout(self.schedule, xs, single, sig, means)
-
-
-def plugin_velocity(field: PluginField, x: np.ndarray, t: FlowTime | float) -> np.ndarray:
-    return field(x, t)
-
-
-def anisotropic_velocity(field: AnisotropicField, x: np.ndarray, t: FlowTime | float) -> np.ndarray:
-    return field(x, t)
 
 
 def velocity_from_score(
     x: np.ndarray,
-    t: FlowTime | float,
+    t: float,
     score_at: Callable[[np.ndarray], np.ndarray],
     sched: PathSchedule,
 ) -> np.ndarray:
@@ -136,11 +124,10 @@ def velocity_from_score(
     Exact for any score oracle of the time-t marginal; with the analytic KDE
     score it reproduces the plug-in field.  Undefined at t = 0.
     """
-    tv = _tval(t)
-    if tv == 0.0:
+    if t == 0.0:
         raise DivergentBandwidth("score route divides by t; use the plug-in limit at t=0")
     x = np.asarray(x, dtype=np.float64)
-    return x / tv + (sched.sigma(tv) / tv) * np.asarray(score_at(x), dtype=np.float64)
+    return x / t + (sched.sigma(t) / t) * np.asarray(score_at(x), dtype=np.float64)
 
 
 def affine_postmap(x_tilde: np.ndarray, z: np.ndarray, sigma_t: float) -> np.ndarray:
@@ -156,7 +143,7 @@ def attention_realized_velocity(
     support: SupportSet,
     sched: PathSchedule,
     x: np.ndarray,
-    t: FlowTime | float,
+    t: float,
 ) -> np.ndarray:
     """One Gaussian-kernel attention head plus the affine post-map.
 
@@ -166,15 +153,14 @@ def attention_realized_velocity(
     does not exist at t = 0, so that endpoint is refused here and served by
     the plug-in closed form instead.
     """
-    tv = _tval(t)
-    if tv == 0.0:
+    if t == 0.0:
         raise DivergentBandwidth("attention realization needs x/t; undefined at t=0")
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise InputError("velocity evaluated at a non-finite state")
-    x_tilde = x / tv
-    readout = local_mean(x_tilde, support, IsotropicGaussian(sched.bandwidth(tv)))
-    return affine_postmap(x_tilde, readout, sched.sigma(tv))
+    x_tilde = x / t
+    readout = local_mean(x_tilde, support, IsotropicGaussian(sched.bandwidth(t)))
+    return affine_postmap(x_tilde, readout, sched.sigma(t))
 
 
 def dot_product_lift(

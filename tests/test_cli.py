@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from nwflow.cli import main, parse_task
+from nwflow.errors import ConfigError, NumericalBlowup
 from nwflow.tasks import FourierDensity, Gmm, Moons, Shell
 
 
@@ -39,9 +40,7 @@ def test_parse_task_names():
     assert isinstance(parse_task("shell8d", 1), Shell)
     assert isinstance(parse_task("fourier8d", 0), FourierDensity)
     assert isinstance(parse_task("moons", 0), Moons)
-    from nwflow.cli import CliError
-
-    with pytest.raises(CliError):
+    with pytest.raises(ConfigError):
         parse_task("blob3d", 0)
 
 
@@ -156,6 +155,11 @@ def test_whiten_and_ingest_roundtrip(tmp_path):
     round_rows = np.loadtxt(os.path.join(back, "table.csv"), delimiter=",")
     assert np.allclose(round_rows, rows, atol=0)
 
+    # whiten writes its output in the format of its input
+    wbin = str(tmp_path / "wbin")
+    assert main(["whiten", "--features", os.path.join(iout, "table.bin"), "--out", wbin]) == 0
+    assert sorted(os.listdir(wbin)) == ["transform.json", "whitened.bin"]
+
 
 def test_whiten_missing_features_is_config_error(tmp_path):
     assert main(["whiten", "--out", str(tmp_path)]) == 2
@@ -247,7 +251,6 @@ def test_failed_experiment_exit_code(tmp_path):
 
 def test_numerical_failure_exit_code(tmp_path, monkeypatch):
     import nwflow.cli as cli
-    from nwflow.errors import NumericalBlowup
 
     def boom(*args, **kwargs):
         raise NumericalBlowup("state diverged")
@@ -260,3 +263,77 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch):
 def test_usage_error_exit_code():
     assert main(["no-such-command"]) == 2
     assert main([]) == 2
+
+
+def test_env_seed_reaches_experiment_seed_lists(tmp_path, monkeypatch):
+    argv = ["experiment", "neff-collapse", "--m", "8"]
+    out_env, out_flag = str(tmp_path / "env"), str(tmp_path / "flag")
+    monkeypatch.setenv("NWFLOW_SEED", "5")
+    code_env = main(argv + ["--out", out_env])
+    monkeypatch.delenv("NWFLOW_SEED")
+    assert main(argv + ["--seed", "5", "--out", out_flag]) == code_env  # a FAIL verdict at m = 8
+    out_count = str(tmp_path / "count")
+    assert main(argv + ["--seed", "5", "--n-seeds", "8", "--out", out_count]) == code_env
+    report = read(os.path.join(out_env, "report.json"))
+    assert json.loads(report)["config"]["seeds"] == list(range(5, 13))
+    assert report == read(os.path.join(out_flag, "report.json"))
+    assert report == read(os.path.join(out_count, "report.json"))
+
+
+def test_config_file_sets_jobs(tmp_path, monkeypatch):
+    import nwflow.cli as cli
+
+    seen = []
+
+    def capture(*args, **kwargs):
+        seen.append(kwargs["jobs"])
+        raise NumericalBlowup("captured")
+
+    monkeypatch.setattr(cli, "generate", capture)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"jobs": 1}))
+    argv = ["generate", "--task", "gmm2d", "--m", "5", "--n", "10", "--config", str(cfg)]
+    assert main(argv + ["--out", str(tmp_path)]) == 3
+    assert main(argv + ["--jobs", "3", "--out", str(tmp_path)]) == 3
+    assert seen == [1, 3]  # config beats the default, the flag beats the config
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--task", "gmm2d", "--m", "5", "--n", "10", "--euler", "0"],
+        ["generate", "--task", "gmm2d", "--m", "5", "--n", "10", "--rk45", "--rtol", "0"],
+        ["experiment", "realization-fuzz", "--configs", "0"],
+        ["experiment", "kde-identity", "--configs", "0"],
+        ["experiment", "neff-collapse", "--m", "0"],
+        ["experiment", "neff-collapse", "--n-seeds", "0"],
+        ["diag-neff", "--task", "gmm2d", "--m", "5", "--n", "0"],
+    ],
+)
+def test_explicit_zero_is_config_error(tmp_path, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+
+
+def test_os_and_memory_errors_exit_codes(tmp_path, monkeypatch, capsys):
+    import nwflow.cli as cli
+
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = ["generate", "--task", "gmm2d", "--m", "5", "--n", "10"]
+    assert main(argv + ["--out", str(blocker / "out")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+    def oom(*args, **kwargs):
+        raise MemoryError("no room")
+
+    monkeypatch.setattr(cli, "generate", oom)
+    assert main(argv + ["--out", str(tmp_path)]) == 3
+
+
+@pytest.mark.filterwarnings("error")
+def test_whiten_one_row_is_size_error(tmp_path, capsys):
+    table = tmp_path / "one.csv"
+    table.write_text("1.0,2.0\n")
+    argv = ["whiten", "--features", str(table), "--ridge", "0.1", "--out", str(tmp_path / "w")]
+    assert main(argv) == 2
+    assert "at least 2 rows" in capsys.readouterr().err

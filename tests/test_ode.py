@@ -12,7 +12,7 @@ from nwflow.ode import (
     integrate,
     kde_direct_sample,
 )
-from nwflow.schedule import FlowTime, PathSchedule
+from nwflow.schedule import PathSchedule
 from nwflow.velocity import AnisotropicField, PluginField
 
 
@@ -69,7 +69,7 @@ def test_rk45_step_limit():
         integrate(field, np.array([1.0]), cfg)
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the blow-up overflows on purpose
 def test_rk45_blowup_detected():
     field = lambda x, t: x * x * 1e6 + 1e6  # noqa: E731
     cfg = IntegratorConfig(method=AdaptiveRK45(rtol=1e-3, atol=1e-6, max_steps=100_000))
@@ -79,11 +79,19 @@ def test_rk45_blowup_detected():
 
 def test_integrator_config_validation():
     with pytest.raises(ValueError):
-        IntegratorConfig(t_start=FlowTime(0.5), t_end=FlowTime(0.5))
+        IntegratorConfig(t_start=0.5, t_end=0.5)
     with pytest.raises(ValueError):
         Euler(0)
     with pytest.raises(ValueError):
         AdaptiveRK45(rtol=0.0)
+
+
+def test_integrator_config_time_range():
+    IntegratorConfig(t_start=0.0, t_end=1.0)
+    assert IntegratorConfig(t_start=0.25, t_end=0.5).describe()["t_start"] == 0.25
+    for t_start, t_end in ((-0.1, 1.0), (0.0, 1.5), (float("nan"), 1.0), (0.0, float("nan"))):
+        with pytest.raises(ValueError):
+            IntegratorConfig(t_start=t_start, t_end=t_end)
 
 
 def _plugin(seed=0, m=5, d=2):

@@ -2,27 +2,27 @@ import numpy as np
 import pytest
 
 from nwflow.errors import DivergentBandwidth
-from nwflow.schedule import FlowTime, PathSchedule, bandwidth_at, sigma_at
+from nwflow.schedule import PathSchedule
 
 
 def test_sigma_endpoints():
     sched = PathSchedule(0.01)
-    assert sigma_at(sched, FlowTime(0.0)) == 1.0
-    assert sigma_at(sched, FlowTime(1.0)) == pytest.approx(0.01)
+    assert sched.sigma(0.0) == 1.0
+    assert sched.sigma(1.0) == pytest.approx(0.01)
 
 
 def test_sigma_midpoint():
-    assert sigma_at(PathSchedule(0.5), FlowTime(0.5)) == pytest.approx(0.75)
+    assert PathSchedule(0.5).sigma(0.5) == pytest.approx(0.75)
 
 
 def test_bandwidth_values():
-    assert bandwidth_at(PathSchedule(0.01), FlowTime(1.0)) == pytest.approx(0.01)
-    assert bandwidth_at(PathSchedule(0.5), FlowTime(0.5)) == pytest.approx(1.5)
+    assert PathSchedule(0.01).bandwidth(1.0) == pytest.approx(0.01)
+    assert PathSchedule(0.5).bandwidth(0.5) == pytest.approx(1.5)
 
 
 def test_bandwidth_diverges_at_zero():
     with pytest.raises(DivergentBandwidth):
-        bandwidth_at(PathSchedule(0.01), FlowTime(0.0))
+        PathSchedule(0.01).bandwidth(0.0)
 
 
 def test_bandwidth_strictly_decreasing():
@@ -37,14 +37,6 @@ def test_sigma_bandwidth_consistency():
     sched = PathSchedule(0.2)
     for t in np.linspace(1e-3, 1.0, 97):
         assert sched.sigma(t) == pytest.approx(t * sched.bandwidth(t), rel=1e-15)
-
-
-def test_flow_time_validation():
-    FlowTime(0.0)
-    FlowTime(1.0)
-    for bad in (-0.1, 1.5, float("nan")):
-        with pytest.raises(ValueError):
-            FlowTime(bad)
 
 
 def test_schedule_validation():

@@ -3,7 +3,7 @@ import pytest
 
 from nwflow.errors import DimError, DivergentBandwidth, InputError
 from nwflow.kernels import BilinearLogit, SupportSet, kde_descaled_score, local_mean
-from nwflow.schedule import FlowTime, PathSchedule
+from nwflow.schedule import PathSchedule
 from nwflow.velocity import (
     AnisotropicField,
     MultiHeadParams,
@@ -13,7 +13,6 @@ from nwflow.velocity import (
     dot_product_lift,
     logit_rank,
     multihead_forward,
-    plugin_velocity,
     velocity_from_score,
 )
 
@@ -327,18 +326,3 @@ def test_late_time_single_point_closed_form():
     x = np.array([1.0])
     assert fld(x, 1.0)[0] == pytest.approx(x[0] + (2.5 - x[0]) / SCHED.sigma_min, rel=1e-12)
 
-
-def test_plugin_velocity_function_alias():
-    fld = PluginField(S12, SCHED)
-    x = np.array([0.25])
-    assert np.allclose(plugin_velocity(fld, x, FlowTime(0.5)), fld(x, 0.5))
-
-
-def test_anisotropic_velocity_function_alias():
-    from nwflow.velocity import anisotropic_velocity
-
-    rng = np.random.default_rng(12)
-    s = SupportSet(rng.normal(size=(6, 2)))
-    fld = AnisotropicField(s, SCHED, np.diag([2.0, 0.5]))
-    x = rng.normal(size=2)
-    assert np.allclose(anisotropic_velocity(fld, x, FlowTime(0.4)), fld(x, 0.4))
