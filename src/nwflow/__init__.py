@@ -25,8 +25,6 @@ from .ode import (
     AdaptiveRK45,
     Euler,
     IntegratorConfig,
-    IsotropicBase,
-    PrecisionBase,
     SampleBatch,
     generate,
     integrate,
@@ -49,7 +47,6 @@ from .tasks import (
     whiten,
 )
 from .velocity import (
-    AnisotropicField,
     MultiHeadParams,
     PluginField,
     affine_postmap,

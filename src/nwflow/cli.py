@@ -9,7 +9,8 @@ or host-dependent is written (wall clock goes to stderr).
 A flag takes precedence over the --config file, which takes precedence over
 the parser's defaults; an unset seed comes from NWFLOW_SEED, else 0.  Library
 parameters are passed on only when their flag is set, so their defaults live
-in the library signatures alone.
+in the library signatures alone.  A flag (or config key) that the command
+does not read is a configuration error rather than silently ignored.
 """
 
 from __future__ import annotations
@@ -108,9 +109,18 @@ def _support(args: argparse.Namespace):
     return make_support_and_eval(spec, args.m, 0, args.seed)[0]
 
 
+def _reject_set(args: argparse.Namespace, dests, reader: str) -> None:
+    """Raise ConfigError if a flag among `dests` is set, as `reader` does not read it."""
+    given = sorted("--" + d.replace("_", "-") for d in dests if getattr(args, d) is not None)
+    if given:
+        raise ConfigError(f"{reader} does not read {', '.join(given)}")
+
+
 def _integrator(args: argparse.Namespace) -> IntegratorConfig:
     if args.rk45:
+        _reject_set(args, ["euler"], "--rk45")
         return IntegratorConfig(method=AdaptiveRK45(**_given(args, rtol="rtol", atol="atol")))
+    _reject_set(args, ["rtol", "atol"], "Euler (no --rk45)")
     return IntegratorConfig(method=Euler(**_given(args, n_steps="euler")))
 
 
@@ -119,7 +129,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     sched = PathSchedule(**_given(args, sigma_min="sigma_min"))
     cfg = _integrator(args)
     field = PluginField(support, sched)
-    batch = generate(field, args.n, support.d, seed=args.seed, cfg=cfg, jobs=args.jobs)
+    batch = generate(field, args.n, seed=args.seed, cfg=cfg, jobs=args.jobs)
     write_csv(os.path.join(args.out, "support.csv"), support.points)
     write_csv(os.path.join(args.out, "samples.csv"), batch.samples)
     write_json(
@@ -210,6 +220,14 @@ class _Experiment(NamedTuple):
     seeds: int = 0
     # further keywords that depend on several flags
     extra: Callable[[argparse.Namespace], dict] = lambda args: {}
+    # the flag dests that `extra` reads
+    extra_flags: tuple[str, ...] = ()
+
+    @property
+    def reads(self) -> set[str]:
+        """Every flag dest the experiment reads, beyond --seed, --out, --jobs and --config."""
+        seed_flags = ("seeds", "n_seeds") if self.seeds else ()
+        return {*self.flags.values(), *self.extra_flags, *seed_flags}
 
 
 # variance-scaling: each family's default dimension, and the acceptance bands
@@ -220,7 +238,9 @@ _VARIANCE_BANDS = {("fourier", 8): ((0.25, 0.40), 0.95), ("gmm", 2): ((0.9, floa
 
 
 def _variance_scaling(args: argparse.Namespace) -> dict:
-    kw = {"family": args.family, "d": _VARIANCE_DIMS.get(args.family), **_given(args, d="d")}
+    kw = _given(args, family="family", d="d")
+    kw.setdefault("family", "fourier")
+    kw.setdefault("d", _VARIANCE_DIMS.get(kw["family"]))
     kw["alpha_range"], kw["r2_min"] = _VARIANCE_BANDS.get((kw["family"], kw["d"]), (None, None))
     return kw
 
@@ -233,7 +253,9 @@ EXPERIMENTS = {
     "realization-fuzz": _Experiment({"n_configs": "configs"}),
     "kde-identity": _Experiment({"n_configs": "configs"}),
     "neff-collapse": _Experiment({"m": "m"}, seeds=8),
-    "variance-scaling": _Experiment({"m_ref": "m_ref"}, seeds=4, extra=_variance_scaling),
+    "variance-scaling": _Experiment(
+        {"m_ref": "m_ref"}, seeds=4, extra=_variance_scaling, extra_flags=("family", "d")
+    ),
     "endpoint-check": _Experiment(
         {"m": "m", "n": "n", "bandwidth_factor": "bandwidth_factor",
          "mmd_bandwidth": "mmd_bandwidth"},
@@ -244,9 +266,12 @@ EXPERIMENTS = {
         seeds=4,
     ),
     "sphere-rate": _Experiment({"d_k": "d"}, seeds=3),
-    "whitening-control": _Experiment({"m": "m"}, seeds=4, extra=_whitening_table),
+    "whitening-control": _Experiment(
+        {"m": "m"}, seeds=4, extra=_whitening_table, extra_flags=("features", "format")
+    ),
     "anisotropic-shells": _Experiment({"d": "d", "m": "m"}, seeds=3),
 }
+_EXPERIMENT_FLAGS = set().union(*(spec.reads for spec in EXPERIMENTS.values()))
 
 
 def _seed_list(args: argparse.Namespace, count: int) -> list[int]:
@@ -262,6 +287,7 @@ def _seed_list(args: argparse.Namespace, count: int) -> list[int]:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     spec = EXPERIMENTS[args.name]
+    _reject_set(args, _EXPERIMENT_FLAGS - spec.reads, f"experiment {args.name}")
     kwargs = {**_given(args, **spec.flags), **spec.extra(args)}
     if spec.seeds:
         kwargs["seeds"] = _seed_list(args, spec.seeds)
@@ -291,25 +317,44 @@ def _comma_list(kind: type) -> Callable[[str], list]:
     return comma_list
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--task", help="task name, e.g. gmm2d, shell16d, fourier8d, moons")
-    p.add_argument("--task-seed", type=int, help="task instance seed (default: the seed)")
-    p.add_argument("--features", help="path to a feature table (csv or NWF1 binary)")
-    p.add_argument("--format", choices=["csv", "bin"], help="feature table format")
-    p.add_argument("--m", type=int, help="support size")
-    p.add_argument("--n", type=int, help="sample / query count")
-    p.add_argument("--d", type=int, help="dimension override")
+# Every flag except --seed, --out, --jobs and --config, keyed by dest.  Each
+# subcommand takes only the flags it reads, so argparse rejects the others.
+_FLAGS = {
+    "task": {"help": "task name, e.g. gmm2d, shell16d, fourier8d, moons"},
+    "task_seed": {"type": int, "help": "task instance seed (default: the seed)"},
+    "features": {"help": "path to a feature table (csv or NWF1 binary)"},
+    "format": {"choices": ["csv", "bin"], "help": "feature table format"},
+    "m": {"type": int, "help": "support size"},
+    "n": {"type": int, "help": "sample / query count"},
+    "d": {"type": int, "help": "dimension"},
+    "seeds": {"type": _comma_list(int), "help": "explicit comma list of seeds"},
+    "n_seeds": {"type": int, "help": "use this many consecutive seeds from the seed"},
+    "sigma_min": {"type": float, "help": "terminal noise scale"},
+    "euler": {"type": int, "metavar": "N", "help": "fixed-step Euler steps"},
+    "rk45": {"action": "store_true", "help": "use the adaptive integrator"},
+    "rtol": {"type": float, "help": "RK45 relative tolerance"},
+    "atol": {"type": float, "help": "RK45 absolute tolerance"},
+    "configs": {"type": int, "help": "fuzz config count"},
+    "family": {"type": str.lower, "help": "variance-scaling family (fourier|gmm; default fourier)"},
+    "m_ref": {"type": int, "help": "reference support size"},
+    "bandwidth_factor": {"type": float, "help": "endpoint-check reference bandwidth multiplier"},
+    "mmd_bandwidth": {"type": float, "help": "override the median-heuristic MMD kernel bandwidth"},
+    "t_grid": {"type": _comma_list(float), "help": "comma list of flow times in (0,1]"},
+    "strength": {"type": float, "default": 1.0, "help": "lambda in [0,1]"},
+    "ridge": {"type": float, "help": "covariance ridge"},
+    "to": {"choices": ["csv", "bin"], "help": "output format"},
+}
+# generate and diag-neff: the support, the sample or query count and the schedule
+_FIELD_FLAGS = ("task", "task_seed", "features", "format", "m", "n", "sigma_min")
+
+
+def _add_flags(p: argparse.ArgumentParser, dests) -> None:
     p.add_argument("--seed", type=int, help="root seed (default: env NWFLOW_SEED, else 0)")
-    p.add_argument("--seeds", type=_comma_list(int), help="explicit comma list of seeds")
-    p.add_argument("--n-seeds", type=int, help="use this many consecutive seeds from the seed")
-    p.add_argument("--sigma-min", type=float, help="terminal noise scale")
-    p.add_argument("--euler", type=int, metavar="N", help="fixed-step Euler steps")
-    p.add_argument("--rk45", action="store_true", help="use the adaptive integrator")
-    p.add_argument("--rtol", type=float)
-    p.add_argument("--atol", type=float)
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--jobs", type=int, default=os.cpu_count(), help="worker threads (default: the CPU count)")
     p.add_argument("--config", help="JSON config file mirroring these flags")
+    for dest in dests:
+        p.add_argument("--" + dest.replace("_", "-"), **_FLAGS[dest])
 
 
 def build_parser(**defaults: object) -> argparse.ArgumentParser:
@@ -322,37 +367,24 @@ def build_parser(**defaults: object) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("generate", help="integrate the plug-in field from base noise")
-    _add_common(p_gen)
+    _add_flags(p_gen, _FIELD_FLAGS + ("euler", "rk45", "rtol", "atol"))
     p_gen.set_defaults(func=cmd_generate, m=50, n=1000)
 
     p_exp = sub.add_parser("experiment", help="run one named experiment")
     p_exp.add_argument("name", choices=EXPERIMENTS)
-    _add_common(p_exp)
-    p_exp.add_argument("--configs", type=int, help="fuzz config count")
-    p_exp.add_argument("--family", type=str.lower, default="fourier",
-                       help="variance-scaling family (fourier|gmm)")
-    p_exp.add_argument("--m-ref", type=int, help="reference support size")
-    p_exp.add_argument("--bandwidth-factor", type=float,
-                       help="endpoint-check reference bandwidth multiplier")
-    p_exp.add_argument("--mmd-bandwidth", type=float,
-                       help="override the median-heuristic MMD kernel bandwidth")
+    _add_flags(p_exp, sorted(_EXPERIMENT_FLAGS))
     p_exp.set_defaults(func=cmd_experiment)
 
     p_diag = sub.add_parser("diag-neff", help="effective-sample-size profile along the flow")
-    _add_common(p_diag)
-    p_diag.add_argument("--t-grid", type=_comma_list(float),
-                        help="comma list of flow times in (0,1]")
+    _add_flags(p_diag, _FIELD_FLAGS + ("t_grid",))
     p_diag.set_defaults(func=cmd_diag_neff, m=50)
 
     p_whiten = sub.add_parser("whiten", help="whiten a feature table")
-    _add_common(p_whiten)
-    p_whiten.add_argument("--strength", type=float, default=1.0, help="lambda in [0,1]")
-    p_whiten.add_argument("--ridge", type=float, help="covariance ridge")
+    _add_flags(p_whiten, ("features", "format", "strength", "ridge"))
     p_whiten.set_defaults(func=cmd_whiten)
 
     p_ingest = sub.add_parser("ingest", help="validate and convert a feature table")
-    _add_common(p_ingest)
-    p_ingest.add_argument("--to", choices=["csv", "bin"], help="output format")
+    _add_flags(p_ingest, ("features", "format", "to"))
     p_ingest.set_defaults(func=cmd_ingest)
 
     for p in sub.choices.values():

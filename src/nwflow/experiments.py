@@ -23,7 +23,6 @@ from .ode import (
     AdaptiveRK45,
     Euler,
     IntegratorConfig,
-    PrecisionBase,
     generate,
     kde_direct_sample,
 )
@@ -42,7 +41,7 @@ from .tasks import (
     whiten,
     write_csv,
 )
-from .velocity import AnisotropicField, PluginField, attention_realized_velocity
+from .velocity import PluginField, attention_realized_velocity
 
 __all__ = [
     "RunReport",
@@ -420,7 +419,7 @@ def exp_endpoint_check(
         spec = task if task is not None else Gmm(d=2, seed=seed)
         support, _ = make_support_and_eval(spec, m, 0, 20_000 + seed)
         fld = PluginField(support, sched)
-        gen = generate(fld, n, support.d, seed=seed, cfg=cfg).samples
+        gen = generate(fld, n, seed=seed, cfg=cfg).samples
         ref = kde_direct_sample(support, ref_bandwidth, n, seed=90_000 + seed).samples
         if mmd_bw is None:
             mmd_bw = median_heuristic(gen, ref)
@@ -496,8 +495,8 @@ def exp_solver_control(
         spec = task if task is not None else Gmm(d=2, seed=seed)
         support, eval_rows = make_support_and_eval(spec, m, n, 30_000 + seed)
         fld = PluginField(support, sched)
-        gen_e = generate(fld, n, support.d, seed=seed, cfg=euler_cfg).samples
-        gen_r = generate(fld, n, support.d, seed=seed, cfg=rk_cfg).samples
+        gen_e = generate(fld, n, seed=seed, cfg=euler_cfg).samples
+        gen_r = generate(fld, n, seed=seed, cfg=rk_cfg).samples
         if mmd_bw is None:
             mmd_bw = median_heuristic(eval_rows, gen_e)
         mmd_e = mmd2_unbiased(gen_e, eval_rows, mmd_bw).value
@@ -650,7 +649,7 @@ def exp_whitening_control(
             support, eval_rows = make_support_and_eval(External(tab_l), m, n_eval, 40_000 + seed)
             prof = neff_profile(support, sched, [t_star], n_queries=256, seed=seed)
             fld = PluginField(support, sched)
-            gen = generate(fld, n, support.d, seed=seed, cfg=cfg).samples
+            gen = generate(fld, n, seed=seed, cfg=cfg).samples
             if mmd_bw is None:
                 mmd_bw = median_heuristic(eval_rows, gen)
             mmd = mmd2_unbiased(gen, eval_rows, mmd_bw).value
@@ -725,16 +724,13 @@ def exp_anisotropic_shells(
         spec = Shell(d=d, seed=seed)
         support, eval_rows = make_support_and_eval(spec, m, n, 50_000 + seed)
         iso = PluginField(support, sched)
-        gen_iso = generate(iso, n, d, seed=seed, cfg=cfg).samples
+        gen_iso = generate(iso, n, seed=seed, cfg=cfg).samples
         if mmd_bw is None:
             mmd_bw = median_heuristic(eval_rows, gen_iso)
         mmd_iso = mmd2_unbiased(gen_iso, eval_rows, mmd_bw).value
         for name in metric_names:
-            metric = _shell_metric(name, d)
-            fld = AnisotropicField(support, sched, metric)
-            gen_m = generate(
-                fld, n, d, seed=seed, cfg=cfg, base=PrecisionBase(metric)
-            ).samples
+            fld = PluginField(support, sched, _shell_metric(name, d))
+            gen_m = generate(fld, n, seed=seed, cfg=cfg).samples
             mmd_m = mmd2_unbiased(gen_m, eval_rows, mmd_bw).value
             ratio = mmd_iso / mmd_m if mmd_m != 0 else float("inf")
             ratios[name].append(ratio)

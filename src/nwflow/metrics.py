@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
@@ -138,11 +138,10 @@ def neff_profile(
     t_grid: Sequence[float] = _T_GRID,
     n_queries: int = 256,
     seed: int = 0,
-    query_law: Optional[Callable[[np.random.Generator, float, int], np.ndarray]] = None,
 ) -> NeffProfile:
     """Median (and quartile) n_eff of the kernel weights along the flow clock.
 
-    Queries default to the model's own path marginal at each time: a support
+    Queries follow the model's own path marginal at each time: a support
     row scaled by t plus sigma_t noise.  The weights are those of the
     de-scaled query x/t at bandwidth h(t), where the smoothing happens; the
     same logits are evaluated on the path state x at scale sigma_t.
@@ -160,11 +159,8 @@ def neff_profile(
     for i, t in enumerate(t_arr):
         sig = sched.sigma(t)
         hs[i] = sched.bandwidth(t)
-        if query_law is None:
-            idx = rng.integers(support.m, size=n_queries)
-            x = t * support.points[idx] + sig * rng.standard_normal((n_queries, support.d))
-        else:
-            x = np.atleast_2d(query_law(rng, float(t), n_queries))
+        idx = rng.integers(support.m, size=n_queries)
+        x = t * support.points[idx] + sig * rng.standard_normal((n_queries, support.d))
         neff = _smooth(x, support, float(t), sig)[1]
         med[i], q25[i], q75[i] = (
             float(np.median(neff)),

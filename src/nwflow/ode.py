@@ -10,20 +10,18 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
 from .errors import ConfigError, NumericalBlowup, StepLimit
 from .kernels import SupportSet, _readonly
-from .velocity import AnisotropicField, VelocityField
+from .velocity import PluginField, VelocityField
 
 __all__ = [
     "Euler",
     "AdaptiveRK45",
     "IntegratorConfig",
-    "IsotropicBase",
-    "PrecisionBase",
     "SampleBatch",
     "integrate",
     "generate",
@@ -94,26 +92,6 @@ class IntegratorConfig:
                 "max_steps": self.method.max_steps,
             }
         return {**m, "t_start": self.t_start, "t_end": self.t_end}
-
-
-@dataclass(frozen=True)
-class IsotropicBase:
-    """Standard normal base noise."""
-
-
-@dataclass(frozen=True)
-class PrecisionBase:
-    """Base noise N(0, M^-1); required when integrating an anisotropic field."""
-
-    metric: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = _readonly(self.metric)
-        np.linalg.cholesky(m)  # SPD or raise
-        object.__setattr__(self, "metric", m)
-
-
-Base = Union[IsotropicBase, PrecisionBase]
 
 
 @dataclass(frozen=True)
@@ -211,62 +189,50 @@ def _sample_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, index]))
 
 
-def _base_draws(n: int, d: int, seed: int, base: Base) -> np.ndarray:
+def _base_draws(n: int, d: int, seed: int, chol: Optional[np.ndarray]) -> np.ndarray:
+    """N(0, I) draws, or N(0, M^-1) for the Cholesky factor L of a metric M = L L'."""
     z = np.stack([_sample_rng(seed, i).standard_normal(d) for i in range(n)])
-    if isinstance(base, IsotropicBase):
+    if chol is None:
         return z
-    chol = np.linalg.cholesky(base.metric)
     # cov(L^-T z) = (L L')^-1 = M^-1
     return np.linalg.solve(chol.T, z.T).T
 
 
 def generate(
-    fieldfn: VelocityField,
+    field: PluginField,
     n: int,
-    d: int,
     seed: int,
     cfg: IntegratorConfig = IntegratorConfig(),
-    base: Base = IsotropicBase(),
     jobs: int = 1,
 ) -> SampleBatch:
-    """Draw n base samples and integrate each to t_end.
+    """Draw n base samples from the field's base law and integrate each to t_end.
 
-    Base draws come from per-sample streams keyed by (seed, index); chunks of
-    fixed size are integrated independently, so results do not depend on the
-    worker count.
+    The base law is N(0, I) for an isotropic field and N(0, M^-1) for a field
+    with metric M.  Base draws come from per-sample streams keyed by (seed,
+    index); chunks of fixed size are integrated independently, so results do
+    not depend on the worker count.
     """
     if n < 1:
         raise ConfigError(f"need n >= 1 samples, got {n}")
-    if isinstance(base, PrecisionBase):
-        if not isinstance(fieldfn, AnisotropicField) or not np.array_equal(
-            base.metric, fieldfn.metric
-        ):
-            raise ConfigError("precision base requires an anisotropic field with the same metric")
-    elif isinstance(fieldfn, AnisotropicField):
-        raise ConfigError("anisotropic field requires a matching precision base")
-    x0 = _base_draws(n, d, seed, base)
+    d = field.support.d
+    x0 = _base_draws(n, d, seed, field.chol)
     chunks = [x0[lo : lo + _CHUNK] for lo in range(0, n, _CHUNK)]
     if jobs > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            done = list(pool.map(lambda c: integrate(fieldfn, c, cfg), chunks))
+            done = list(pool.map(lambda c: integrate(field, c, cfg), chunks))
     else:
-        done = [integrate(fieldfn, c, cfg) for c in chunks]
-    samples = np.vstack(done)
+        done = [integrate(field, c, cfg) for c in chunks]
     meta = {
         "seed": seed,
         "n": n,
         "d": d,
         "integrator": cfg.describe(),
-        "base": "isotropic" if isinstance(base, IsotropicBase) else "precision",
+        "base": "isotropic" if field.chol is None else "precision",
         "rng": "default_rng(SeedSequence([seed, sample_index]))",
+        "support_sha256": field.support.sha256(),
+        "sigma_min": field.schedule.sigma_min,
     }
-    support = getattr(fieldfn, "support", None)
-    if isinstance(support, SupportSet):
-        meta["support_sha256"] = support.sha256()
-    sched = getattr(fieldfn, "schedule", None)
-    if sched is not None:
-        meta["sigma_min"] = sched.sigma_min
-    return SampleBatch(samples=samples, seed=seed, meta=meta)
+    return SampleBatch(samples=np.vstack(done), seed=seed, meta=meta)
 
 
 def kde_direct_sample(

@@ -19,7 +19,7 @@ exactly at zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .schedule import PathSchedule
 __all__ = [
     "VelocityField",
     "PluginField",
-    "AnisotropicField",
     "MultiHeadParams",
     "velocity_from_score",
     "affine_postmap",
@@ -52,65 +51,47 @@ __all__ = [
 VelocityField = Callable[[np.ndarray, float], np.ndarray]
 
 
-def _prepare_states(x: np.ndarray, d: int) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
-        raise InputError("velocity evaluated at a non-finite state")
-    single = x.ndim == 1
-    xs = np.atleast_2d(x)
-    if xs.shape[1] != d:
-        raise DimError(f"state dimension {xs.shape[1]} != support dimension {d}")
-    return xs, single
-
-
-def _readout(
-    sched: PathSchedule, xs: np.ndarray, single: bool, sig: float, means: np.ndarray
-) -> np.ndarray:
-    """The stable-frame velocity (m - (1 - sigma_min) x) / sigma_t from the local means."""
-    u = (means - (1.0 - sched.sigma_min) * xs) / sig
-    return u[0] if single else u
-
-
 @dataclass(frozen=True)
 class PluginField:
-    """Exact velocity field induced by a support set under the linear path."""
+    """Exact velocity field induced by a support set under the linear path.
 
-    support: SupportSet
-    schedule: PathSchedule
-
-    def __call__(self, x: np.ndarray, t: float) -> np.ndarray:
-        xs, single = _prepare_states(x, self.support.d)
-        sig = self.schedule.sigma(t)
-        return _readout(self.schedule, xs, single, sig, _smooth(xs, self.support, t, sig)[0])
-
-
-@dataclass(frozen=True)
-class AnisotropicField:
-    """Plug-in field under an SPD metric M; pairs with base noise N(0, M^-1).
-
-    With M = L L', (x - t s)' M (x - t s) = ||x L - t s L||^2, so the field is
-    the isotropic smoother on the Cholesky coordinates x L, averaging the
-    original support rows.
+    Without a metric the kernel is isotropic and the base noise is N(0, I).
+    With an SPD metric M = L L', (x - t s)' M (x - t s) = ||x L - t s L||^2,
+    so the field is the isotropic smoother on the Cholesky coordinates x L,
+    averaging the original support rows; its base noise is N(0, M^-1).
+    `chol` holds L, or None without a metric.
     """
 
     support: SupportSet
     schedule: PathSchedule
-    metric: np.ndarray
+    metric: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.metric, dtype=np.float64)
-        if m.shape != (self.support.d, self.support.d):
-            raise DimError(f"metric shape {m.shape} does not match dimension {self.support.d}")
-        chol = np.linalg.cholesky(m)  # SPD or raise
-        object.__setattr__(self, "metric", _readonly(m))
-        object.__setattr__(self, "_chol", _readonly(chol))
-        object.__setattr__(self, "_chol_support", SupportSet(self.support.points @ chol))
+        chol = chol_support = None
+        if self.metric is not None:
+            m = np.asarray(self.metric, dtype=np.float64)
+            if m.shape != (self.support.d, self.support.d):
+                raise DimError(f"metric shape {m.shape} does not match dimension {self.support.d}")
+            chol = _readonly(np.linalg.cholesky(m))  # SPD or raise
+            chol_support = SupportSet(self.support.points @ chol)
+            object.__setattr__(self, "metric", _readonly(m))
+        object.__setattr__(self, "chol", chol)
+        object.__setattr__(self, "_chol_support", chol_support)
 
     def __call__(self, x: np.ndarray, t: float) -> np.ndarray:
-        xs, single = _prepare_states(x, self.support.d)
+        x = np.asarray(x, dtype=np.float64)
+        if not np.all(np.isfinite(x)):
+            raise InputError("velocity evaluated at a non-finite state")
+        xs = np.atleast_2d(x)
+        if xs.shape[1] != self.support.d:
+            raise DimError(f"state dimension {xs.shape[1]} != support dimension {self.support.d}")
         sig = self.schedule.sigma(t)
-        means = _smooth(xs @ self._chol, self._chol_support, t, sig, self.support.points)[0]
-        return _readout(self.schedule, xs, single, sig, means)
+        if self.chol is None:
+            means = _smooth(xs, self.support, t, sig)[0]
+        else:
+            means = _smooth(xs @ self.chol, self._chol_support, t, sig, self.support.points)[0]
+        u = (means - (1.0 - self.schedule.sigma_min) * xs) / sig
+        return u[0] if x.ndim == 1 else u
 
 
 def velocity_from_score(

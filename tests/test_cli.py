@@ -314,6 +314,29 @@ def test_explicit_zero_is_config_error(tmp_path, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["generate", "--task", "gmm2d", "--rtol", "1e-4"], None),
+        (["generate", "--task", "gmm2d", "--atol", "1e-6"], None),
+        (["generate", "--task", "gmm2d", "--rk45", "--euler", "10"], None),
+        (["generate", "--task", "gmm2d", "--d", "3"], None),
+        (["whiten", "--features", "t.csv", "--task", "gmm2d"], None),
+        (["experiment", "kde-identity", "--configs", "1", "--sigma-min", "5", "--task", "bogus"], None),
+        (["experiment", "sphere-rate", "--m", "0"], None),
+        (["experiment", "kde-identity", "--configs", "1"], {"m": 5}),
+        (["experiment", "realization-fuzz", "--configs", "1"], {"n-seeds": 2}),
+        (["generate", "--task", "gmm2d"], {"rtol": 1e-4}),
+    ],
+)
+def test_unread_flag_exits_2(tmp_path, argv, config):
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+
+
 def test_os_and_memory_errors_exit_codes(tmp_path, monkeypatch, capsys):
     import nwflow.cli as cli
 

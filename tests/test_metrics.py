@@ -154,19 +154,6 @@ def test_neff_profile_monotone_ends():
     assert prof.median[0] == pytest.approx(40, rel=0.2)  # near-uniform weights early
 
 
-def test_neff_profile_custom_query_law():
-    rng_support = np.random.default_rng(10)
-    support = SupportSet(rng_support.normal(size=(12, 2)))
-    sched = PathSchedule(0.01)
-
-    def at_first_row(rng, t, n):
-        return np.tile(t * support.points[0], (n, 1))
-
-    prof = neff_profile(support, sched, [0.9], n_queries=32, seed=0, query_law=at_first_row)
-    # all queries identical: quartiles collapse onto the median
-    assert prof.q25[0] == prof.median[0] == prof.q75[0]
-
-
 def test_neff_profile_rows_and_grid_validation():
     support = SupportSet(np.array([[0.0], [1.0]]))
     prof = neff_profile(support, PathSchedule(0.01), [0.56], n_queries=16, seed=0)

@@ -7,13 +7,12 @@ from nwflow.ode import (
     AdaptiveRK45,
     Euler,
     IntegratorConfig,
-    PrecisionBase,
     generate,
     integrate,
     kde_direct_sample,
 )
 from nwflow.schedule import PathSchedule
-from nwflow.velocity import AnisotropicField, PluginField
+from nwflow.velocity import PluginField
 
 
 def test_euler_exact_on_constants():
@@ -102,19 +101,19 @@ def _plugin(seed=0, m=5, d=2):
 
 def test_generate_deterministic_and_jobs_invariant():
     fld = _plugin()
-    a = generate(fld, 300, 2, seed=7)
-    b = generate(fld, 300, 2, seed=7)
-    c = generate(fld, 300, 2, seed=7, jobs=4)
+    a = generate(fld, 300, seed=7)
+    b = generate(fld, 300, seed=7)
+    c = generate(fld, 300, seed=7, jobs=4)
     assert np.array_equal(a.samples, b.samples)
     assert np.array_equal(a.samples, c.samples)
-    d_ = generate(fld, 300, 2, seed=8)
+    d_ = generate(fld, 300, seed=8)
     assert not np.array_equal(a.samples, d_.samples)
 
 
 def test_generate_single_point_endpoint_law():
     s = np.array([[1.0, -2.0, 0.5]])
     fld = PluginField(SupportSet(s), PathSchedule(0.01))
-    batch = generate(fld, 1000, 3, seed=3, cfg=IntegratorConfig(method=Euler(200)))
+    batch = generate(fld, 1000, seed=3, cfg=IntegratorConfig(method=Euler(200)))
     mean = batch.samples.mean(axis=0)
     std = batch.samples.std(axis=0, ddof=1)
     # endpoint is N(s, sigma_min^2 I) up to discretization; means within
@@ -128,26 +127,24 @@ def test_generate_precision_base_contract():
     rng = np.random.default_rng(1)
     support = SupportSet(rng.normal(size=(4, 2)))
     metric = np.array([[2.0, 0.3], [0.3, 1.0]])
-    ani = AnisotropicField(support, PathSchedule(0.01), metric)
-    batch = generate(ani, 50, 2, seed=0, base=PrecisionBase(metric))
+    ani = PluginField(support, PathSchedule(0.01), metric)
+    batch = generate(ani, 50, seed=0)
     assert batch.samples.shape == (50, 2)
+    assert batch.meta["base"] == "precision"
+    assert generate(_plugin(), 10, seed=0).meta["base"] == "isotropic"
     with pytest.raises(ConfigError):
-        generate(ani, 10, 2, seed=0)  # isotropic base with anisotropic field
-    with pytest.raises(ConfigError):
-        generate(_plugin(), 10, 2, seed=0, base=PrecisionBase(metric))
-    with pytest.raises(ConfigError):
-        generate(_plugin(), 0, 2, seed=0)
+        generate(_plugin(), 0, seed=0)
 
 
 def test_precision_base_covariance():
     metric = np.array([[4.0, 0.0], [0.0, 1.0]])
     rng = np.random.default_rng(2)
     support = SupportSet(rng.normal(size=(3, 2)))
-    ani = AnisotropicField(support, PathSchedule(0.01), metric)
-    # integrate nothing: check the base draw distribution through t_end ~ 0+
+    ani = PluginField(support, PathSchedule(0.01), metric)
+    # integrate nothing: check the base draw distribution of the field's factor
     from nwflow.ode import _base_draws
 
-    z = _base_draws(4000, 2, 11, PrecisionBase(metric))
+    z = _base_draws(4000, 2, 11, ani.chol)
     cov = np.cov(z, rowvar=False)
     assert cov[0, 0] == pytest.approx(0.25, rel=0.15)
     assert cov[1, 1] == pytest.approx(1.0, rel=0.15)
@@ -183,12 +180,12 @@ def test_generate_endpoint_vs_euler_step_count():
     from nwflow.metrics import median_heuristic, mmd2_unbiased
 
     fld = _plugin(seed=3, m=20)
-    e = generate(fld, 500, 2, seed=0, cfg=IntegratorConfig(method=Euler(100))).samples
-    r = generate(fld, 500, 2, seed=0, cfg=IntegratorConfig(method=AdaptiveRK45())).samples
+    e = generate(fld, 500, seed=0, cfg=IntegratorConfig(method=Euler(100))).samples
+    r = generate(fld, 500, seed=0, cfg=IntegratorConfig(method=AdaptiveRK45())).samples
     bw = median_heuristic(e, r)
     null = mmd2_unbiased(
-        generate(fld, 500, 2, seed=10, cfg=IntegratorConfig(method=Euler(100))).samples,
-        generate(fld, 500, 2, seed=11, cfg=IntegratorConfig(method=Euler(100))).samples,
+        generate(fld, 500, seed=10, cfg=IntegratorConfig(method=Euler(100))).samples,
+        generate(fld, 500, seed=11, cfg=IntegratorConfig(method=Euler(100))).samples,
         bw,
     ).value
     cross = mmd2_unbiased(e, r, bw).value
@@ -197,7 +194,7 @@ def test_generate_endpoint_vs_euler_step_count():
 
 def test_sample_batch_meta():
     fld = _plugin(seed=4)
-    batch = generate(fld, 16, 2, seed=5)
+    batch = generate(fld, 16, seed=5)
     assert batch.meta["support_sha256"] == fld.support.sha256()
     assert batch.meta["sigma_min"] == 0.01
     assert batch.meta["integrator"]["method"] == "euler"

@@ -5,7 +5,6 @@ from nwflow.errors import DimError, DivergentBandwidth, InputError
 from nwflow.kernels import BilinearLogit, SupportSet, kde_descaled_score, local_mean
 from nwflow.schedule import PathSchedule
 from nwflow.velocity import (
-    AnisotropicField,
     MultiHeadParams,
     PluginField,
     affine_postmap,
@@ -254,7 +253,7 @@ def test_anisotropic_identity_reduces_to_plugin():
     rng = np.random.default_rng(8)
     s = SupportSet(rng.normal(size=(12, 3)))
     iso = PluginField(s, SCHED)
-    ani = AnisotropicField(s, SCHED, np.eye(3))
+    ani = PluginField(s, SCHED, np.eye(3))
     x = rng.normal(size=3)
     for t in (0.0, 0.4, 1.0):
         assert np.max(np.abs(ani(x, t) - iso(x, t))) <= 1e-12
@@ -263,7 +262,7 @@ def test_anisotropic_identity_reduces_to_plugin():
 def test_anisotropic_diag_metric_oracle():
     metric = np.diag([4.0, 1.0])
     s = SupportSet(np.array([[1.0, 0.0], [-1.0, 0.0], [3.0, 0.0]]))
-    fld = AnisotropicField(s, SCHED, metric)
+    fld = PluginField(s, SCHED, metric)
     t = 0.5
     sig = SCHED.sigma(t)
     x = np.array([0.4, 0.3])
@@ -280,7 +279,7 @@ def test_anisotropic_diag_metric_oracle_offset_support():
     rng = np.random.default_rng(16)
     metric = np.diag([4.0, 1.0, 0.25])
     s = SupportSet(1e3 + rng.normal(size=(40, 3)))
-    fld = AnisotropicField(s, SCHED, metric)
+    fld = PluginField(s, SCHED, metric)
     for t in (0.05, 0.5, 1.0):
         sig = SCHED.sigma(t)
         x = t * s.points[3] + sig * rng.standard_normal(3)
@@ -298,7 +297,7 @@ def test_anisotropic_single_point_any_metric():
     a = rng.normal(size=(3, 3))
     metric = a @ a.T + 0.5 * np.eye(3)
     s = SupportSet(rng.normal(size=(1, 3)))
-    ani = AnisotropicField(s, SCHED, metric)
+    ani = PluginField(s, SCHED, metric)
     iso = PluginField(s, SCHED)
     x = rng.normal(size=3)
     for t in (0.1, 0.9):
