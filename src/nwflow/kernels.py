@@ -56,7 +56,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SupportSet:
     """m conditioning points in R^d, stored row-major and immutable."""
 
@@ -103,7 +103,7 @@ class IsotropicGaussian:
         object.__setattr__(self, "h", float(self.h))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mahalanobis:
     """Gaussian kernel under the metric ||z||_M^2 = z' M z, M symmetric positive-definite."""
 
@@ -126,7 +126,7 @@ class Mahalanobis:
         object.__setattr__(self, "metric", _readonly(m))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BilinearLogit:
     """Attention-style logit x . (A s) / scale; A need not be symmetric."""
 
@@ -158,7 +158,7 @@ class Vmf:
 KernelSpec = Union[IsotropicGaussian, Mahalanobis, BilinearLogit, Vmf]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightVector:
     """Simplex weights over the support plus their effective sample size 1/sum(w^2)."""
 

@@ -8,9 +8,10 @@ bit-identical no matter how many workers integrate the chunks.
 
 from __future__ import annotations
 
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -94,7 +95,7 @@ class IntegratorConfig:
         return {**m, "t_start": self.t_start, "t_end": self.t_end}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleBatch:
     """Generated endpoints plus the record needed to regenerate them."""
 
@@ -185,13 +186,90 @@ def integrate(fieldfn: VelocityField, x0: np.ndarray, cfg: IntegratorConfig) -> 
     return _rk45(fieldfn, x0, cfg.t_start, cfg.t_end, cfg.method)
 
 
-def _sample_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, index]))
+# SeedSequence's entropy hash (numpy/random/bit_generator.pyx) and PCG64's
+# seeding step (pcg64.h), restated so that every per-sample stream can be
+# seeded in one vectorised pass.  The tests compare the result bit for bit
+# with default_rng(SeedSequence([seed, i])).
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_MIX_HASH = (0x43B0D7E5, 0x931E8875)  # mix_entropy: initial constant, multiplier
+_STATE_HASH = (0x8B51F9DD, 0x58F38DED)  # generate_state: initial constant, multiplier
+_MIX_L = np.uint32(0xCA01F9DD)
+_MIX_R = np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _uint32_words(value: int) -> list[int]:
+    """Little-endian 32-bit words of a non-negative int, as SeedSequence splits entropy."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(f"seed must be non-negative, got {value}")
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _hasher(const: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
+    """SeedSequence's hashmix over uint32 arrays; the running constant is data-free."""
+
+    def hashmix(v: np.ndarray) -> np.ndarray:
+        nonlocal const
+        v = v ^ np.uint32(const)
+        const = (const * mult) & _MASK32
+        v = v * np.uint32(const)
+        return v ^ (v >> np.uint32(16))
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * _MIX_L - y * _MIX_R
+    return r ^ (r >> np.uint32(16))
+
+
+def _sample_streams(seed: int, n: int) -> Iterator[np.random.Generator]:
+    """Yield, for i = 0..n-1, a Generator on the stream of default_rng(SeedSequence([seed, i])).
+
+    One Generator is repositioned and yielded each time, so each row must be
+    drawn before the next one is requested.
+    """
+    if n > 1 << 32:
+        raise ConfigError(f"at most 2**32 samples per seed, got {n}")
+    # Entropy [seed, i]: the seed's words, then i as one word (i < 2**32).
+    entropy = [np.full(n, w, dtype=np.uint32) for w in _uint32_words(seed)]
+    entropy.append(np.arange(n, dtype=np.uint32))
+    hashmix = _hasher(*_MIX_HASH)
+    pool = [hashmix(entropy[k] if k < len(entropy) else np.zeros(n, np.uint32)) for k in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hashmix = _hasher(*_STATE_HASH)
+    out = [hashmix(pool[k % 4]).astype(np.uint64) for k in range(8)]
+    # generate_state(4, uint64): little-endian pairs of the 8 uint32 words.
+    u64 = [(out[2 * k] | (out[2 * k + 1] << np.uint64(32))).tolist() for k in range(4)]
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+    for s_hi, s_lo, i_hi, i_lo in zip(*u64):
+        # pcg64_set_seed: inc = 2 initseq + 1; state = (inc + initstate) * mult + inc.
+        inc = ((((i_hi << 64) | i_lo) << 1) | 1) & _MASK128
+        pcg_state = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128
+        state["state"] = {"state": pcg_state, "inc": inc}
+        bitgen.state = state
+        yield rng
 
 
 def _base_draws(n: int, d: int, seed: int, chol: Optional[np.ndarray]) -> np.ndarray:
     """N(0, I) draws, or N(0, M^-1) for the Cholesky factor L of a metric M = L L'."""
-    z = np.stack([_sample_rng(seed, i).standard_normal(d) for i in range(n)])
+    z = np.empty((n, d))
+    for i, rng in enumerate(_sample_streams(seed, n)):
+        z[i] = rng.standard_normal(d)
     if chol is None:
         return z
     # cov(L^-T z) = (L L')^-1 = M^-1
@@ -247,11 +325,12 @@ def kde_direct_sample(
         raise ValueError(f"bandwidth must be positive, got {bandwidth!r}")
     if n < 1:
         raise ConfigError(f"need n >= 1 samples, got {n}")
-    rows = np.empty((n, support.d))
-    for i in range(n):
-        rng = _sample_rng(seed, i)
-        idx = int(rng.integers(support.m))
-        rows[i] = support.points[idx] + bandwidth * rng.standard_normal(support.d)
+    idx = np.empty(n, dtype=np.intp)
+    z = np.empty((n, support.d))
+    for i, rng in enumerate(_sample_streams(seed, n)):
+        idx[i] = rng.integers(support.m)
+        z[i] = rng.standard_normal(support.d)
+    rows = support.points[idx] + bandwidth * z
     meta = {
         "seed": seed,
         "n": n,

@@ -52,7 +52,7 @@ _STALL_FLOOR = 1e-4
 _STALL_MIN_PROPOSALS = 20_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureTable:
     """n x d matrix of ingested features with optional column names."""
 
@@ -389,7 +389,7 @@ class WhitenConfig:
             raise ValueError("regularization must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WhitenTransform:
     """Record of an affine whitening map x -> W (x - mean) + mean."""
 

@@ -51,7 +51,7 @@ __all__ = [
 VelocityField = Callable[[np.ndarray, float], np.ndarray]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PluginField:
     """Exact velocity field induced by a support set under the linear path.
 
@@ -166,7 +166,7 @@ def dot_product_lift(
     return q, k, float(q @ k)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiHeadParams:
     """Projection stacks for H-head cross-attention.
 

@@ -1,5 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from nwflow.errors import DegenerateScale, LogDomainError, SizeError
 from nwflow.kernels import SupportSet
@@ -42,6 +47,50 @@ def test_mmd2_exact_symmetry():
     x = rng.normal(size=(40, 3))
     y = rng.normal(size=(25, 3)) + 0.3
     assert mmd2_unbiased(x, y, 0.7).value == mmd2_unbiased(y, x, 0.7).value
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 300), st.integers(2, 300), st.integers(1, 5))
+def test_mmd2_swap_symmetry_is_bitwise_at_every_shape(seed, n, m, d):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d))
+    y = rng.normal(size=(m, d)) + 0.3
+    assert mmd2_unbiased(x, y, 0.7).value == mmd2_unbiased(y, x, 0.7).value
+
+
+def _dense_mmd2(x, y, bw):
+    """The dense three-matrix formula the tiled sums replace."""
+    inv = -0.5 / (bw * bw)
+    n, m = len(x), len(y)
+    kxx = np.exp(inv * cdist(x, x, "sqeuclidean"))
+    kyy = np.exp(inv * cdist(y, y, "sqeuclidean"))
+    kxy = np.exp(inv * cdist(x, y, "sqeuclidean"))
+    a = (kxx.sum() - np.trace(kxx)) / (n * (n - 1))
+    b = (kyy.sum() - np.trace(kyy)) / (m * (m - 1))
+    return a + b - 2.0 * kxy.mean()
+
+
+@pytest.mark.parametrize("n, m", [(1100, 513), (512, 512), (3, 1030)])
+def test_mmd2_tiles_match_dense_formula(n, m):
+    rng = np.random.default_rng(n + m)
+    x = rng.normal(size=(n, 2))
+    y = rng.normal(size=(m, 2)) * 1.2
+    res = mmd2_unbiased(x, y, 0.8)
+    assert abs(res.value - _dense_mmd2(x, y, 0.8)) <= 1e-14
+    assert (res.n_x, res.n_y) == (n, m)
+
+
+def test_mmd2_memory_is_bounded_by_one_tile():
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(4000, 2))
+    y = rng.normal(size=(4000, 2))
+    tracemalloc.start()
+    try:
+        mmd2_unbiased(x, y, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_mmd2_matches_naive_double_loop():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nwflow.cli import main
 from nwflow.errors import ConfigError, NumericalBlowup, StepLimit
 from nwflow.kernels import SupportSet
 from nwflow.ode import (
@@ -9,6 +10,7 @@ from nwflow.ode import (
     IntegratorConfig,
     generate,
     integrate,
+    _base_draws,
     kde_direct_sample,
 )
 from nwflow.schedule import PathSchedule
@@ -173,6 +175,45 @@ def test_kde_direct_sample_deterministic():
     a = kde_direct_sample(support, 0.3, 100, seed=9)
     b = kde_direct_sample(support, 0.3, 100, seed=9)
     assert np.array_equal(a.samples, b.samples)
+
+
+# Seeds of one and several 32-bit entropy words, around the word boundaries.
+STREAM_SEEDS = (0, 2**32 - 1, 2**32, 2**64 + 5)
+
+
+def _literal_rng(seed, i):
+    return np.random.default_rng(np.random.SeedSequence([seed, i]))
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_base_draws_match_literal_per_row_streams(seed):
+    n, d = 300, 3
+    ref = np.stack([_literal_rng(seed, i).standard_normal(d) for i in range(n)])
+    assert np.array_equal(_base_draws(n, d, seed, None), ref)
+    assert np.array_equal(_base_draws(1, d, seed, None), ref[:1])
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+@pytest.mark.parametrize("m", [1, 7])
+def test_kde_direct_sample_matches_literal_per_row_streams(seed, m):
+    support = SupportSet(np.random.default_rng(m).normal(size=(m, 2)) * 3.0)
+    rows = []
+    for i in range(200):
+        rng = _literal_rng(seed, i)
+        idx = int(rng.integers(m))
+        rows.append(support.points[idx] + 0.3 * rng.standard_normal(2))
+    batch = kde_direct_sample(support, 0.3, 200, seed=seed)
+    assert np.array_equal(batch.samples, np.stack(rows))
+    assert batch.meta["rng"] == "default_rng(SeedSequence([seed, sample_index]))"
+
+
+def test_negative_stream_seed_is_rejected(tmp_path):
+    with pytest.raises(ValueError):
+        _base_draws(4, 2, -1, None)
+    with pytest.raises(ValueError):
+        kde_direct_sample(SupportSet(np.zeros((2, 1))), 1.0, 4, seed=-1)
+    argv = ["generate", "--task", "gmm2d", "--m", "5", "--n", "3", "--seed", "-1"]
+    assert main(argv + ["--out", str(tmp_path)]) == 2
 
 
 def test_generate_endpoint_vs_euler_step_count():

@@ -325,3 +325,30 @@ def test_late_time_single_point_closed_form():
     x = np.array([1.0])
     assert fld(x, 1.0)[0] == pytest.approx(x[0] + (2.5 - x[0]) / SCHED.sigma_min, rel=1e-12)
 
+
+
+def test_array_records_compare_and_hash_by_identity():
+    from nwflow.kernels import Mahalanobis, WeightVector
+    from nwflow.metrics import neff_profile
+    from nwflow.ode import generate
+    from nwflow.tasks import FeatureTable, WhitenConfig, whiten
+
+    metric = np.eye(1) * 2.0
+    table = FeatureTable(np.random.default_rng(0).normal(size=(5, 2)))
+    makers = [
+        lambda: SupportSet(S12.points),
+        lambda: PluginField(S12, SCHED),
+        lambda: PluginField(S12, SCHED, metric),
+        lambda: generate(PluginField(S12, SCHED), 3, seed=0),
+        lambda: neff_profile(S12, SCHED, t_grid=(0.5,), n_queries=4),
+        lambda: FeatureTable(table.rows),
+        lambda: whiten(table, WhitenConfig(0.5))[1],
+        lambda: Mahalanobis(1.0, metric),
+        lambda: BilinearLogit(metric, 1.0),
+        lambda: WeightVector(np.array([0.5, 0.5]), 2.0),
+        lambda: MultiHeadParams.random(2, 1, np.random.default_rng(0)),
+    ]
+    for make in makers:
+        a, b = make(), make()
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
