@@ -39,24 +39,28 @@ class Mmd2Result:
 _BLOCK = 512
 
 
-def _gauss_sum(X: np.ndarray, Y: np.ndarray, inv: float, buf: np.ndarray) -> float:
+def _gauss_sum(
+    X: np.ndarray, Y: np.ndarray, inv: float, buf: np.ndarray, self_pairs: bool
+) -> float:
     """Sum of exp(inv * ||x - y||^2) over pairs, one _BLOCK x _BLOCK tile of `buf` at a time.
 
-    With Y is X, only the upper-triangle tiles are visited and the sum runs
-    over pairs i != j: a diagonal tile drops its unit diagonal, and an
-    off-diagonal tile stands for itself and its transpose.
+    With self_pairs (Y must then be X), only the upper-triangle tiles are
+    visited and the sum runs over pairs i != j: a diagonal tile drops its unit
+    diagonal, and an off-diagonal tile stands for itself and its transpose.
+    Without it, the sum runs over the full len(X) x len(Y) rectangle, even
+    when X and Y are the same array.
     """
     total = 0.0
     for lo in range(0, X.shape[0], _BLOCK):
         a = X[lo : lo + _BLOCK]
-        for lo2 in range(lo if Y is X else 0, Y.shape[0], _BLOCK):
+        for lo2 in range(lo if self_pairs else 0, Y.shape[0], _BLOCK):
             b = Y[lo2 : lo2 + _BLOCK]
             tile = buf[: a.shape[0] * b.shape[0]].reshape(a.shape[0], b.shape[0])
             cdist(a, b, "sqeuclidean", out=tile)
             np.multiply(tile, inv, out=tile)
             np.exp(tile, out=tile)
             s = float(tile.sum())
-            if Y is not X:
+            if not self_pairs:
                 total += s
             elif lo2 == lo:
                 total += s - a.shape[0]
@@ -83,9 +87,9 @@ def mmd2_unbiased(X: np.ndarray, Y: np.ndarray, bandwidth: float) -> Mmd2Result:
     P, Q = (Y, X) if (np_, Y.tobytes()) < (n, X.tobytes()) else (X, Y)
     inv = -0.5 / (bandwidth * bandwidth)
     buf = np.empty(_BLOCK * _BLOCK)
-    a = _gauss_sum(P, P, inv, buf) / (len(P) * (len(P) - 1))
-    b = _gauss_sum(Q, Q, inv, buf) / (len(Q) * (len(Q) - 1))
-    value = a + b - 2.0 * _gauss_sum(P, Q, inv, buf) / (n * np_)
+    a = _gauss_sum(P, P, inv, buf, True) / (len(P) * (len(P) - 1))
+    b = _gauss_sum(Q, Q, inv, buf, True) / (len(Q) * (len(Q) - 1))
+    value = a + b - 2.0 * _gauss_sum(P, Q, inv, buf, False) / (n * np_)
     return Mmd2Result(value=value, kernel_bandwidth=float(bandwidth), n_x=n, n_y=np_)
 
 

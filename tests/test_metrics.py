@@ -80,6 +80,17 @@ def test_mmd2_tiles_match_dense_formula(n, m):
     assert (res.n_x, res.n_y) == (n, m)
 
 
+@pytest.mark.parametrize("n", [2, 7, 600])
+def test_mmd2_same_array_for_both_samples(n):
+    # One array passed as both samples: the cross term still sums all n^2 pairs.
+    x = np.random.default_rng(n).normal(size=(n, 2))
+    same = mmd2_unbiased(x, x, 0.9).value
+    assert same == mmd2_unbiased(x, x.copy(), 0.9).value
+    assert abs(same - _dense_mmd2(x, x, 0.9)) <= 1e-14
+    dup = np.array([[1.0, 2.0], [1.0, 2.0]])
+    assert mmd2_unbiased(dup, dup, 1.0).value == pytest.approx(0.0, abs=1e-15)
+
+
 def test_mmd2_memory_is_bounded_by_one_tile():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(4000, 2))
