@@ -23,7 +23,7 @@ import time
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import __version__, experiments
-from .errors import ConfigError, NwflowError
+from .errors import ConfigError, NumericalError, NwflowError
 from .experiments import save_report
 from .metrics import neff_profile
 from .ode import AdaptiveRK45, Euler, IntegratorConfig, generate
@@ -140,11 +140,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
             "task": args.task,
             "features": args.features,
             "m": support.m,
-            "d": support.d,
-            "n": args.n,
-            "seed": args.seed,
-            "sigma_min": sched.sigma_min,
-            "integrator": cfg.describe(),
             **batch.meta,
         },
     )
@@ -441,7 +436,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         return _fail(exc, ConfigError.exit_code)
     except MemoryError as exc:
-        return _fail(exc, NwflowError.exit_code)
+        return _fail(exc, NumericalError.exit_code)
 
 
 def entrypoint() -> None:

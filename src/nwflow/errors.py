@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-`exit_code` is the `nwflow` command's exit status for each error: 3 for a
-numerical failure, 2 for the configuration and input errors listed at the end.
+`exit_code` is the `nwflow` command's exit status for each error, so the class
+alone decides it: 2 for a configuration or input error, 3 for a numerical
+failure.
 """
 
 
@@ -11,66 +12,13 @@ class NwflowError(Exception):
     exit_code = 3
 
 
-class DimError(NwflowError):
-    """Dimension mismatch between a query, a support set, or a parameter matrix."""
-
-
-class NormError(NwflowError):
-    """Input violates a unit-norm requirement (spherical kernels)."""
-
-
-class DivergentBandwidth(NwflowError):
-    """The de-scaled bandwidth diverges at t = 0; use the closed-form limit instead."""
-
-
-class InputError(NwflowError):
-    """Non-finite or otherwise unusable numeric input."""
-
-
-class StepLimit(NwflowError):
-    """Adaptive integrator exceeded its step budget."""
-
-
-class NumericalBlowup(NwflowError):
-    """Integration state became non-finite."""
-
-
 class ConfigError(NwflowError):
-    """Inconsistent configuration (e.g. base law does not match the field)."""
+    """Configuration or input the computation cannot accept: a flag, shape, file or sample size."""
+
+    exit_code = 2
 
 
-class SamplerStall(NwflowError):
-    """Rejection sampler acceptance rate fell below the workable floor."""
+class NumericalError(NwflowError):
+    """The computation itself failed: a non-finite state, a step budget, a singular spectrum."""
 
-
-class SingularCovariance(NwflowError):
-    """Covariance is singular and no ridge was supplied."""
-
-
-class FormatError(NwflowError):
-    """File does not parse under the declared format."""
-
-
-class DataError(NwflowError):
-    """Parsed data contains non-finite entries."""
-
-
-class EmptyTable(NwflowError):
-    """Table parsed correctly but holds zero data rows."""
-
-
-class SizeError(NwflowError):
-    """Sample too small for the requested statistic."""
-
-
-class DegenerateScale(NwflowError):
-    """All points identical; no pairwise scale exists."""
-
-
-class LogDomainError(NwflowError):
-    """Nonpositive value where a log transform is required."""
-
-
-for _cls in (ConfigError, DataError, DegenerateScale, DimError, EmptyTable, FormatError, SizeError):
-    _cls.exit_code = 2
-del _cls
+    exit_code = 3

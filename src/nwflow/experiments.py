@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.special import logsumexp
@@ -547,44 +547,44 @@ def exp_sphere_rate(
     """
     target_exp = 4.0 / (d_k + 3)
     kappa_pow = 2.0 / (d_k + 3)
+
+    def sphere_mse(tag: int, seed: int, kappas: Callable[[int], list[float]]) -> list[list[float]]:
+        """Per m of m_grid, the vMF smoother's MSE at each of kappas(m), on the (tag, seed) draw."""
+        rng = np.random.default_rng(np.random.SeedSequence([tag, seed]))
+        queries = _uniform_sphere(rng, n_queries, d_k)
+        out = []
+        for m in map(int, m_grid):
+            design = _uniform_sphere(rng, m, d_k)
+            y = design[:, 0] + noise * rng.standard_normal(m)
+            cos = queries @ design.T
+            out.append(
+                [float(np.mean((softmax_weights(k * cos) @ y - queries[:, 0]) ** 2)) for k in kappas(m)]
+            )
+        return out
+
     rows = []
     mse: dict[tuple[float, int], list[float]] = {}
     for seed in seeds:
-        rng = np.random.default_rng(np.random.SeedSequence([301, seed]))
-        queries = _uniform_sphere(rng, n_queries, d_k)
-        truth = queries[:, 0]
-        for m in m_grid:
-            design = _uniform_sphere(rng, int(m), d_k)
-            y = design[:, 0] + noise * rng.standard_normal(int(m))
-            cos = queries @ design.T
-            for c in c_grid:
-                kappa = c * float(m) ** kappa_pow
-                w = softmax_weights(kappa * cos)
-                est = w @ y
-                val = float(np.mean((est - truth) ** 2))
-                mse.setdefault((float(c), int(m)), []).append(val)
-                rows.append({"seed": seed, "m": int(m), "c": float(c), "kappa": kappa, "mse": val})
+        per_m = sphere_mse(301, seed, lambda m: [c * float(m) ** kappa_pow for c in c_grid])
+        for m, vals in zip(map(int, m_grid), per_m):
+            for c, val in zip(c_grid, vals):
+                mse.setdefault((float(c), m), []).append(val)
+                rows.append(
+                    {"seed": seed, "m": m, "c": float(c), "kappa": c * float(m) ** kappa_pow, "mse": val}
+                )
     envelope = [
         (float(m), min(float(np.mean(mse[(float(c), int(m))])) for c in c_grid)) for m in m_grid
     ]
     fit = fit_power_law(envelope)
 
-    # fixed-kappa control: freeze each c's kappa at the smallest m
+    # fixed-kappa control: freeze the best c's kappa at the smallest m
     m0 = int(m_grid[0])
+    best_c = min(c_grid, key=lambda c: float(np.mean(mse[(float(c), m0)])))
+    kappa0 = best_c * float(m0) ** kappa_pow
     ctrl: dict[int, list[float]] = {int(m): [] for m in m_grid}
     for seed in seeds:
-        rng = np.random.default_rng(np.random.SeedSequence([302, seed]))
-        queries = _uniform_sphere(rng, n_queries, d_k)
-        truth = queries[:, 0]
-        best_c = min(
-            c_grid, key=lambda c: float(np.mean(mse[(float(c), m0)]))
-        )
-        kappa = best_c * float(m0) ** kappa_pow
-        for m in m_grid:
-            design = _uniform_sphere(rng, int(m), d_k)
-            y = design[:, 0] + noise * rng.standard_normal(int(m))
-            w = softmax_weights(kappa * (queries @ design.T))
-            ctrl[int(m)].append(float(np.mean(((w @ y) - truth) ** 2)))
+        for m, (val,) in zip(map(int, m_grid), sphere_mse(302, seed, lambda m: [kappa0])):
+            ctrl[m].append(val)
     fit_ctrl = fit_power_law([(float(m), float(np.mean(v))) for m, v in ctrl.items()])
 
     in_band = abs(fit.alpha - target_exp) <= exponent_tol

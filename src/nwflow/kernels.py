@@ -17,7 +17,7 @@ from typing import Optional, Union
 import numpy as np
 from scipy.special import logsumexp
 
-from .errors import DimError, NormError
+from .errors import ConfigError
 
 __all__ = [
     "SupportSet",
@@ -67,9 +67,9 @@ class SupportSet:
         if pts.ndim == 1:
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
-            raise DimError(f"support must be a nonempty m x d matrix, got shape {pts.shape}")
+            raise ConfigError(f"support must be a nonempty m x d matrix, got shape {pts.shape}")
         if not np.all(np.isfinite(pts)):
-            raise DimError("support points must be finite")
+            raise ConfigError("support points must be finite")
         object.__setattr__(self, "points", _readonly(pts))
 
     @property
@@ -115,7 +115,7 @@ class Mahalanobis:
             raise ValueError(f"bandwidth must be positive, got {self.h!r}")
         m = np.asarray(self.metric, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimError(f"metric must be square, got shape {m.shape}")
+            raise ConfigError(f"metric must be square, got shape {m.shape}")
         if not np.allclose(m, m.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(m).max()))):
             raise ValueError("metric must be symmetric")
         try:
@@ -136,7 +136,7 @@ class BilinearLogit:
     def __post_init__(self) -> None:
         a = np.asarray(self.matrix, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimError(f"logit matrix must be square, got shape {a.shape}")
+            raise ConfigError(f"logit matrix must be square, got shape {a.shape}")
         if not float(self.scale) > 0.0:
             raise ValueError(f"scale must be positive, got {self.scale!r}")
         object.__setattr__(self, "matrix", _readonly(a))
@@ -171,7 +171,7 @@ def _check_query(x: np.ndarray, d: int) -> np.ndarray:
     if x.ndim == 0 and d == 1:
         x = x[None]
     if x.shape != (d,):
-        raise DimError(f"query has shape {x.shape}, support dimension is {d}")
+        raise ConfigError(f"query has shape {x.shape}, support dimension is {d}")
     return x
 
 
@@ -184,20 +184,20 @@ def logits(x: np.ndarray, support: SupportSet, kernel: KernelSpec) -> np.ndarray
         return -np.einsum("ij,ij->i", diff, diff) / (2.0 * kernel.h * kernel.h)
     if isinstance(kernel, Mahalanobis):
         if kernel.metric.shape[0] != support.d:
-            raise DimError("metric dimension does not match support dimension")
+            raise ConfigError("metric dimension does not match support dimension")
         diff = pts - x
         quad = np.einsum("ij,jk,ik->i", diff, kernel.metric, diff)
         return -quad / (2.0 * kernel.h * kernel.h)
     if isinstance(kernel, BilinearLogit):
         if kernel.matrix.shape[0] != support.d:
-            raise DimError("logit matrix dimension does not match support dimension")
+            raise ConfigError("logit matrix dimension does not match support dimension")
         return pts @ (x @ kernel.matrix) / kernel.scale
     if isinstance(kernel, Vmf):
         if abs(float(np.linalg.norm(x)) - 1.0) > _UNIT_NORM_TOL:
-            raise NormError("vMF kernel requires a unit-norm query")
+            raise ConfigError("vMF kernel requires a unit-norm query")
         norms = np.linalg.norm(pts, axis=1)
         if np.any(np.abs(norms - 1.0) > _UNIT_NORM_TOL):
-            raise NormError("vMF kernel requires unit-norm support rows")
+            raise ConfigError("vMF kernel requires unit-norm support rows")
         return kernel.kappa * (pts @ x)
     raise TypeError(f"unknown kernel spec {kernel!r}")
 
@@ -248,7 +248,7 @@ def local_mean(
         return w @ support.points
     values = np.asarray(values, dtype=np.float64)
     if values.shape[0] != support.m:
-        raise DimError(f"values rows {values.shape[0]} != support size {support.m}")
+        raise ConfigError(f"values rows {values.shape[0]} != support size {support.m}")
     return w @ values
 
 
@@ -341,7 +341,7 @@ def low_rank_metric(projection: np.ndarray, ridge: float = 1e-8) -> np.ndarray:
     """SPD metric L'L + ridge*I realizing an r-dimensional projection kernel."""
     proj = np.asarray(projection, dtype=np.float64)
     if proj.ndim != 2:
-        raise DimError(f"projection must be r x d, got shape {proj.shape}")
+        raise ConfigError(f"projection must be r x d, got shape {proj.shape}")
     if not ridge > 0.0:
         raise ValueError("ridge must be positive to keep the metric definite")
     d = proj.shape[1]

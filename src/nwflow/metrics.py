@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
-from .errors import DegenerateScale, LogDomainError, SizeError
+from .errors import ConfigError, NumericalError
 from .kernels import SupportSet, _smooth
 from .schedule import PathSchedule
 
@@ -81,7 +81,7 @@ def mmd2_unbiased(X: np.ndarray, Y: np.ndarray, bandwidth: float) -> Mmd2Result:
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
     n, np_ = X.shape[0], Y.shape[0]
     if n < 2 or np_ < 2:
-        raise SizeError("unbiased MMD^2 needs at least two points per sample")
+        raise ConfigError("unbiased MMD^2 needs at least two points per sample")
     if not bandwidth > 0.0:
         raise ValueError(f"bandwidth must be positive, got {bandwidth!r}")
     P, Q = (Y, X) if (np_, Y.tobytes()) < (n, X.tobytes()) else (X, Y)
@@ -101,13 +101,13 @@ def median_heuristic(X: np.ndarray, Y: np.ndarray, cap: int = 2000) -> float:
     """
     pooled = np.vstack([np.atleast_2d(X), np.atleast_2d(Y)])
     if pooled.shape[0] < 2:
-        raise SizeError("median heuristic needs at least two pooled points")
+        raise ConfigError("median heuristic needs at least two pooled points")
     if pooled.shape[0] > cap:
         idx = np.unique(np.linspace(0, pooled.shape[0] - 1, cap).round().astype(int))
         pooled = pooled[idx]
     med = float(np.median(pdist(pooled)))
     if med == 0.0:
-        raise DegenerateScale("all pooled points identical; no pairwise scale")
+        raise ConfigError("all pooled points identical; no pairwise scale")
     return med / np.sqrt(2.0)
 
 
@@ -122,9 +122,9 @@ def c2st_1nn(X: np.ndarray, Y: np.ndarray) -> float:
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
     n = X.shape[0]
     if Y.shape[0] != n:
-        raise SizeError("the two samples must have equal size")
+        raise ConfigError("the two samples must have equal size")
     if n < 10:
-        raise SizeError("need at least 10 points per sample")
+        raise ConfigError("need at least 10 points per sample")
     pooled = np.vstack([X, Y])
     labels = np.repeat([0, 1], n)
     total = 0.0
@@ -221,9 +221,9 @@ def fit_power_law(points: Sequence[tuple[float, float]]) -> RateFit:
     """
     pts = [(float(m), float(v)) for m, v in points]
     if len(pts) < 3:
-        raise SizeError(f"need at least 3 points for a rate fit, got {len(pts)}")
+        raise ConfigError(f"need at least 3 points for a rate fit, got {len(pts)}")
     if any(v <= 0.0 for _, v in pts):
-        raise LogDomainError("power-law fit requires strictly positive values")
+        raise NumericalError("power-law fit requires strictly positive values")
     log_m = np.log([m for m, _ in pts])
     log_v = np.log([v for _, v in pts])
     if np.max(log_v) == np.min(log_v):

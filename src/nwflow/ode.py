@@ -15,7 +15,7 @@ from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
-from .errors import ConfigError, NumericalBlowup, StepLimit
+from .errors import ConfigError, NumericalError
 from .kernels import SupportSet, _readonly
 from .velocity import PluginField, VelocityField
 
@@ -108,7 +108,7 @@ class SampleBatch:
         if s.ndim != 2 or s.shape[0] < 1:
             raise ValueError(f"samples must be a nonempty n x d matrix, got {s.shape}")
         if not np.all(np.isfinite(s)):
-            raise NumericalBlowup("sample batch contains non-finite values")
+            raise NumericalError("sample batch contains non-finite values")
         object.__setattr__(self, "samples", _readonly(s))
 
 
@@ -160,7 +160,7 @@ def _rk45(
         x5 = x + h * np.tensordot(_DP_B5, stages, axes=(0, 0))
         x4 = x + h * np.tensordot(_DP_B4, stages, axes=(0, 0))
         if not np.all(np.isfinite(x5)):
-            raise NumericalBlowup("integration state became non-finite")
+            raise NumericalError("integration state became non-finite")
         scale = cfg.atol + cfg.rtol * np.maximum(np.abs(x), np.abs(x5))
         err = float(np.sqrt(np.mean(((x5 - x4) / scale) ** 2)))
         if err <= 1.0:
@@ -170,7 +170,7 @@ def _rk45(
                 return x
         factor = _FACTOR_MAX if err == 0.0 else _SAFETY * err ** -0.2
         h = h * min(_FACTOR_MAX, max(_FACTOR_MIN, factor))
-    raise StepLimit(f"exceeded {cfg.max_steps} steps before reaching t_end")
+    raise NumericalError(f"exceeded {cfg.max_steps} steps before reaching t_end")
 
 
 def integrate(fieldfn: VelocityField, x0: np.ndarray, cfg: IntegratorConfig) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DivergentBandwidth
+from .errors import NumericalError
 
 __all__ = ["PathSchedule"]
 
@@ -38,13 +38,11 @@ class PathSchedule:
     def bandwidth(self, t: float) -> float:
         """De-scaled bandwidth sigma(t) / t; strictly decreasing on (0, 1].
 
-        Raises DivergentBandwidth at t = 0: the bandwidth is infinite there
+        Raises NumericalError at t = 0: the bandwidth is infinite there
         and callers must switch to the analytic uniform-weight limit rather
         than push infinities into kernel logits.
         """
         if t == 0.0:
-            raise DivergentBandwidth(
-                "bandwidth diverges at t=0; use the closed-form velocity limit"
-            )
+            raise NumericalError("bandwidth diverges at t=0; use the closed-form velocity limit")
         return self.sigma(t) / t
 

@@ -14,15 +14,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import (
-    DataError,
-    DimError,
-    EmptyTable,
-    FormatError,
-    SamplerStall,
-    SingularCovariance,
-    SizeError,
-)
+from .errors import ConfigError, NumericalError
 from .kernels import SupportSet, _readonly
 
 __all__ = [
@@ -63,9 +55,9 @@ class FeatureTable:
     def __post_init__(self) -> None:
         rows = np.asarray(self.rows, dtype=np.float64)
         if rows.ndim != 2:
-            raise DimError(f"feature table must be 2-d, got shape {rows.shape}")
+            raise ConfigError(f"feature table must be 2-d, got shape {rows.shape}")
         if not np.all(np.isfinite(rows)):
-            raise DataError("feature table contains non-finite entries")
+            raise ConfigError("feature table contains non-finite entries")
         object.__setattr__(self, "rows", _readonly(rows))
         if self.names is not None:
             object.__setattr__(self, "names", tuple(self.names))
@@ -312,7 +304,7 @@ def _sample_fourier(
         out[filled : filled + got.shape[0]] = got
         filled += got.shape[0]
         if proposed >= _STALL_MIN_PROPOSALS and filled / proposed < _STALL_FLOOR:
-            raise SamplerStall(
+            raise NumericalError(
                 f"rejection acceptance {filled / proposed:.2e} below {_STALL_FLOOR:.0e}"
             )
     return out, proposed, filled
@@ -418,15 +410,15 @@ def whiten(table: FeatureTable, cfg: WhitenConfig) -> tuple[FeatureTable, Whiten
         record = WhitenTransform(mean, np.eye(table.d), lam, eps, np.ones(table.d))
         return table, record
     if table.n < 2:
-        raise SizeError(f"whitening needs a covariance, which needs at least 2 rows, got {table.n}")
+        raise ConfigError(f"whitening needs a covariance, which needs at least 2 rows, got {table.n}")
     if table.n < table.d + 1 and eps == 0.0:
-        raise SingularCovariance(
+        raise ConfigError(
             f"{table.n} rows cannot give a full-rank covariance in d={table.d}; set a ridge"
         )
     cov = np.cov(rows, rowvar=False, ddof=1).reshape(table.d, table.d) + eps * np.eye(table.d)
     vals, vecs = np.linalg.eigh(cov)
     if np.min(vals) <= 0.0:
-        raise SingularCovariance("covariance is singular; set a positive ridge")
+        raise NumericalError("covariance is singular; set a positive ridge")
     w = (vecs * vals ** (-lam / 2.0)) @ vecs.T
     record = WhitenTransform(mean, w, lam, eps, vals)
     out = FeatureTable(rows=record.apply(rows), names=table.names, source=table.source)
@@ -442,18 +434,18 @@ def load_feature_table(path: str, fmt: str = "csv") -> FeatureTable:
         return _load_csv(path)
     if fmt == "bin":
         return _load_bin(path)
-    raise FormatError(f"unknown format {fmt!r}; expected 'csv' or 'bin'")
+    raise ConfigError(f"unknown format {fmt!r}; expected 'csv' or 'bin'")
 
 
 def _load_csv(path: str) -> FeatureTable:
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
-        raise EmptyTable(f"{path} holds no rows")
+        raise ConfigError(f"{path} holds no rows")
     cells = [ln.split(",") for ln in lines]
     widths = {len(row) for row in cells}
     if len(widths) != 1:
-        raise FormatError(f"{path} has ragged rows (widths {sorted(widths)})")
+        raise ConfigError(f"{path} has ragged rows (widths {sorted(widths)})")
     names = None
     try:
         [float(c) for c in cells[0]]
@@ -461,13 +453,13 @@ def _load_csv(path: str) -> FeatureTable:
         names = tuple(c.strip() for c in cells[0])
         cells = cells[1:]
     if not cells:
-        raise EmptyTable(f"{path} has a header but no data rows")
+        raise ConfigError(f"{path} has a header but no data rows")
     try:
         rows = np.array([[float(c) for c in row] for row in cells], dtype=np.float64)
     except ValueError as exc:
-        raise FormatError(f"{path}: unparseable cell ({exc})") from exc
+        raise ConfigError(f"{path}: unparseable cell ({exc})") from exc
     if not np.all(np.isfinite(rows)):
-        raise DataError(f"{path} contains non-finite values")
+        raise ConfigError(f"{path} contains non-finite values")
     return FeatureTable(rows=rows, names=names, source=path)
 
 
@@ -475,18 +467,18 @@ def _load_bin(path: str) -> FeatureTable:
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != _MAGIC:
-        raise FormatError(f"{path}: bad magic {blob[:4]!r}, expected {_MAGIC!r}")
+        raise ConfigError(f"{path}: bad magic {blob[:4]!r}, expected {_MAGIC!r}")
     if len(blob) < 12:
-        raise FormatError(f"{path}: truncated header")
+        raise ConfigError(f"{path}: truncated header")
     n, d = struct.unpack("<II", blob[4:12])
     if n == 0:
-        raise EmptyTable(f"{path} declares zero rows")
+        raise ConfigError(f"{path} declares zero rows")
     expected = 12 + 8 * n * d
     if len(blob) != expected:
-        raise FormatError(f"{path}: expected {expected} bytes for {n}x{d}, got {len(blob)}")
+        raise ConfigError(f"{path}: expected {expected} bytes for {n}x{d}, got {len(blob)}")
     rows = np.frombuffer(blob, dtype="<f8", offset=12).reshape(n, d)
     if not np.all(np.isfinite(rows)):
-        raise DataError(f"{path} contains non-finite values")
+        raise ConfigError(f"{path} contains non-finite values")
     return FeatureTable(rows=rows.astype(np.float64), source=path)
 
 
@@ -505,7 +497,7 @@ def save_feature_table(
             fh.write(struct.pack("<II", rows.shape[0], rows.shape[1]))
             fh.write(np.ascontiguousarray(rows, dtype="<f8").tobytes())
     else:
-        raise FormatError(f"unknown format {fmt!r}; expected 'csv' or 'bin'")
+        raise ConfigError(f"unknown format {fmt!r}; expected 'csv' or 'bin'")
 
 
 def _fmt(v: object) -> str:

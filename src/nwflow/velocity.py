@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimError, DivergentBandwidth, InputError
+from .errors import ConfigError, NumericalError
 from .kernels import (
     IsotropicGaussian,
     SupportSet,
@@ -71,7 +71,7 @@ class PluginField:
         if self.metric is not None:
             m = np.asarray(self.metric, dtype=np.float64)
             if m.shape != (self.support.d, self.support.d):
-                raise DimError(f"metric shape {m.shape} does not match dimension {self.support.d}")
+                raise ConfigError(f"metric shape {m.shape} does not match dimension {self.support.d}")
             chol = _readonly(np.linalg.cholesky(m))  # SPD or raise
             chol_support = SupportSet(self.support.points @ chol)
             object.__setattr__(self, "metric", _readonly(m))
@@ -81,10 +81,10 @@ class PluginField:
     def __call__(self, x: np.ndarray, t: float) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if not np.all(np.isfinite(x)):
-            raise InputError("velocity evaluated at a non-finite state")
+            raise NumericalError("velocity evaluated at a non-finite state")
         xs = np.atleast_2d(x)
         if xs.shape[1] != self.support.d:
-            raise DimError(f"state dimension {xs.shape[1]} != support dimension {self.support.d}")
+            raise ConfigError(f"state dimension {xs.shape[1]} != support dimension {self.support.d}")
         sig = self.schedule.sigma(t)
         if self.chol is None:
             means = _smooth(xs, self.support, t, sig)[0]
@@ -106,7 +106,7 @@ def velocity_from_score(
     score it reproduces the plug-in field.  Undefined at t = 0.
     """
     if t == 0.0:
-        raise DivergentBandwidth("score route divides by t; use the plug-in limit at t=0")
+        raise NumericalError("score route divides by t; use the plug-in limit at t=0")
     x = np.asarray(x, dtype=np.float64)
     return x / t + (sched.sigma(t) / t) * np.asarray(score_at(x), dtype=np.float64)
 
@@ -135,10 +135,10 @@ def attention_realized_velocity(
     the plug-in closed form instead.
     """
     if t == 0.0:
-        raise DivergentBandwidth("attention realization needs x/t; undefined at t=0")
+        raise NumericalError("attention realization needs x/t; undefined at t=0")
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
-        raise InputError("velocity evaluated at a non-finite state")
+        raise NumericalError("velocity evaluated at a non-finite state")
     x_tilde = x / t
     readout = local_mean(x_tilde, support, IsotropicGaussian(sched.bandwidth(t)))
     return affine_postmap(x_tilde, readout, sched.sigma(t))
@@ -159,7 +159,7 @@ def dot_product_lift(
     x_tilde = np.atleast_1d(np.asarray(x_tilde, dtype=np.float64))
     s = np.atleast_1d(np.asarray(s, dtype=np.float64))
     if x_tilde.shape != s.shape:
-        raise DimError("query and key must share a dimension")
+        raise ConfigError("query and key must share a dimension")
     h2 = 2.0 * h * h
     q = np.concatenate([x_tilde / h, [-(x_tilde @ x_tilde) / h2, 1.0]])
     k = np.concatenate([s / h, [1.0, -(s @ s) / h2]])
@@ -186,12 +186,12 @@ class MultiHeadParams:
         w_v = np.asarray(self.w_v, dtype=np.float64)
         w_o = np.asarray(self.w_o, dtype=np.float64)
         if w_q.ndim != 3:
-            raise DimError("projections must be stacked as (H, d_k, d_model)")
+            raise ConfigError("projections must be stacked as (H, d_k, d_model)")
         h, d_k, d_model = w_q.shape
         if w_k.shape != (h, d_k, d_model) or w_v.shape != (h, d_k, d_model):
-            raise DimError("w_k / w_v shapes must match w_q")
+            raise ConfigError("w_k / w_v shapes must match w_q")
         if w_o.shape != (h, d_model, d_k):
-            raise DimError("w_o must be stacked as (H, d_model, d_k)")
+            raise ConfigError("w_o must be stacked as (H, d_model, d_k)")
         for name, arr in (("w_q", w_q), ("w_k", w_k), ("w_v", w_v), ("w_o", w_o)):
             object.__setattr__(self, name, _readonly(arr))
 
@@ -210,7 +210,7 @@ class MultiHeadParams:
     @classmethod
     def random(cls, d_model: int, n_heads: int, rng: np.random.Generator) -> "MultiHeadParams":
         if d_model % n_heads != 0:
-            raise DimError(f"d_model={d_model} not divisible by n_heads={n_heads}")
+            raise ConfigError(f"d_model={d_model} not divisible by n_heads={n_heads}")
         d_k = d_model // n_heads
         scale = 1.0 / np.sqrt(d_model)
         return cls(
@@ -231,9 +231,9 @@ def multihead_forward(params: MultiHeadParams, q: np.ndarray, keys: np.ndarray) 
     q = np.asarray(q, dtype=np.float64)
     keys = np.atleast_2d(np.asarray(keys, dtype=np.float64))
     if q.shape != (params.d_model,):
-        raise DimError(f"query shape {q.shape} != (d_model,) = ({params.d_model},)")
+        raise ConfigError(f"query shape {q.shape} != (d_model,) = ({params.d_model},)")
     if keys.shape[1] != params.d_model:
-        raise DimError(f"key width {keys.shape[1]} != d_model {params.d_model}")
+        raise ConfigError(f"key width {keys.shape[1]} != d_model {params.d_model}")
     out = np.zeros(params.d_model)
     root = np.sqrt(params.d_k)
     for h in range(params.n_heads):

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 from nwflow.cli import main, parse_task
-from nwflow.errors import ConfigError, NumericalBlowup
+from nwflow.errors import ConfigError, NumericalError, NwflowError
+from nwflow.kernels import SupportSet, Vmf, logits
 from nwflow.tasks import FourierDensity, Gmm, Moons, Shell
 
 
@@ -40,7 +42,7 @@ def test_parse_task_names():
     assert isinstance(parse_task("shell8d", 1), Shell)
     assert isinstance(parse_task("fourier8d", 0), FourierDensity)
     assert isinstance(parse_task("moons", 0), Moons)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="unknown task 'blob3d'"):
         parse_task("blob3d", 0)
 
 
@@ -253,7 +255,7 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch):
     import nwflow.cli as cli
 
     def boom(*args, **kwargs):
-        raise NumericalBlowup("state diverged")
+        raise NumericalError("state diverged")
 
     monkeypatch.setattr(cli, "generate", boom)
     code = main(["generate", "--task", "gmm2d", "--m", "5", "--n", "10", "--out", str(tmp_path)])
@@ -287,7 +289,7 @@ def test_config_file_sets_jobs(tmp_path, monkeypatch):
 
     def capture(*args, **kwargs):
         seen.append(kwargs["jobs"])
-        raise NumericalBlowup("captured")
+        raise NumericalError("captured")
 
     monkeypatch.setattr(cli, "generate", capture)
     cfg = tmp_path / "cfg.json"
@@ -360,3 +362,25 @@ def test_whiten_one_row_is_size_error(tmp_path, capsys):
     argv = ["whiten", "--features", str(table), "--ridge", "0.1", "--out", str(tmp_path / "w")]
     assert main(argv) == 2
     assert "at least 2 rows" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+def test_whiten_fewer_rows_than_rank_is_config_error(tmp_path, capsys):
+    table = tmp_path / "wide.csv"
+    table.write_text("1,1,1,1,1\n2,1,1,1,1\n1,3,1,1,1\n")  # 3 rows in d = 5, no --ridge
+    assert main(["whiten", "--features", str(table), "--out", str(tmp_path / "w")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "set a ridge" in err
+
+
+def test_error_classes_alone_decide_exit_codes():
+    import nwflow.errors as errors
+
+    defined = {
+        cls for _, cls in inspect.getmembers(errors, inspect.isclass) if cls.__module__ == errors.__name__
+    }
+    assert defined == {NwflowError, ConfigError, NumericalError}
+    assert (NwflowError.exit_code, ConfigError.exit_code, NumericalError.exit_code) == (3, 2, 3)
+    unit = np.eye(3)
+    with pytest.raises(ConfigError, match="unit-norm query"):
+        logits(2.0 * unit[0], SupportSet(unit), Vmf(3.0))

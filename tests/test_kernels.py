@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nwflow.errors import DimError, NormError
+from nwflow.errors import ConfigError
 from nwflow.kernels import (
     BilinearLogit,
     IsotropicGaussian,
@@ -203,14 +203,14 @@ def test_vmf_logits_and_norm_check():
     x = pts[2]
     lg = logits(x, s, Vmf(3.0))
     assert lg[2] == pytest.approx(3.0, rel=1e-12)
-    with pytest.raises(NormError):
+    with pytest.raises(ConfigError, match="unit-norm query"):
         logits(2.0 * x, s, Vmf(3.0))
-    with pytest.raises(NormError):
+    with pytest.raises(ConfigError, match="unit-norm support rows"):
         logits(x, SupportSet(2.0 * pts), Vmf(3.0))
 
 
 def test_dim_mismatch():
-    with pytest.raises(DimError):
+    with pytest.raises(ConfigError, match="query has shape"):
         logits(np.zeros(3), S12, IsotropicGaussian(1.0))
 
 
@@ -283,9 +283,9 @@ def test_score_oracle_and_fd():
 
 
 def test_support_set_validation():
-    with pytest.raises(DimError):
+    with pytest.raises(ConfigError, match="support points must be finite"):
         SupportSet(np.array([[np.inf, 0.0]]))
-    with pytest.raises(DimError):
+    with pytest.raises(ConfigError, match="nonempty m x d matrix"):
         SupportSet(np.empty((0, 2)))
     s = SupportSet([[1.0, 2.0], [3.0, 4.0]])
     assert s.m == 2 and s.d == 2

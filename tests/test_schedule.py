@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nwflow.errors import DivergentBandwidth
+from nwflow.errors import NumericalError
 from nwflow.schedule import PathSchedule
 
 
@@ -21,7 +21,7 @@ def test_bandwidth_values():
 
 
 def test_bandwidth_diverges_at_zero():
-    with pytest.raises(DivergentBandwidth):
+    with pytest.raises(NumericalError, match="bandwidth diverges at t=0"):
         PathSchedule(0.01).bandwidth(0.0)
 
 

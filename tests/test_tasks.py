@@ -3,12 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from nwflow.errors import (
-    DataError,
-    EmptyTable,
-    FormatError,
-    SingularCovariance,
-)
+from nwflow.errors import ConfigError, NumericalError
 from nwflow.tasks import (
     External,
     FeatureTable,
@@ -157,10 +152,13 @@ def test_whiten_singular_covariance():
     rows = np.ones((3, 5))
     rows[1, 0] = 2.0
     table = FeatureTable(rows=rows)
-    with pytest.raises(SingularCovariance):
+    with pytest.raises(ConfigError, match="cannot give a full-rank covariance"):
         whiten(table, WhitenConfig(strength=1.0, regularization=0.0))
     out, _ = whiten(table, WhitenConfig(strength=1.0, regularization=1e-6))
     assert np.all(np.isfinite(out.rows))
+    constant_column = FeatureTable(rows=np.array([[0.0, 1.0], [1.0, 1.0], [2.0, 1.0], [5.0, 1.0]]))
+    with pytest.raises(NumericalError, match="covariance is singular"):
+        whiten(constant_column, WhitenConfig(strength=1.0))
 
 
 def test_whiten_config_validation():
@@ -190,19 +188,19 @@ def test_csv_errors(tmp_path):
     header_only = os.path.join(tmp_path, "h.csv")
     with open(header_only, "w") as fh:
         fh.write("a,b\n")
-    with pytest.raises(EmptyTable):
+    with pytest.raises(ConfigError, match="header but no data rows"):
         load_feature_table(header_only, "csv")
 
     ragged = os.path.join(tmp_path, "r.csv")
     with open(ragged, "w") as fh:
         fh.write("1,2\n3\n")
-    with pytest.raises(FormatError):
+    with pytest.raises(ConfigError, match="ragged rows"):
         load_feature_table(ragged, "csv")
 
     nan_file = os.path.join(tmp_path, "n.csv")
     with open(nan_file, "w") as fh:
         fh.write("1,2\nnan,4\n")
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError, match="contains non-finite values"):
         load_feature_table(nan_file, "csv")
 
 
@@ -220,18 +218,18 @@ def test_binary_errors(tmp_path):
     bad_magic = os.path.join(tmp_path, "bad.bin")
     with open(bad_magic, "wb") as fh:
         fh.write(b"XXXX" + b"\x00" * 8)
-    with pytest.raises(FormatError):
+    with pytest.raises(ConfigError, match="bad magic"):
         load_feature_table(bad_magic, "bin")
 
     truncated = os.path.join(tmp_path, "short.bin")
     with open(truncated, "wb") as fh:
         fh.write(b"NWF1" + (2).to_bytes(4, "little") + (2).to_bytes(4, "little") + b"\x00" * 8)
-    with pytest.raises(FormatError):
+    with pytest.raises(ConfigError, match="expected 44 bytes for 2x2, got 20"):
         load_feature_table(truncated, "bin")
 
 
 def test_feature_table_validation():
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError, match="feature table contains non-finite entries"):
         FeatureTable(rows=np.array([[1.0, np.inf]]))
 
 

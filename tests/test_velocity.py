@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nwflow.errors import DimError, DivergentBandwidth, InputError
+from nwflow.errors import ConfigError, NumericalError
 from nwflow.kernels import BilinearLogit, SupportSet, kde_descaled_score, local_mean
 from nwflow.schedule import PathSchedule
 from nwflow.velocity import (
@@ -64,7 +64,7 @@ def test_batched_evaluation_matches_rows():
 
 def test_non_finite_state_rejected():
     fld = PluginField(S12, SCHED)
-    with pytest.raises(InputError):
+    with pytest.raises(NumericalError, match="non-finite state"):
         fld(np.array([np.nan]), 0.5)
 
 
@@ -86,7 +86,7 @@ def test_velocity_from_score_routes():
 def test_velocity_from_score_identity_cases():
     x = np.array([1.5, -2.0])
     assert np.allclose(velocity_from_score(x, 1.0, lambda q: np.zeros(2), SCHED), x)
-    with pytest.raises(DivergentBandwidth):
+    with pytest.raises(NumericalError, match="score route divides by t"):
         velocity_from_score(x, 0.0, lambda q: q, SCHED)
 
 
@@ -182,7 +182,7 @@ def test_attention_worked_example_and_m1():
     x = np.array([1.0])
     expect = affine_postmap(x / t, s1.points[0], SCHED.sigma(t))
     assert np.allclose(attention_realized_velocity(s1, SCHED, x, t), expect)
-    with pytest.raises(DivergentBandwidth):
+    with pytest.raises(NumericalError, match="attention realization needs x/t"):
         attention_realized_velocity(S12, SCHED, np.array([1.0]), 0.0)
 
 
@@ -226,7 +226,7 @@ def test_multihead_degenerate_cases():
     assert np.allclose(multihead_forward(params, np.ones(3), z), z[0])
     zero_v = MultiHeadParams(w_q=eye, w_k=eye, w_v=0 * eye, w_o=eye)
     assert np.allclose(multihead_forward(zero_v, np.ones(3), np.random.default_rng(1).normal(size=(4, 3))), 0.0)
-    with pytest.raises(DimError):
+    with pytest.raises(ConfigError, match="query shape"):
         multihead_forward(params, np.ones(2), z)
 
 
