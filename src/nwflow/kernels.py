@@ -84,11 +84,12 @@ class SupportSet:
         return hashlib.sha256(self.points.tobytes()).hexdigest()
 
     @cached_property
-    def _centred(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Support mean c, the centred rows s - c, and their squared norms."""
+    def _kv(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The mean c, and the smoother's keys [s - c, ||s - c||^2] and values [s, 1], m x (d+1)."""
         c = self.points.mean(axis=0)
-        centred = _readonly(self.points - c)
-        return _readonly(c), centred, _readonly(np.einsum("ij,ij->i", centred, centred))
+        centred = self.points - c
+        keys = np.column_stack([centred, np.einsum("ij,ij->i", centred, centred)])
+        return _readonly(c), _readonly(keys), _readonly(np.column_stack([self.points, np.ones(self.m)]))
 
 
 @dataclass(frozen=True)
@@ -219,10 +220,7 @@ def softmax_weights(raw: np.ndarray) -> np.ndarray:
         out /= np.sum(out, axis=-1, keepdims=True)
         return out
     shifted = np.where(finite_top, raw - np.where(finite_top, top, 0.0), 0.0)
-    expd = np.exp(shifted)
-    if not np.all(finite_top):
-        at_max = raw == top
-        expd = np.where(finite_top, expd, at_max.astype(np.float64))
+    expd = np.where(finite_top, np.exp(shifted), (raw == top).astype(np.float64))
     return expd / np.sum(expd, axis=-1, keepdims=True)
 
 
@@ -258,8 +256,7 @@ def nw_local_means(queries: np.ndarray, points: np.ndarray, h: float) -> np.ndar
     Used by the variance-scaling experiment where the reference support runs
     to tens of thousands of rows; memory stays O(block * m).
     """
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    return _smooth(queries, SupportSet(points), 1.0, h)[0]
+    return _smooth(np.atleast_2d(np.asarray(queries, dtype=np.float64)), SupportSet(points), 1.0, h)
 
 
 def _smooth(
@@ -268,36 +265,43 @@ def _smooth(
     t: float,
     sigma: float,
     values: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Local means and n_eff of the weights softmax(-||x - t s||^2 / (2 sigma^2)).
+    *,
+    neff: bool = False,
+) -> Union[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Local means under the weights softmax(-||x - t s||^2 / (2 sigma^2)); with `neff`, (means, n_eff).
 
-    `x` is an (n, d) batch; the means average the support rows, or `values`
-    (m, p) when given.  The logits are one GEMM about the support mean c:
-
-        (t / sigma^2) (x - t c) . (s - c) - (t^2 / (2 sigma^2)) ||s - c||^2,
-
-    which drops the row constant -||x - t c||^2 / (2 sigma^2) that the softmax
-    cancels.  Centring keeps the rounding error at the scale of the support's
-    spread rather than its offset from the origin.  At t = 0 every logit is
-    exactly 0, so the weights are exactly uniform.  Query rows are processed in
-    blocks of at most _BLOCK_ELEMS weights.
+    `x` is (n, d); the means average the support rows, or the first p columns of
+    `values` (m, p+1, last column ones).  The logits, less the row constant the
+    softmax cancels, are one GEMM of [(x - t c) t / sigma^2, -t^2 / (2 sigma^2)]
+    against the keys about the support mean c, so rounding stays at the scale of
+    the support's spread; at t = 0 they are exactly 0 and the weights uniform.
+    Normalised late: exp in place on the max-shifted logits, one GEMM against the
+    values for the sums and the partition z, then means = sums / z and
+    n_eff = z^2 / sum(e^2).  Blocks of at most _BLOCK_ELEMS weights share one
+    buffer per call (calls may run on several threads); a block with a
+    non-finite row max goes through softmax_weights.
     """
-    c, centred, sq_norms = support._centred
-    vals = support.points if values is None else values
+    c, keys, own_values = support._kv
+    vals = own_values if values is None else values
     scale = t / (sigma * sigma)
-    q = (x - t * c) * scale
-    bias = (0.5 * t * scale) * sq_norms
-    n = x.shape[0]
-    means = np.empty((n, vals.shape[1]))
-    neff = np.empty(n)
-    rows = max(1, _BLOCK_ELEMS // support.m)
+    n, p = x.shape[0], vals.shape[1] - 1
+    q = np.column_stack([(x - t * c) * scale, np.full(n, -0.5 * t * scale)])
+    means, n_eff = np.empty((n, p)), np.empty(n)
+    rows = min(n, max(1, _BLOCK_ELEMS // support.m))
+    buf = np.empty((rows, support.m))
     for lo in range(0, n, rows):
-        lg = q[lo : lo + rows] @ centred.T
-        lg -= bias
-        w = softmax_weights(lg)
-        means[lo : lo + rows] = w @ vals
-        neff[lo : lo + rows] = 1.0 / np.einsum("ij,ij->i", w, w)
-    return means, neff
+        e = np.matmul(q[lo : lo + rows], keys.T, out=buf[: min(rows, n - lo)])
+        top = np.max(e, axis=1, keepdims=True)
+        if np.all(np.isfinite(top)):
+            e -= top
+            np.exp(e, out=e)
+        else:
+            e[...] = softmax_weights(e)
+        r = e @ vals
+        means[lo : lo + rows] = r[:, :p] / r[:, p:]
+        if neff:
+            n_eff[lo : lo + rows] = r[:, p] ** 2 / np.einsum("ij,ij->i", e, e)
+    return (means, n_eff) if neff else means
 
 
 def _sq_dists(x_tilde: np.ndarray, support: SupportSet) -> np.ndarray:

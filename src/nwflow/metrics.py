@@ -195,12 +195,8 @@ def neff_profile(
         hs[i] = sched.bandwidth(t)
         idx = rng.integers(support.m, size=n_queries)
         x = t * support.points[idx] + sig * rng.standard_normal((n_queries, support.d))
-        neff = _smooth(x, support, float(t), sig)[1]
-        med[i], q25[i], q75[i] = (
-            float(np.median(neff)),
-            float(np.percentile(neff, 25)),
-            float(np.percentile(neff, 75)),
-        )
+        neff = _smooth(x, support, float(t), sig, neff=True)[1]
+        med[i], q25[i], q75[i] = np.median(neff), np.percentile(neff, 25), np.percentile(neff, 75)
     return NeffProfile(t=t_arr, h=hs, median=med, q25=q25, q75=q75)
 
 

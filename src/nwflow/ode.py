@@ -112,7 +112,7 @@ class SampleBatch:
         object.__setattr__(self, "samples", _readonly(s))
 
 
-# Dormand-Prince 5(4) tableau.
+# Dormand-Prince 5(4) tableau.  Row 6 of A is b5, so the last stage is f at the step's result.
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _DP_A = (
     np.array([]),
@@ -123,7 +123,6 @@ _DP_A = (
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
     np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 )
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _DP_B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
@@ -151,13 +150,13 @@ def _rk45(
     t = t0
     h = (t1 - t0) / 100.0
     stages = np.empty((7,) + x.shape)
+    stages[0] = fieldfn(x, t)
     for _ in range(cfg.max_steps):
         h = min(h, t1 - t)
-        stages[0] = fieldfn(x, t)
         for i in range(1, 7):
             xi = x + h * np.tensordot(_DP_A[i], stages[:i], axes=(0, 0))
             stages[i] = fieldfn(xi, min(t + _DP_C[i] * h, 1.0))
-        x5 = x + h * np.tensordot(_DP_B5, stages, axes=(0, 0))
+        x5 = xi
         x4 = x + h * np.tensordot(_DP_B4, stages, axes=(0, 0))
         if not np.all(np.isfinite(x5)):
             raise NumericalError("integration state became non-finite")
@@ -168,6 +167,7 @@ def _rk45(
             x = x5
             if t >= t1:
                 return x
+            stages[0] = stages[6]  # f(x5, t + h); a rejected step keeps stages[0]
         factor = _FACTOR_MAX if err == 0.0 else _SAFETY * err ** -0.2
         h = h * min(_FACTOR_MAX, max(_FACTOR_MIN, factor))
     raise NumericalError(f"exceeded {cfg.max_steps} steps before reaching t_end")

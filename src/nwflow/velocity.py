@@ -87,9 +87,9 @@ class PluginField:
             raise ConfigError(f"state dimension {xs.shape[1]} != support dimension {self.support.d}")
         sig = self.schedule.sigma(t)
         if self.chol is None:
-            means = _smooth(xs, self.support, t, sig)[0]
+            means = _smooth(xs, self.support, t, sig)
         else:
-            means = _smooth(xs @ self.chol, self._chol_support, t, sig, self.support.points)[0]
+            means = _smooth(xs @ self.chol, self._chol_support, t, sig, self.support._kv[2])
         u = (means - (1.0 - self.schedule.sigma_min) * xs) / sig
         return u[0] if x.ndim == 1 else u
 

@@ -8,6 +8,7 @@ from nwflow.kernels import (
     Mahalanobis,
     SupportSet,
     Vmf,
+    _smooth,
     kde_descaled_density,
     kde_descaled_log_density,
     kde_descaled_score,
@@ -18,6 +19,7 @@ from nwflow.kernels import (
     nw_weights,
     softmax_weights,
 )
+from nwflow.schedule import PathSchedule
 
 # Frozen from an independent 40-digit evaluation of exp(0)/(exp(0)+exp(-2)),
 # 1/sum(w^2), and the weighted mean.
@@ -133,12 +135,32 @@ def test_nw_local_means_matches_per_query_local_mean():
     for offset in (0.0, 1e3):
         pts = offset + rng.normal(size=(300, 3))
         queries = offset + 1.5 * rng.normal(size=(40, 3))
-        for h in (0.05, 0.4, 3.0):
+        # 1e-3: every weight but the nearest row's underflows; 1e3: near-uniform weights.
+        for h in (1e-3, 0.05, 0.4, 3.0, 1e3):
             got = nw_local_means(queries, pts, h)
             kern = IsotropicGaussian(h)
             want = np.stack([local_mean(q, SupportSet(pts), kern) for q in queries])
             rel = np.max(np.abs(got - want)) / np.max(np.abs(want))
             assert rel <= 1e-12
+        nearest = np.argmin(((queries[:, None, :] - pts[None]) ** 2).sum(axis=2), axis=1)
+        assert np.array_equal(nw_local_means(queries, pts, 1e-3), pts[nearest])
+
+
+@pytest.mark.parametrize("m", [1, 7, 300])
+def test_smoother_neff_matches_per_query_weights(m):
+    rng = np.random.default_rng(m)
+    sched = PathSchedule(0.01)
+    support = SupportSet(2.0 * rng.normal(size=(m, 3)))
+    for t in (0.05, 0.56, 1.0):
+        sig = sched.sigma(t)
+        x = t * support.points[rng.integers(m, size=25)] + sig * rng.standard_normal((25, 3))
+        means, neff = _smooth(x, support, t, sig, neff=True)
+        assert np.array_equal(means, _smooth(x, support, t, sig))
+        kern = IsotropicGaussian(sched.bandwidth(t))
+        want = np.array([nw_weights(row / t, support, kern).neff for row in x])
+        assert np.max(np.abs(neff - want) / want) <= 1e-12
+        if m == 1:
+            assert np.all(neff == 1.0)
 
 
 def test_support_set_copies_instead_of_freezing_the_caller_array():

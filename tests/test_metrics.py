@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from nwflow.errors import ConfigError, NumericalError
-from nwflow.kernels import SupportSet
+from nwflow.kernels import SupportSet, nw_local_means
 from nwflow.metrics import (
     c2st_1nn,
     fit_power_law,
@@ -102,6 +102,20 @@ def test_mmd2_memory_is_bounded_by_one_tile():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_nw_local_means_memory_is_bounded_by_one_block():
+    rng = np.random.default_rng(4)
+    queries = rng.normal(size=(512, 8))
+    points = rng.normal(size=(50_000, 8))
+    tracemalloc.start()
+    try:
+        nw_local_means(queries, points, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One 8 MiB weight block, plus the support's copy, keys and values (3.2 to 3.6 MiB each).
+    assert peak < 24 * 2**20
 
 
 def test_mmd2_matches_naive_double_loop():

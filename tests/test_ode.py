@@ -5,6 +5,12 @@ from nwflow.cli import main
 from nwflow.errors import ConfigError, NumericalError
 from nwflow.kernels import SupportSet
 from nwflow.ode import (
+    _DP_A,
+    _DP_B4,
+    _DP_C,
+    _FACTOR_MAX,
+    _FACTOR_MIN,
+    _SAFETY,
     AdaptiveRK45,
     Euler,
     IntegratorConfig,
@@ -76,6 +82,71 @@ def test_rk45_blowup_detected():
     cfg = IntegratorConfig(method=AdaptiveRK45(rtol=1e-3, atol=1e-6, max_steps=100_000))
     with pytest.raises(NumericalError, match="non-finite|exceeded"):
         integrate(field, np.array([1e154]), cfg)
+
+
+class CountingField:
+    def __init__(self, fieldfn):
+        self.fieldfn = fieldfn
+        self.calls = 0
+
+    def __call__(self, x, t):
+        self.calls += 1
+        return self.fieldfn(x, t)
+
+
+def _rk45_stage0_every_attempt(fieldfn, x, cfg):
+    """Dormand-Prince without FSAL: stage 0 evaluated anew on every attempt.
+
+    Returns the endpoint and the numbers of accepted and rejected attempts.
+    """
+    rk = cfg.method
+    b5 = np.append(_DP_A[6], 0.0)
+    t, t1 = cfg.t_start, cfg.t_end
+    h = (t1 - t) / 100.0
+    stages = np.empty((7,) + x.shape)
+    accepted = rejected = 0
+    while True:
+        h = min(h, t1 - t)
+        stages[0] = fieldfn(x, t)
+        for i in range(1, 7):
+            xi = x + h * np.tensordot(_DP_A[i], stages[:i], axes=(0, 0))
+            stages[i] = fieldfn(xi, min(t + _DP_C[i] * h, 1.0))
+        x5 = x + h * np.tensordot(b5, stages, axes=(0, 0))
+        x4 = x + h * np.tensordot(_DP_B4, stages, axes=(0, 0))
+        scale = rk.atol + rk.rtol * np.maximum(np.abs(x), np.abs(x5))
+        err = float(np.sqrt(np.mean(((x5 - x4) / scale) ** 2)))
+        if err <= 1.0:
+            accepted += 1
+            t = t + h
+            x = x5
+            if t >= t1:
+                return x, accepted, rejected
+        else:
+            rejected += 1
+        factor = _FACTOR_MAX if err == 0.0 else _SAFETY * err ** -0.2
+        h = h * min(_FACTOR_MAX, max(_FACTOR_MIN, factor))
+
+
+def test_rk45_first_same_as_last_is_exact():
+    """The last stage reused as the next first stage: the same bits, 6 calls per attempt + 1."""
+    rng = np.random.default_rng(12)
+    support = SupportSet(rng.normal(size=(50, 2)) * 3.0)
+    plugin = PluginField(support, PathSchedule(0.01))
+    cases = [
+        (plugin, rng.standard_normal((64, 2)), AdaptiveRK45()),
+        (plugin, rng.standard_normal((64, 2)), AdaptiveRK45(rtol=1e-7, atol=1e-9)),
+        (lambda x, t: x, np.array([1.0, 2.0]), AdaptiveRK45(rtol=1e-8, atol=1e-10)),
+    ]
+    total_rejected = 0
+    for fieldfn, x0, rk in cases:
+        cfg = IntegratorConfig(method=rk)
+        want, accepted, rejected = _rk45_stage0_every_attempt(fieldfn, x0, cfg)
+        counted = CountingField(fieldfn)
+        got = integrate(counted, x0, cfg)
+        assert np.array_equal(got, want)
+        assert counted.calls == 6 * (accepted + rejected) + 1
+        total_rejected += rejected
+    assert total_rejected > 0  # the rejected-step branch ran
 
 
 def test_integrator_config_validation():

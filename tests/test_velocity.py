@@ -280,7 +280,7 @@ def test_anisotropic_diag_metric_oracle_offset_support():
     metric = np.diag([4.0, 1.0, 0.25])
     s = SupportSet(1e3 + rng.normal(size=(40, 3)))
     fld = PluginField(s, SCHED, metric)
-    for t in (0.05, 0.5, 1.0):
+    for t in (0.0, 0.05, 0.5, 1.0):
         sig = SCHED.sigma(t)
         x = t * s.points[3] + sig * rng.standard_normal(3)
         diff = x - t * s.points

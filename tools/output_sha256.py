@@ -8,7 +8,8 @@ that is removed afterwards): the nine experiments at their defaults, three
 table with a header that the script writes from a fixed seed.  The checkout's
 `src` goes first on the path, so running the script from two checkouts and
 diffing the two outputs compares their bytes.  It prints a markdown table
-`| output | sha256 |`, then one `| run | exit code |` table.
+`| output | sha256 |`, then one `| run | exit code |` table.  DIR also gets
+`exit_codes.json`, so `tools/output_diff.py` can compare two such trees.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import random
 import sys
@@ -71,6 +73,8 @@ def run_all(root: str) -> tuple[list[tuple[str, str]], dict[str, int]]:
         for name, argv in RUNS.items():
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 codes[name] = main(argv + ["--out", name])
+        with open("exit_codes.json", "w", encoding="utf-8") as fh:
+            json.dump(codes, fh, sort_keys=True, indent=2)
         hashes = [
             (f"{name}/{fname}", sha256(os.path.join(name, fname)))
             for name in sorted(RUNS)
