@@ -287,7 +287,7 @@ def _smooth(
     n, p = x.shape[0], vals.shape[1] - 1
     q = np.column_stack([(x - t * c) * scale, np.full(n, -0.5 * t * scale)])
     means, n_eff = np.empty((n, p)), np.empty(n)
-    rows = min(n, max(1, _BLOCK_ELEMS // support.m))
+    rows = max(1, min(n, _BLOCK_ELEMS // support.m))
     buf = np.empty((rows, support.m))
     for lo in range(0, n, rows):
         e = np.matmul(q[lo : lo + rows], keys.T, out=buf[: min(rows, n - lo)])

@@ -161,6 +161,7 @@ def test_smoother_neff_matches_per_query_weights(m):
         assert np.max(np.abs(neff - want) / want) <= 1e-12
         if m == 1:
             assert np.all(neff == 1.0)
+    assert nw_local_means(np.empty((0, 3)), support.points, 0.5).shape == (0, 3)
 
 
 def test_support_set_copies_instead_of_freezing_the_caller_array():
