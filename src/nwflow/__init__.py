@@ -13,7 +13,6 @@ from .kernels import (
     Mahalanobis,
     SupportSet,
     Vmf,
-    kde_descaled_density,
     kde_descaled_log_density,
     kde_descaled_score,
     local_mean,

@@ -44,16 +44,12 @@ from .tasks import (
     save_feature_table,
     whiten,
     write_csv,
+    write_json,
 )
 from .velocity import PluginField
 
 EXIT_OK = 0
 EXIT_FAIL = 1
-
-
-def write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 _PLANAR_TASKS = {"moons": Moons, "rings": Rings, "spirals": Spirals}
@@ -352,8 +348,8 @@ def _add_flags(p: argparse.ArgumentParser, dests) -> None:
         p.add_argument("--" + dest.replace("_", "-"), **_FLAGS[dest])
 
 
-def build_parser(**defaults: object) -> argparse.ArgumentParser:
-    """The `nwflow` parser; `defaults` (a --config file's values) replace its defaults."""
+def build_parser() -> argparse.ArgumentParser:
+    """The `nwflow` parser."""
     parser = argparse.ArgumentParser(
         prog="nwflow",
         description="Support-conditioned flow-matching fields, sampling, and diagnostics",
@@ -381,13 +377,16 @@ def build_parser(**defaults: object) -> argparse.ArgumentParser:
     p_ingest = sub.add_parser("ingest", help="validate and convert a feature table")
     _add_flags(p_ingest, ("features", "format", "to"))
     p_ingest.set_defaults(func=cmd_ingest)
-
-    for p in sub.choices.values():
-        p.set_defaults(**defaults)
     return parser
 
 
-def _read_config(path: str, flags: set[str]) -> dict:
+def _config_argv(path: str, flags: set[str]) -> list[str]:
+    """A --config file's entries as flag tokens, so each value gets its flag's type and choices.
+
+    Lists join with commas; true on a switch is the bare flag; false on a switch
+    and null on any flag leave it unset.  Placed before the command line's flags,
+    the tokens lose to them, as argparse keeps the last value of a repeated flag.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -399,15 +398,24 @@ def _read_config(path: str, flags: set[str]) -> dict:
     unknown = sorted(config.keys() - flags)
     if unknown:
         raise ConfigError(f"config file keys {unknown} are not recognized flags")
-    return config
+    tokens = []
+    for dest, value in config.items():
+        flag = "--" + dest.replace("_", "-")
+        if isinstance(value, bool) and _FLAGS.get(dest, {}).get("action") == "store_true":
+            tokens += [flag] * value
+        elif value is not None:
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            tokens.append(f"{flag}={text}")
+    return tokens
 
 
 def _parse(argv: Optional[Sequence[str]]) -> argparse.Namespace:
     """Flags beat --config values, which beat the parser defaults; then NWFLOW_SEED, then 0."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     if args.config is not None:
-        flags = set(vars(args)) - {"command", "func"}
-        args = build_parser(**_read_config(args.config, flags)).parse_args(argv)
+        flags = set(vars(args)) - {"command", "func", "name"}
+        args = build_parser().parse_args(argv[:1] + _config_argv(args.config, flags) + argv[1:])
     if args.seed is None:
         env = os.environ.get("NWFLOW_SEED", "0")
         try:

@@ -8,7 +8,6 @@ perturbs the deterministic outputs.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -40,6 +39,7 @@ from .tasks import (
     sample_task,
     whiten,
     write_csv,
+    write_json,
 )
 from .velocity import PluginField, attention_realized_velocity
 
@@ -59,6 +59,28 @@ __all__ = [
 
 _RNG_NOTE = "numpy default_rng(SeedSequence([...])); all streams derived from echoed seeds"
 
+# Fixed thresholds and calibrated task parameters, echoed in the configs that use them.
+_FUZZ_TOL = 1e-10  # realization-fuzz: max |attention - plug-in|
+_KDE_TOL = 1e-12  # kde-identity: max |log mixture - log KDE|
+_KDE_DENSITY_FLOOR = 1e-280  # kde-identity: skip points whose KDE density is below this
+_T_STAR = 0.56  # mid-flow time of the n_eff profiles
+# neff-collapse: a mixture wider than the Gmm default, and the median n_eff
+# bands at the lowest and highest dimension
+_NEFF_GMM = {"k_components": 5, "separation_scale": 4.0, "std_lo": 0.5, "std_hi": 1.5}
+_NEFF_BAND_LOW_D = (4.5, 13.5)
+_NEFF_BAND_HIGH_D = (1.0, 1.5)
+# endpoint-check: Euler steps, null MMD^2 pairs, the C2ST band and the MMD^2
+# band in null IQRs about the null median
+_ENDPOINT_STEPS = 200
+_NULL_PAIRS = 16
+_C2ST_BAND = (0.44, 0.58)
+_NULL_IQR_FACTOR = 3.0
+_SOLVER_REL_TOL = 0.10  # solver-control: median |rk45 - euler| / euler MMD^2
+_SPHERE_NOISE = 0.5  # sphere-rate: observation noise std
+_EXPONENT_TOL = 0.15  # sphere-rate: |alpha - target exponent|
+_NEFF_DROP_MIN = 3.0  # whitening-control: n_eff ratio, weakest over strongest whitening
+_SHELL_METRICS = ("identity", "radial-rank1", "random-spd")  # anisotropic-shells: see _shell_metric
+
 
 @dataclass
 class RunReport:
@@ -73,34 +95,14 @@ class RunReport:
     aggregates: dict = field(default_factory=dict)
     passed: Optional[bool] = None
 
-    @property
-    def id(self) -> str:
-        return self.config["experiment"]
-
-    def to_json(self) -> str:
-        payload = {
-            "id": self.id,
-            "config": self.config,
-            "rows": self.rows,
-            "aggregates": self.aggregates,
-            "pass": self.passed,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2, default=_json_default)
-
-
-def _json_default(obj: object):
-    if isinstance(obj, np.generic):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
-
 
 def save_report(report: RunReport, outdir: str) -> tuple[str, str]:
     """Write report.json and rows.csv; returns the two paths."""
     os.makedirs(outdir, exist_ok=True)
     jpath = os.path.join(outdir, "report.json")
     cpath = os.path.join(outdir, "rows.csv")
-    with open(jpath, "w", encoding="utf-8") as fh:
-        fh.write(report.to_json() + "\n")
+    write_json(jpath, {"id": report.config["experiment"], "config": report.config,
+                       "rows": report.rows, "aggregates": report.aggregates, "pass": report.passed})
     cols = list(dict.fromkeys(key for row in report.rows for key in row))
     write_csv(cpath, [[row.get(c, "") for c in cols] for row in report.rows], header=cols)
     return jpath, cpath
@@ -118,15 +120,6 @@ def _base_config(experiment: str, seed_list: Sequence[int] | None = None, **para
     return cfg
 
 
-def _task_echo(task, default) -> dict:
-    """Echo the task spec; a defaulted task gets one instance per run seed."""
-    if task is not None:
-        return _spec_echo(task)
-    echo = _spec_echo(default)
-    echo["seed"] = "per-run-seed"
-    return echo
-
-
 def _spec_echo(spec: TaskSpec) -> dict:
     d = {"family": type(spec).__name__.lower()}
     for k, v in spec.__dict__.items():
@@ -137,9 +130,7 @@ def _spec_echo(spec: TaskSpec) -> dict:
     return d
 
 
-def exp_realization_fuzz(
-    n_configs: int = 1000, seed: int = 0, sigma_min: float = 0.01, tol: float = 1e-10
-) -> RunReport:
+def exp_realization_fuzz(n_configs: int = 1000, seed: int = 0) -> RunReport:
     """Fuzz the single-head attention route against the stable plug-in route.
 
     States are drawn from the path marginal, which is where an ODE solver
@@ -147,7 +138,7 @@ def exp_realization_fuzz(
     """
     if n_configs < 1:
         raise ValueError(f"need n_configs >= 1, got {n_configs}")
-    sched = PathSchedule(sigma_min)
+    sched = PathSchedule()
     rng = np.random.default_rng(np.random.SeedSequence([101, seed]))
     dims = np.array([1, 2, 4, 8, 16])
     rows = []
@@ -168,27 +159,20 @@ def exp_realization_fuzz(
             "realization-fuzz",
             n_configs=n_configs,
             seed=seed,
-            sigma_min=sigma_min,
+            sigma_min=sched.sigma_min,
             t_range=[1e-3, 1.0],
             dims=dims.tolist(),
             m_range=[1, 64],
-            tolerance=tol,
+            tolerance=_FUZZ_TOL,
             query_law="path-marginal",
         ),
         rows=rows,
-        aggregates={"max_deviation": worst, "tolerance": tol},
-        passed=bool(worst <= tol),
+        aggregates={"max_deviation": worst, "tolerance": _FUZZ_TOL},
+        passed=bool(worst <= _FUZZ_TOL),
     )
 
 
-def exp_kde_identity(
-    n_configs: int = 200,
-    n_points: int = 16,
-    seed: int = 0,
-    sigma_min: float = 0.01,
-    tol: float = 1e-12,
-    density_floor: float = 1e-280,
-) -> RunReport:
+def exp_kde_identity(n_configs: int = 200, n_points: int = 16, seed: int = 0) -> RunReport:
     """Check that the time-t mixture density, de-scaled, matches the KDE form.
 
     Both sides go through independent log-sum-exp evaluations: the mixture
@@ -197,7 +181,7 @@ def exp_kde_identity(
     """
     if n_configs < 1:
         raise ValueError(f"need n_configs >= 1, got {n_configs}")
-    sched = PathSchedule(sigma_min)
+    sched = PathSchedule()
     rng = np.random.default_rng(np.random.SeedSequence([102, seed]))
     dims = np.array([1, 2, 4, 8, 16])
     rows = []
@@ -215,7 +199,7 @@ def exp_kde_identity(
         config_worst = 0.0
         for q in x_tilde:
             log_kde = kde_descaled_log_density(q, support, h)
-            if log_kde < np.log(density_floor):
+            if log_kde < np.log(_KDE_DENSITY_FLOOR):
                 continue
             sq = np.sum((t * q - t * support.points) ** 2, axis=1)
             log_mix = (
@@ -234,71 +218,57 @@ def exp_kde_identity(
             n_configs=n_configs,
             n_points=n_points,
             seed=seed,
-            sigma_min=sigma_min,
-            tolerance=tol,
-            density_floor=density_floor,
+            sigma_min=sched.sigma_min,
+            tolerance=_KDE_TOL,
+            density_floor=_KDE_DENSITY_FLOOR,
         ),
         rows=rows,
-        aggregates={"max_log_diff": worst, "points_checked": checked, "tolerance": tol},
-        passed=bool(worst <= tol and checked > 0),
+        aggregates={"max_log_diff": worst, "points_checked": checked, "tolerance": _KDE_TOL},
+        passed=bool(worst <= _KDE_TOL and checked > 0),
     )
 
 
 def exp_neff_collapse(
     dims: Sequence[int] = (2, 4, 8, 16),
     m: int = 64,
-    t_star: float = 0.56,
     seeds: Sequence[int] = tuple(range(8)),
     n_queries: int = 512,
-    sigma_min: float = 0.01,
-    separation_scale: float = 4.0,
-    std_lo: float = 0.5,
-    std_hi: float = 1.5,
-    band_low_d: tuple[float, float] = (4.5, 13.5),
-    band_high_d: tuple[float, float] = (1.0, 1.5),
 ) -> RunReport:
     """Median kernel n_eff at mid-flow across dimensions on mixture tasks.
 
-    The mixture spread here is wider than the generation default: these
-    parameters are calibrated so the profile reproduces the documented
-    collapse (about 9 at d=2 down to about 1 at d=16) and they are echoed
-    in full below.
+    The mixture spread (_NEFF_GMM) is wider than the generation default: it
+    and the two bands are calibrated so the profile reproduces the documented
+    collapse (about 9 at d=2 down to about 1 at d=16), and the config echoes
+    them in full.
     """
-    sched = PathSchedule(sigma_min)
+    sched = PathSchedule()
     rows = []
     medians: dict[int, float] = {}
     for d in dims:
         per_seed = []
         for seed in seeds:
-            spec = Gmm(
-                d=d,
-                separation_scale=separation_scale,
-                std_lo=std_lo,
-                std_hi=std_hi,
-                seed=seed,
-            )
+            spec = Gmm(d=d, **_NEFF_GMM, seed=seed)
             support = SupportSet(sample_task(spec, m, 10_000 + seed))
-            prof = neff_profile(support, sched, [t_star], n_queries=n_queries, seed=seed)
+            prof = neff_profile(support, sched, [_T_STAR], n_queries=n_queries, seed=seed)
             per_seed.append(float(prof.median[0]))
             rows.append({"d": d, "seed": seed, "median_neff": per_seed[-1]})
         medians[d] = float(np.median(per_seed))
     ordered = [medians[d] for d in dims]
     monotone = all(a > b for a, b in zip(ordered, ordered[1:]))
-    lo_ok = band_low_d[0] <= medians[dims[0]] <= band_low_d[1]
-    hi_ok = band_high_d[0] <= medians[dims[-1]] <= band_high_d[1]
+    lo_ok = _NEFF_BAND_LOW_D[0] <= medians[dims[0]] <= _NEFF_BAND_LOW_D[1]
+    hi_ok = _NEFF_BAND_HIGH_D[0] <= medians[dims[-1]] <= _NEFF_BAND_HIGH_D[1]
     return RunReport(
         config=_base_config(
             "neff-collapse",
             seed_list=seeds,
             dims=list(dims),
             m=m,
-            t_star=t_star,
+            t_star=_T_STAR,
             n_queries=n_queries,
-            sigma_min=sigma_min,
-            gmm={"k_components": 5, "separation_scale": separation_scale,
-                 "std_lo": std_lo, "std_hi": std_hi},
-            band_low_d=list(band_low_d),
-            band_high_d=list(band_high_d),
+            sigma_min=sched.sigma_min,
+            gmm=dict(_NEFF_GMM),
+            band_low_d=list(_NEFF_BAND_LOW_D),
+            band_high_d=list(_NEFF_BAND_HIGH_D),
             query_law="path-marginal",
         ),
         rows=rows,
@@ -388,19 +358,13 @@ def _mmd_bandwidth_rule(mmd_bandwidth: Optional[float]) -> str:
 
 
 def exp_endpoint_check(
-    task: Optional[TaskSpec] = None,
     m: int = 50,
     n: int = 2000,
     seeds: Sequence[int] = (0, 1, 2, 3),
-    sigma_min: float = 0.01,
-    n_steps: int = 200,
     bandwidth_factor: float = 1.0,
-    null_pairs: int = 16,
-    c2st_band: tuple[float, float] = (0.44, 0.58),
-    null_iqr_factor: float = 3.0,
     mmd_bandwidth: Optional[float] = None,
 ) -> RunReport:
-    """ODE endpoints against direct KDE sampling at bandwidth sigma_min.
+    """ODE endpoints on Gmm(d=2, seed=seed) against direct KDE sampling at bandwidth sigma_min.
 
     `bandwidth_factor` scales the reference KDE bandwidth; 1.0 is the main
     check and 10.0 the deliberate negative control that must fail.  The MMD
@@ -408,34 +372,33 @@ def exp_endpoint_check(
     share a comparable kernel; the null MMD distribution comes from pairs of
     independent reference draws.
     """
-    sched = PathSchedule(sigma_min)
-    cfg = IntegratorConfig(method=Euler(n_steps))
-    ref_bandwidth = sigma_min * bandwidth_factor
+    sched = PathSchedule()
+    cfg = IntegratorConfig(method=Euler(_ENDPOINT_STEPS))
+    ref_bandwidth = sched.sigma_min * bandwidth_factor
     rows = []
     mmd_bw: Optional[float] = mmd_bandwidth
     null_median = null_iqr = None
     all_ok = True
     for seed in seeds:
-        spec = task if task is not None else Gmm(d=2, seed=seed)
-        support, _ = make_support_and_eval(spec, m, 0, 20_000 + seed)
+        support, _ = make_support_and_eval(Gmm(d=2, seed=seed), m, 0, 20_000 + seed)
         fld = PluginField(support, sched)
         gen = generate(fld, n, seed=seed, cfg=cfg).samples
-        ref = kde_direct_sample(support, ref_bandwidth, n, seed=90_000 + seed).samples
+        ref = kde_direct_sample(support, ref_bandwidth, n, seed=90_000 + seed)
         if mmd_bw is None:
             mmd_bw = median_heuristic(gen, ref)
         if null_median is None:
             nulls = []
-            for k in range(null_pairs):
-                a = kde_direct_sample(support, ref_bandwidth, n, seed=100_000 + k).samples
-                b = kde_direct_sample(support, ref_bandwidth, n, seed=200_000 + k).samples
-                nulls.append(mmd2_unbiased(a, b, mmd_bw).value)
+            for k in range(_NULL_PAIRS):
+                a = kde_direct_sample(support, ref_bandwidth, n, seed=100_000 + k)
+                b = kde_direct_sample(support, ref_bandwidth, n, seed=200_000 + k)
+                nulls.append(mmd2_unbiased(a, b, mmd_bw))
             null_median = float(np.median(nulls))
             q75, q25 = np.percentile(nulls, [75, 25])
             null_iqr = float(q75 - q25)
-        mmd = mmd2_unbiased(gen, ref, mmd_bw).value
+        mmd = mmd2_unbiased(gen, ref, mmd_bw)
         acc = c2st_1nn(gen, ref)
-        mmd_ok = abs(mmd - null_median) <= null_iqr_factor * null_iqr
-        c2st_ok = c2st_band[0] <= acc <= c2st_band[1]
+        mmd_ok = abs(mmd - null_median) <= _NULL_IQR_FACTOR * null_iqr
+        c2st_ok = _C2ST_BAND[0] <= acc <= _C2ST_BAND[1]
         all_ok = all_ok and mmd_ok and c2st_ok
         rows.append(
             {
@@ -450,15 +413,15 @@ def exp_endpoint_check(
         config=_base_config(
             "endpoint-check",
             seed_list=seeds,
-            task=_task_echo(task, Gmm(d=2)),
+            task={**_spec_echo(Gmm(d=2)), "seed": "per-run-seed"},
             m=m,
             n=n,
-            sigma_min=sigma_min,
-            euler_steps=n_steps,
+            sigma_min=sched.sigma_min,
+            euler_steps=_ENDPOINT_STEPS,
             bandwidth_factor=bandwidth_factor,
-            null_pairs=null_pairs,
-            c2st_band=list(c2st_band),
-            null_iqr_factor=null_iqr_factor,
+            null_pairs=_NULL_PAIRS,
+            c2st_band=list(_C2ST_BAND),
+            null_iqr_factor=_NULL_IQR_FACTOR,
             mmd_bandwidth_rule=_mmd_bandwidth_rule(mmd_bandwidth),
             c2st_rule="leave-one-out 1-NN substitute for a trained classifier",
         ),
@@ -475,32 +438,31 @@ def exp_endpoint_check(
 
 
 def exp_solver_control(
-    task: Optional[TaskSpec] = None,
     m: int = 50,
     n: int = 2000,
     seeds: Sequence[int] = (0, 1, 2, 3),
-    sigma_min: float = 0.01,
     rtol: float = 1e-5,
     atol: float = 1e-7,
-    rel_tol: float = 0.10,
     mmd_bandwidth: Optional[float] = None,
 ) -> RunReport:
-    """Euler-100 vs adaptive RK45 endpoints, scored by MMD against held-out draws."""
-    sched = PathSchedule(sigma_min)
+    """Euler-100 vs adaptive RK45 endpoints on Gmm(d=2, seed=seed).
+
+    Each is scored by MMD^2 against held-out draws of the same task.
+    """
+    sched = PathSchedule()
     euler_cfg = IntegratorConfig(method=Euler(100))
     rk_cfg = IntegratorConfig(method=AdaptiveRK45(rtol=rtol, atol=atol))
     rows = []
     mmd_bw: Optional[float] = mmd_bandwidth
     for seed in seeds:
-        spec = task if task is not None else Gmm(d=2, seed=seed)
-        support, eval_rows = make_support_and_eval(spec, m, n, 30_000 + seed)
+        support, eval_rows = make_support_and_eval(Gmm(d=2, seed=seed), m, n, 30_000 + seed)
         fld = PluginField(support, sched)
         gen_e = generate(fld, n, seed=seed, cfg=euler_cfg).samples
         gen_r = generate(fld, n, seed=seed, cfg=rk_cfg).samples
         if mmd_bw is None:
             mmd_bw = median_heuristic(eval_rows, gen_e)
-        mmd_e = mmd2_unbiased(gen_e, eval_rows, mmd_bw).value
-        mmd_r = mmd2_unbiased(gen_r, eval_rows, mmd_bw).value
+        mmd_e = mmd2_unbiased(gen_e, eval_rows, mmd_bw)
+        mmd_r = mmd2_unbiased(gen_r, eval_rows, mmd_bw)
         rel = abs(mmd_r - mmd_e) / abs(mmd_e)
         rows.append({"seed": seed, "mmd2_euler100": mmd_e, "mmd2_rk45": mmd_r, "rel_change": rel})
     median_rel = float(np.median([r["rel_change"] for r in rows]))
@@ -508,18 +470,18 @@ def exp_solver_control(
         config=_base_config(
             "solver-control",
             seed_list=seeds,
-            task=_task_echo(task, Gmm(d=2)),
+            task={**_spec_echo(Gmm(d=2)), "seed": "per-run-seed"},
             m=m,
             n=n,
-            sigma_min=sigma_min,
+            sigma_min=sched.sigma_min,
             rtol=rtol,
             atol=atol,
-            rel_tol=rel_tol,
+            rel_tol=_SOLVER_REL_TOL,
             mmd_bandwidth_rule=_mmd_bandwidth_rule(mmd_bandwidth),
         ),
         rows=rows,
         aggregates={"median_rel_change": median_rel, "mmd_bandwidth": mmd_bw},
-        passed=bool(median_rel <= rel_tol),
+        passed=bool(median_rel <= _SOLVER_REL_TOL),
     )
 
 
@@ -534,8 +496,6 @@ def exp_sphere_rate(
     c_grid: Sequence[float] = (1.0, 2.0, 4.0),
     seeds: Sequence[int] = (0, 1, 2),
     n_queries: int = 384,
-    noise: float = 0.5,
-    exponent_tol: float = 0.15,
 ) -> RunReport:
     """Spherical kernel regression rate under concentration scaled as m^(2/(d_k+3)).
 
@@ -555,7 +515,7 @@ def exp_sphere_rate(
         out = []
         for m in map(int, m_grid):
             design = _uniform_sphere(rng, m, d_k)
-            y = design[:, 0] + noise * rng.standard_normal(m)
+            y = design[:, 0] + _SPHERE_NOISE * rng.standard_normal(m)
             cos = queries @ design.T
             out.append(
                 [float(np.mean((softmax_weights(k * cos) @ y - queries[:, 0]) ** 2)) for k in kappas(m)]
@@ -587,7 +547,7 @@ def exp_sphere_rate(
             ctrl[m].append(val)
     fit_ctrl = fit_power_law([(float(m), float(np.mean(v))) for m, v in ctrl.items()])
 
-    in_band = abs(fit.alpha - target_exp) <= exponent_tol
+    in_band = abs(fit.alpha - target_exp) <= _EXPONENT_TOL
     ctrl_smaller = fit_ctrl.alpha < fit.alpha
     return RunReport(
         config=_base_config(
@@ -597,10 +557,10 @@ def exp_sphere_rate(
             m_grid=[int(m) for m in m_grid],
             c_grid=[float(c) for c in c_grid],
             n_queries=n_queries,
-            observation_noise=noise,
+            observation_noise=_SPHERE_NOISE,
             kappa_rule="c * m**(2/(d_k+3)); best c per m by minimum MSE",
             target_exponent=target_exp,
-            exponent_tol=exponent_tol,
+            exponent_tol=_EXPONENT_TOL,
         ),
         rows=rows,
         aggregates={
@@ -620,11 +580,8 @@ def exp_whitening_control(
     strengths: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 1.0),
     m: int = 64,
     seeds: Sequence[int] = (0, 1, 2, 3),
-    t_star: float = 0.56,
     n: int = 512,
     n_eval: int = 512,
-    sigma_min: float = 0.01,
-    neff_drop_min: float = 3.0,
 ) -> RunReport:
     """n_eff and generation quality across whitening strengths.
 
@@ -635,7 +592,7 @@ def exp_whitening_control(
     """
     if table is None:
         table = anisotropic_gaussian_features(4096, 16, seed=0)
-    sched = PathSchedule(sigma_min)
+    sched = PathSchedule()
     cfg = IntegratorConfig(method=Euler(100))
     rows = []
     neff_by_lam: dict[float, float] = {}
@@ -647,12 +604,12 @@ def exp_whitening_control(
         per_mmd = []
         for seed in seeds:
             support, eval_rows = make_support_and_eval(External(tab_l), m, n_eval, 40_000 + seed)
-            prof = neff_profile(support, sched, [t_star], n_queries=256, seed=seed)
+            prof = neff_profile(support, sched, [_T_STAR], n_queries=256, seed=seed)
             fld = PluginField(support, sched)
             gen = generate(fld, n, seed=seed, cfg=cfg).samples
             if mmd_bw is None:
                 mmd_bw = median_heuristic(eval_rows, gen)
-            mmd = mmd2_unbiased(gen, eval_rows, mmd_bw).value
+            mmd = mmd2_unbiased(gen, eval_rows, mmd_bw)
             per_neff.append(float(prof.median[0]))
             per_mmd.append(mmd)
             rows.append(
@@ -671,10 +628,10 @@ def exp_whitening_control(
             m=m,
             n=n,
             n_eval=n_eval,
-            t_star=t_star,
-            sigma_min=sigma_min,
+            t_star=_T_STAR,
+            sigma_min=sched.sigma_min,
             table={"n": table.n, "d": table.d, "source": table.source},
-            neff_drop_min=neff_drop_min,
+            neff_drop_min=_NEFF_DROP_MIN,
             mmd_bandwidth_rule="median heuristic, first run, shared across strengths",
         ),
         rows=rows,
@@ -684,7 +641,7 @@ def exp_whitening_control(
             "neff_drop": drop,
             "mmd2_max_over_min": float(max(mmds) / min(mmds)) if min(mmds) > 0 else None,
         },
-        passed=bool(drop >= neff_drop_min),
+        passed=bool(drop >= _NEFF_DROP_MIN),
     )
 
 
@@ -705,21 +662,19 @@ def _shell_metric(name: str, d: int) -> np.ndarray:
 def exp_anisotropic_shells(
     d: int = 8,
     m: int = 64,
-    metric_names: Sequence[str] = ("identity", "radial-rank1", "random-spd"),
     seeds: Sequence[int] = (0, 1, 2),
     n: int = 1000,
-    sigma_min: float = 0.01,
 ) -> RunReport:
     """Isotropic vs fixed-metric plug-in generation on shells (exploratory).
 
     A fixed global metric cannot track the radial direction around the
     sphere, so no hard criterion applies; the report records MMD ratios.
     """
-    sched = PathSchedule(sigma_min)
+    sched = PathSchedule()
     cfg = IntegratorConfig(method=Euler(100))
     rows = []
     mmd_bw: Optional[float] = None
-    ratios: dict[str, list[float]] = {name: [] for name in metric_names}
+    ratios: dict[str, list[float]] = {name: [] for name in _SHELL_METRICS}
     for seed in seeds:
         spec = Shell(d=d, seed=seed)
         support, eval_rows = make_support_and_eval(spec, m, n, 50_000 + seed)
@@ -727,11 +682,11 @@ def exp_anisotropic_shells(
         gen_iso = generate(iso, n, seed=seed, cfg=cfg).samples
         if mmd_bw is None:
             mmd_bw = median_heuristic(eval_rows, gen_iso)
-        mmd_iso = mmd2_unbiased(gen_iso, eval_rows, mmd_bw).value
-        for name in metric_names:
+        mmd_iso = mmd2_unbiased(gen_iso, eval_rows, mmd_bw)
+        for name in _SHELL_METRICS:
             fld = PluginField(support, sched, _shell_metric(name, d))
             gen_m = generate(fld, n, seed=seed, cfg=cfg).samples
-            mmd_m = mmd2_unbiased(gen_m, eval_rows, mmd_bw).value
+            mmd_m = mmd2_unbiased(gen_m, eval_rows, mmd_bw)
             ratio = mmd_iso / mmd_m if mmd_m != 0 else float("inf")
             ratios[name].append(ratio)
             rows.append(
@@ -750,8 +705,8 @@ def exp_anisotropic_shells(
             d=d,
             m=m,
             n=n,
-            sigma_min=sigma_min,
-            metric_names=list(metric_names),
+            sigma_min=sched.sigma_min,
+            metric_names=list(_SHELL_METRICS),
             note="exploratory; no hard pass criterion",
         ),
         rows=rows,

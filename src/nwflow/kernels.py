@@ -17,7 +17,7 @@ from typing import Optional, Union
 import numpy as np
 from scipy.special import logsumexp
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 
 __all__ = [
     "SupportSet",
@@ -32,7 +32,6 @@ __all__ = [
     "nw_weights",
     "local_mean",
     "nw_local_means",
-    "kde_descaled_density",
     "kde_descaled_log_density",
     "kde_descaled_score",
     "low_rank_metric",
@@ -104,6 +103,26 @@ class IsotropicGaussian:
         object.__setattr__(self, "h", float(self.h))
 
 
+def _spd_metric(metric: np.ndarray, d: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only `metric` and its Cholesky factor, or ConfigError.
+
+    The metric must be square (d x d when d is given), symmetric to 1e-12
+    relative and positive-definite; the factorization reads only the lower triangle.
+    """
+    m = np.asarray(metric, dtype=np.float64)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ConfigError(f"metric must be square, got shape {m.shape}")
+    if d is not None and m.shape[0] != d:
+        raise ConfigError(f"metric shape {m.shape} does not match dimension {d}")
+    if not np.allclose(m, m.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(m).max()))):
+        raise ConfigError("metric must be symmetric")
+    try:
+        chol = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError as exc:
+        raise ConfigError("metric must be positive-definite") from exc
+    return _readonly(m), _readonly(chol)
+
+
 @dataclass(frozen=True, eq=False)
 class Mahalanobis:
     """Gaussian kernel under the metric ||z||_M^2 = z' M z, M symmetric positive-definite."""
@@ -114,17 +133,8 @@ class Mahalanobis:
     def __post_init__(self) -> None:
         if not float(self.h) > 0.0:
             raise ValueError(f"bandwidth must be positive, got {self.h!r}")
-        m = np.asarray(self.metric, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ConfigError(f"metric must be square, got shape {m.shape}")
-        if not np.allclose(m, m.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(m).max()))):
-            raise ValueError("metric must be symmetric")
-        try:
-            np.linalg.cholesky(m)  # SPD check by factorization attempt
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("metric must be positive-definite") from exc
         object.__setattr__(self, "h", float(self.h))
-        object.__setattr__(self, "metric", _readonly(m))
+        object.__setattr__(self, "metric", _spd_metric(self.metric)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,12 +288,15 @@ def _smooth(
     Normalised late: exp in place on the max-shifted logits, one GEMM against the
     values for the sums and the partition z, then means = sums / z and
     n_eff = z^2 / sum(e^2).  Blocks of at most _BLOCK_ELEMS weights share one
-    buffer per call (calls may run on several threads); a block with a
-    non-finite row max goes through softmax_weights.
+    buffer per call (calls may run on several threads).  A bandwidth so small
+    that t / sigma^2 or a block's row max is not finite raises NumericalError.
     """
     c, keys, own_values = support._kv
     vals = own_values if values is None else values
-    scale = t / (sigma * sigma)
+    sq = float(sigma) * float(sigma)  # Python floats: overflow gives inf, not a warning
+    scale = float(t) / sq if sq > 0.0 else np.inf
+    if not np.isfinite(scale):
+        raise NumericalError(f"kernel scale t / sigma^2 overflows at t={t:g}, sigma={sigma:g}")
     n, p = x.shape[0], vals.shape[1] - 1
     q = np.column_stack([(x - t * c) * scale, np.full(n, -0.5 * t * scale)])
     means, n_eff = np.empty((n, p)), np.empty(n)
@@ -292,11 +305,10 @@ def _smooth(
     for lo in range(0, n, rows):
         e = np.matmul(q[lo : lo + rows], keys.T, out=buf[: min(rows, n - lo)])
         top = np.max(e, axis=1, keepdims=True)
-        if np.all(np.isfinite(top)):
-            e -= top
-            np.exp(e, out=e)
-        else:
-            e[...] = softmax_weights(e)
+        if not np.all(np.isfinite(top)):
+            raise NumericalError(f"kernel logits are not finite at t={t:g}, sigma={sigma:g}")
+        e -= top
+        np.exp(e, out=e)
         r = e @ vals
         means[lo : lo + rows] = r[:, :p] / r[:, p:]
         if neff:
@@ -304,41 +316,22 @@ def _smooth(
     return (means, n_eff) if neff else means
 
 
-def _sq_dists(x_tilde: np.ndarray, support: SupportSet) -> np.ndarray:
-    diff = support.points - _check_query(x_tilde, support.d)
-    return np.einsum("ij,ij->i", diff, diff)
-
-
-def kde_descaled_density(x_tilde: np.ndarray, support: SupportSet, h: float) -> float:
-    """Gaussian mixture density (1/m) sum_i phi_h(x_tilde - s_i).
-
-    This is an absolute density, so unlike the weights it carries the
-    (2 pi h^2)^(-d/2) normalization.  Underflows to 0 in high dimension;
-    diagnostics there should use the log form.
-    """
-    if not h > 0.0:
-        raise ValueError(f"bandwidth must be positive, got {h!r}")
-    sq = _sq_dists(x_tilde, support)
-    norm = (2.0 * np.pi * h * h) ** (-support.d / 2.0)
-    return float(norm * np.mean(np.exp(-sq / (2.0 * h * h))))
-
-
 def kde_descaled_log_density(x_tilde: np.ndarray, support: SupportSet, h: float) -> float:
-    """log of kde_descaled_density via log-sum-exp; safe for d >= 16."""
-    if not h > 0.0:
-        raise ValueError(f"bandwidth must be positive, got {h!r}")
-    sq = _sq_dists(x_tilde, support)
-    lse = float(logsumexp(-sq / (2.0 * h * h)))
+    """log of the de-scaled Gaussian mixture density (1/m) sum_i phi_h(x_tilde - s_i).
+
+    An absolute density, so unlike the weights it carries the
+    (2 pi h^2)^(-d/2) normalization; the log-sum-exp keeps it finite where
+    the density itself underflows (d >= 16).
+    """
+    lse = float(logsumexp(logits(x_tilde, support, IsotropicGaussian(h))))
     return lse - np.log(support.m) - 0.5 * support.d * np.log(2.0 * np.pi * h * h)
 
 
 def kde_descaled_score(x_tilde: np.ndarray, support: SupportSet, h: float) -> np.ndarray:
     """Gradient of the log KDE: (local_mean(x_tilde) - x_tilde) / h^2."""
-    if not h > 0.0:
-        raise ValueError(f"bandwidth must be positive, got {h!r}")
+    kernel = IsotropicGaussian(h)
     x_tilde = _check_query(x_tilde, support.d)
-    m = local_mean(x_tilde, support, IsotropicGaussian(h))
-    return (m - x_tilde) / (h * h)
+    return (local_mean(x_tilde, support, kernel) - x_tilde) / (h * h)
 
 
 def low_rank_metric(projection: np.ndarray, ridge: float = 1e-8) -> np.ndarray:

@@ -13,7 +13,6 @@ from .kernels import SupportSet, _smooth
 from .schedule import PathSchedule
 
 __all__ = [
-    "Mmd2Result",
     "RateFit",
     "NeffProfile",
     "mmd2_unbiased",
@@ -22,17 +21,6 @@ __all__ = [
     "neff_profile",
     "fit_power_law",
 ]
-
-
-@dataclass(frozen=True)
-class Mmd2Result:
-    """Unbiased squared MMD; may be negative by construction."""
-
-    value: float
-    kernel_bandwidth: float
-    n_x: int
-    n_y: int
-
 
 # Rows per side of one kernel tile (a 512 x 512 float64 tile is 2 MiB), shared
 # by the MMD^2 sums and the 1-NN distance blocks.
@@ -69,8 +57,8 @@ def _gauss_sum(
     return total
 
 
-def mmd2_unbiased(X: np.ndarray, Y: np.ndarray, bandwidth: float) -> Mmd2Result:
-    """Unbiased Gaussian-kernel U-statistic.
+def mmd2_unbiased(X: np.ndarray, Y: np.ndarray, bandwidth: float) -> float:
+    """Unbiased Gaussian-kernel U-statistic of the squared MMD; may be negative.
 
     The kernel sums run over tiles of one reused buffer, so memory stays
     O(_BLOCK^2) whatever the sample sizes.  The pair is first put in a
@@ -89,8 +77,7 @@ def mmd2_unbiased(X: np.ndarray, Y: np.ndarray, bandwidth: float) -> Mmd2Result:
     buf = np.empty(_BLOCK * _BLOCK)
     a = _gauss_sum(P, P, inv, buf, True) / (len(P) * (len(P) - 1))
     b = _gauss_sum(Q, Q, inv, buf, True) / (len(Q) * (len(Q) - 1))
-    value = a + b - 2.0 * _gauss_sum(P, Q, inv, buf, False) / (n * np_)
-    return Mmd2Result(value=value, kernel_bandwidth=float(bandwidth), n_x=n, n_y=np_)
+    return a + b - 2.0 * _gauss_sum(P, Q, inv, buf, False) / (n * np_)
 
 
 def median_heuristic(X: np.ndarray, Y: np.ndarray, cap: int = 2000) -> float:
@@ -148,18 +135,6 @@ class NeffProfile:
     median: np.ndarray
     q25: np.ndarray
     q75: np.ndarray
-
-    def rows(self) -> list[dict]:
-        return [
-            {
-                "t": float(self.t[i]),
-                "h_t": float(self.h[i]),
-                "median_neff": float(self.median[i]),
-                "q25": float(self.q25[i]),
-                "q75": float(self.q75[i]),
-            }
-            for i in range(len(self.t))
-        ]
 
 
 # Flow times 0.04, 0.08, ..., 1.0, which include the mid-flow time 0.56.

@@ -100,7 +100,6 @@ class SampleBatch:
     """Generated endpoints plus the record needed to regenerate them."""
 
     samples: np.ndarray
-    seed: int
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -310,16 +309,15 @@ def generate(
         "support_sha256": field.support.sha256(),
         "sigma_min": field.schedule.sigma_min,
     }
-    return SampleBatch(samples=np.vstack(done), seed=seed, meta=meta)
+    return SampleBatch(samples=np.vstack(done), meta=meta)
 
 
-def kde_direct_sample(
-    support: SupportSet, bandwidth: float, n: int, seed: int
-) -> SampleBatch:
-    """Sample the support-set KDE directly: uniform row plus bandwidth noise.
+def kde_direct_sample(support: SupportSet, bandwidth: float, n: int, seed: int) -> np.ndarray:
+    """n x d draws from the support-set KDE: a uniform row plus bandwidth noise.
 
     This is the reference law for endpoint checks: the ODE endpoint of the
-    plug-in field follows the same distribution at bandwidth sigma_min.
+    plug-in field follows the same distribution at bandwidth sigma_min.  Row i
+    comes from the stream default_rng(SeedSequence([seed, i])).
     """
     if not bandwidth > 0.0:
         raise ValueError(f"bandwidth must be positive, got {bandwidth!r}")
@@ -331,13 +329,6 @@ def kde_direct_sample(
         idx[i] = rng.integers(support.m)
         z[i] = rng.standard_normal(support.d)
     rows = support.points[idx] + bandwidth * z
-    meta = {
-        "seed": seed,
-        "n": n,
-        "d": support.d,
-        "bandwidth": bandwidth,
-        "support_sha256": support.sha256(),
-        "rng": "default_rng(SeedSequence([seed, sample_index]))",
-    }
-    return SampleBatch(samples=rows, seed=seed, meta=meta)
-
+    if not np.all(np.isfinite(rows)):
+        raise NumericalError("sample batch contains non-finite values")
+    return rows

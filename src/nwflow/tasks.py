@@ -8,6 +8,7 @@ distribution while the draw seed only controls the sample.
 
 from __future__ import annotations
 
+import json
 import struct
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
@@ -35,6 +36,7 @@ __all__ = [
     "load_feature_table",
     "save_feature_table",
     "write_csv",
+    "write_json",
     "anisotropic_gaussian_features",
 ]
 
@@ -310,16 +312,6 @@ def _sample_fourier(
     return out, proposed, filled
 
 
-def fourier_acceptance_stats(spec: FourierDensity, n: int, seed: int) -> dict:
-    """Empirical vs scan-predicted acceptance rate (envelope guard)."""
-    waves, a, b = _fourier_modes(spec)
-    bound = _fourier_bound(spec, waves, a, b)
-    mesh = _fourier_scan_mesh(spec)
-    predicted = float(np.mean(np.exp(_fourier_logdens(mesh, waves, a, b) - bound)))
-    _, proposed, accepted = _sample_fourier(spec, n, _draw_rng(spec, seed))
-    return {"predicted": predicted, "empirical": accepted / proposed}
-
-
 def sample_task(spec: TaskSpec, n: int, seed: int) -> np.ndarray:
     """n i.i.d. draws from the task family; deterministic in (spec, n, seed)."""
     if n < 1:
@@ -514,6 +506,18 @@ def write_csv(
             fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(map(_fmt, row)) + "\n")
+
+
+def _json_scalar(obj: object):
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"not JSON serializable: {type(obj)!r}")
+
+
+def write_json(path: str, payload: dict) -> None:
+    """Write payload as key-sorted JSON indented by 2, numpy scalars as Python ones."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(payload, sort_keys=True, indent=2, default=_json_scalar) + "\n")
 
 
 def anisotropic_gaussian_features(

@@ -29,6 +29,7 @@ from .kernels import (
     SupportSet,
     _readonly,
     _smooth,
+    _spd_metric,
     local_mean,
     softmax_weights,
 )
@@ -69,12 +70,9 @@ class PluginField:
     def __post_init__(self) -> None:
         chol = chol_support = None
         if self.metric is not None:
-            m = np.asarray(self.metric, dtype=np.float64)
-            if m.shape != (self.support.d, self.support.d):
-                raise ConfigError(f"metric shape {m.shape} does not match dimension {self.support.d}")
-            chol = _readonly(np.linalg.cholesky(m))  # SPD or raise
+            metric, chol = _spd_metric(self.metric, self.support.d)
             chol_support = SupportSet(self.support.points @ chol)
-            object.__setattr__(self, "metric", _readonly(m))
+            object.__setattr__(self, "metric", metric)
         object.__setattr__(self, "chol", chol)
         object.__setattr__(self, "_chol_support", chol_support)
 

@@ -137,7 +137,7 @@ def test_criterion_4_endpoint_law():
 
 def test_criterion_5_neff_collapse():
     start = time.perf_counter()
-    report = exp_neff_collapse(dims=(2, 4, 8, 16), m=64, t_star=0.56, seeds=tuple(range(8)))
+    report = exp_neff_collapse(dims=(2, 4, 8, 16), m=64, seeds=tuple(range(8)))
     elapsed = time.perf_counter() - start
     med = report.aggregates["median_by_dim"]
     _verdict(

@@ -384,3 +384,48 @@ def test_error_classes_alone_decide_exit_codes():
     unit = np.eye(3)
     with pytest.raises(ConfigError, match="unit-norm query"):
         logits(2.0 * unit[0], SupportSet(unit), Vmf(3.0))
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"m": 5.5}, "argument --m: invalid int value: '5.5'"),
+        ({"m": "abc"}, "argument --m: invalid int value: 'abc'"),
+        ({"sigma_min": [0.1]}, None),  # a list joins to "0.1", which parses
+        ({"format": "xml"}, "argument --format: invalid choice: 'xml'"),
+        ({"rk45": "yes"}, "argument --rk45: ignored explicit argument 'yes'"),
+        ({"name": "kde-identity"}, "config file keys ['name'] are not recognized flags"),
+    ],
+)
+def test_config_values_get_the_flag_type_check(tmp_path, capsys, config, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    argv = ["generate", "--task", "gmm2d", "--n", "10", "--config", str(path)]
+    code = main(argv + ["--out", str(tmp_path / "o")])
+    if message is None:
+        assert code == 0
+    else:
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+
+def test_config_lists_switches_and_nulls(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"task": "gmm2d", "m": 10, "n": 12, "rk45": True, "rtol": None}))
+    out = tmp_path / "rk"
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+    meta = json.loads(read(str(out / "meta.json")))
+    assert meta["integrator"]["method"] == "rk45"
+    assert meta["integrator"]["rtol"] == 1e-5  # null leaves the flag unset
+    cfg.write_text(json.dumps({"task": "gmm2d", "m": 10, "n": 16, "t_grid": [0.5, 1.0]}))
+    assert main(["diag-neff", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 0
+    lines = read(str(tmp_path / "d" / "neff.csv")).decode().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["0.5", "1"]
+
+
+def test_bandwidth_below_float_range_is_numerical_error(tmp_path, capsys):
+    # sigma_min^2 = 1e-316 makes t / sigma^2 overflow at t = 1; this wrote NaN and exited 0
+    argv = ["diag-neff", "--task", "gmm2d", "--m", "20", "--sigma-min", "1e-158", "--t-grid", "1.0"]
+    assert main(argv + ["--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: kernel scale")
+    assert not (tmp_path / "neff.csv").exists()

@@ -16,12 +16,16 @@ from nwflow.experiments import (
 )
 
 
-def test_realization_fuzz_passes_and_is_deterministic():
+def _report_bytes(report, outdir):
+    return open(save_report(report, str(outdir))[0], "rb").read()
+
+
+def test_realization_fuzz_passes_and_is_deterministic(tmp_path):
     a = exp_realization_fuzz(n_configs=150, seed=0)
     b = exp_realization_fuzz(n_configs=150, seed=0)
     assert a.passed is True
     assert a.aggregates["max_deviation"] <= 1e-10
-    assert a.to_json() == b.to_json()
+    assert _report_bytes(a, tmp_path / "a") == _report_bytes(b, tmp_path / "b")
     assert len(a.rows) == 150
 
 

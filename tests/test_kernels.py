@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nwflow.errors import ConfigError
+from nwflow.errors import ConfigError, NumericalError
 from nwflow.kernels import (
     BilinearLogit,
     IsotropicGaussian,
@@ -9,7 +9,6 @@ from nwflow.kernels import (
     SupportSet,
     Vmf,
     _smooth,
-    kde_descaled_density,
     kde_descaled_log_density,
     kde_descaled_score,
     local_mean,
@@ -164,6 +163,22 @@ def test_smoother_neff_matches_per_query_weights(m):
     assert nw_local_means(np.empty((0, 3)), support.points, 0.5).shape == (0, 3)
 
 
+@pytest.mark.parametrize("h", [1e-155, 1e-162, 1e-200, 0.0])
+def test_smoother_bandwidth_too_small_is_numerical_error(h):
+    # 1e-155: t / h^2 overflows to inf; 1e-162 and below: h^2 underflows to 0
+    rng = np.random.default_rng(5)
+    with pytest.raises(NumericalError, match="kernel scale t / sigma\\^2 overflows"):
+        nw_local_means(rng.normal(size=(4, 2)), rng.normal(size=(6, 2)), h)
+
+
+def test_smoother_logit_overflow_is_numerical_error():
+    # t / sigma^2 = 1e304 is finite, but the logits' GEMM overflows (numpy warns first)
+    support = SupportSet(np.array([[0.0, 0.0], [1e4, 1e4]]))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(NumericalError, match="kernel logits are not finite"):
+            _smooth(np.array([[6e3, 6e3]]), support, 1.0, 1e-152)
+
+
 def test_support_set_copies_instead_of_freezing_the_caller_array():
     pts = np.zeros((3, 2))
     s = SupportSet(pts)
@@ -242,27 +257,35 @@ def test_kernel_spec_validation():
         IsotropicGaussian(0.0)
     with pytest.raises(ValueError):
         Vmf(-1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="metric must be positive-definite"):
         Mahalanobis(1.0, np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="metric must be symmetric"):
         Mahalanobis(1.0, np.array([[1.0, 0.5], [0.0, 1.0]]))  # asymmetric
     Mahalanobis(1.0, np.array([[2.0, 0.3], [0.3, 1.0]]))
 
 
+def _literal_kde_density(x, s, h):
+    """(1/m) sum_i (2 pi h^2)^(-d/2) exp(-||x - s_i||^2 / (2 h^2)), term by term."""
+    sq = np.sum((s.points - x) ** 2, axis=1)
+    return float(np.mean((2.0 * np.pi * h * h) ** (-s.d / 2.0) * np.exp(-sq / (2.0 * h * h))))
+
+
 def test_kde_density_values():
     s1 = SupportSet(np.array([[0.0]]))
-    peak = kde_descaled_density(np.array([0.0]), s1, 1.0)
+    peak = np.exp(kde_descaled_log_density(np.array([0.0]), s1, 1.0))
     assert peak == pytest.approx(0.3989422804014327, abs=1e-15)
     s2 = SupportSet(np.array([[-1.0], [1.0]]))
-    val = kde_descaled_density(np.array([0.0]), s2, 1.0)
+    val = np.exp(kde_descaled_log_density(np.array([0.0]), s2, 1.0))
     assert val == pytest.approx(0.24197072451914334, abs=1e-15)
+    with pytest.raises(ValueError, match="bandwidth must be positive, got 0.0"):
+        kde_descaled_log_density(np.array([0.0]), s1, 0.0)
 
 
 def test_kde_density_integrates_to_one():
     rng = np.random.default_rng(37)
     s = SupportSet(rng.normal(size=(7, 1)) * 2)
     grid = np.linspace(-14, 14, 4001)
-    dens = [kde_descaled_density(np.array([g]), s, 0.7) for g in grid]
+    dens = [np.exp(kde_descaled_log_density(np.array([g]), s, 0.7)) for g in grid]
     assert np.trapezoid(dens, grid) == pytest.approx(1.0, abs=1e-6)
 
 
@@ -270,15 +293,16 @@ def test_kde_log_density_matches_log_of_density():
     rng = np.random.default_rng(41)
     s = SupportSet(rng.normal(size=(9, 3)))
     x = rng.normal(size=3)
-    dens = kde_descaled_density(x, s, 0.5)
-    assert kde_descaled_log_density(x, s, 0.5) == pytest.approx(np.log(dens), rel=1e-12)
+    dens = _literal_kde_density(x, s, 0.5)
+    assert np.exp(kde_descaled_log_density(x, s, 0.5)) == pytest.approx(dens, rel=1e-12)
 
 
 def test_kde_log_density_survives_high_dim():
     rng = np.random.default_rng(43)
     s = SupportSet(rng.normal(size=(20, 32)))
     x = rng.normal(size=32) * 10
-    assert kde_descaled_density(x, s, 0.05) == 0.0  # underflows
+    assert _literal_kde_density(x, s, 0.05) == 0.0  # underflows
+    assert np.exp(kde_descaled_log_density(x, s, 0.05)) == 0.0
     assert np.isfinite(kde_descaled_log_density(x, s, 0.05))
 
 

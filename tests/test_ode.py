@@ -227,25 +227,28 @@ def test_kde_direct_sample_properties():
     rng = np.random.default_rng(5)
     support = SupportSet(rng.normal(size=(2, 2)) * 5)
     tiny = kde_direct_sample(SupportSet(support.points[:1]), 1e-12, 64, seed=0)
-    assert np.allclose(tiny.samples, support.points[0], atol=1e-9)
+    assert tiny.shape == (64, 2)
+    assert np.allclose(tiny, support.points[0], atol=1e-9)
 
     both = kde_direct_sample(support, 0.05, 4000, seed=1)
     near_first = np.sum(
-        np.linalg.norm(both.samples - support.points[0], axis=1)
-        < np.linalg.norm(both.samples - support.points[1], axis=1)
+        np.linalg.norm(both - support.points[0], axis=1)
+        < np.linalg.norm(both - support.points[1], axis=1)
     )
     # binomial CI around 0.5
     assert abs(near_first / 4000 - 0.5) < 3 * 0.5 / np.sqrt(4000)
 
     wide = kde_direct_sample(SupportSet(np.zeros((1, 1))), 1.0, 10_000, seed=2)
-    assert np.var(wide.samples) == pytest.approx(1.0, rel=0.05)
+    assert np.var(wide) == pytest.approx(1.0, rel=0.05)
+    with pytest.raises(NumericalError, match="non-finite"):
+        kde_direct_sample(support, float("inf"), 4, seed=0)
 
 
 def test_kde_direct_sample_deterministic():
     support = SupportSet(np.array([[0.0], [5.0]]))
     a = kde_direct_sample(support, 0.3, 100, seed=9)
     b = kde_direct_sample(support, 0.3, 100, seed=9)
-    assert np.array_equal(a.samples, b.samples)
+    assert np.array_equal(a, b)
 
 
 # Seeds of one and several 32-bit entropy words, around the word boundaries.
@@ -273,9 +276,7 @@ def test_kde_direct_sample_matches_literal_per_row_streams(seed, m):
         rng = _literal_rng(seed, i)
         idx = int(rng.integers(m))
         rows.append(support.points[idx] + 0.3 * rng.standard_normal(2))
-    batch = kde_direct_sample(support, 0.3, 200, seed=seed)
-    assert np.array_equal(batch.samples, np.stack(rows))
-    assert batch.meta["rng"] == "default_rng(SeedSequence([seed, sample_index]))"
+    assert np.array_equal(kde_direct_sample(support, 0.3, 200, seed=seed), np.stack(rows))
 
 
 def test_negative_stream_seed_is_rejected(tmp_path):
@@ -299,8 +300,8 @@ def test_generate_endpoint_vs_euler_step_count():
         generate(fld, 500, seed=10, cfg=IntegratorConfig(method=Euler(100))).samples,
         generate(fld, 500, seed=11, cfg=IntegratorConfig(method=Euler(100))).samples,
         bw,
-    ).value
-    cross = mmd2_unbiased(e, r, bw).value
+    )
+    cross = mmd2_unbiased(e, r, bw)
     assert cross <= abs(null) * 10 + 1e-3
 
 

@@ -15,7 +15,6 @@ from nwflow.tasks import (
     Spirals,
     WhitenConfig,
     anisotropic_gaussian_features,
-    fourier_acceptance_stats,
     load_feature_table,
     make_support_and_eval,
     sample_task,
@@ -78,10 +77,25 @@ def test_fourier_within_box_and_deterministic():
 
 
 def test_fourier_acceptance_matches_prediction():
+    # envelope guard: the scan mesh predicts the rejection sampler's acceptance rate
+    from nwflow.tasks import (
+        _draw_rng,
+        _fourier_bound,
+        _fourier_logdens,
+        _fourier_modes,
+        _fourier_scan_mesh,
+        _sample_fourier,
+    )
+
     for d, seed in ((1, 0), (2, 1), (8, 2)):
-        stats = fourier_acceptance_stats(FourierDensity(d=d, seed=seed), 4000, 9)
-        ratio = stats["empirical"] / stats["predicted"]
-        assert 0.5 <= ratio <= 2.0, stats
+        spec = FourierDensity(d=d, seed=seed)
+        waves, a, b = _fourier_modes(spec)
+        bound = _fourier_bound(spec, waves, a, b)
+        logdens = _fourier_logdens(_fourier_scan_mesh(spec), waves, a, b)
+        predicted = float(np.mean(np.exp(logdens - bound)))
+        _, proposed, accepted = _sample_fourier(spec, 4000, _draw_rng(spec, 9))
+        ratio = accepted / proposed / predicted
+        assert 0.5 <= ratio <= 2.0, (d, predicted, accepted / proposed)
 
 
 def test_fourier_nonuniform():

@@ -304,6 +304,24 @@ def test_anisotropic_single_point_any_metric():
         assert np.allclose(ani(x, t), iso(x, t), atol=1e-12)
 
 
+def test_plugin_field_metric_checks_match_mahalanobis():
+    from nwflow.kernels import Mahalanobis
+
+    s = SupportSet(np.array([[0.0, 0.0], [1.0, 2.0]]))
+    # Cholesky reads only the lower triangle, so this one would act as diag(2, 1)
+    for metric, message in (
+        ([[2.0, 5.0], [0.0, 1.0]], "metric must be symmetric"),
+        ([[1.0, 2.0], [2.0, 1.0]], "metric must be positive-definite"),
+        ([[1.0, 0.0, 0.0]], "metric must be square"),
+    ):
+        with pytest.raises(ConfigError, match=message):
+            PluginField(s, SCHED, np.array(metric))
+        with pytest.raises(ConfigError, match=message):
+            Mahalanobis(1.0, np.array(metric))
+    with pytest.raises(ConfigError, match="does not match dimension 2"):
+        PluginField(s, SCHED, np.eye(3))
+
+
 def test_rotation_equivariance():
     rng = np.random.default_rng(10)
     d = 4
