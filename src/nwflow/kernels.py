@@ -44,6 +44,16 @@ _UNIT_NORM_TOL = 1e-9
 # whatever the number of queries and the dimension.
 _BLOCK_ELEMS = 1 << 20
 
+# Floor for the smoother's max-shifted logits.  numpy's SIMD exp leaves its
+# fast path between -708 and -700, where its result stops being a normal
+# float, and near nearest-neighbour collapse (late flow time, small sigma_min)
+# most logits lie below -708.  On a 2 vCPU AVX-512 Xeon with numpy 2.4, exp of
+# 12,800 values takes 14-15 us at -700 or above, 200-290 us at -708 or -750
+# and 2 ms at -710.  The partition z >= 1, so weights below exp(-700) ~ 9.9e-305
+# leave z and n_eff unchanged; a mean moves by less than m exp(-700) max|s|,
+# which shows only where its exact value is that close to 0.
+_EXP_FLOOR = -700.0
+
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     """A C-contiguous float64 copy of `a` that cannot be written to.
@@ -83,12 +93,21 @@ class SupportSet:
         return hashlib.sha256(self.points.tobytes()).hexdigest()
 
     @cached_property
-    def _kv(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The mean c, and the smoother's keys [s - c, ||s - c||^2] and values [s, 1], m x (d+1)."""
+    def _kv(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """The mean c, the smoother's keys [s - c, ||s - c||^2] and values [s, 1], m x (d+1),
+        and the radius R = max ||s - c||."""
         c = self.points.mean(axis=0)
         centred = self.points - c
         keys = np.column_stack([centred, np.einsum("ij,ij->i", centred, centred)])
-        return _readonly(c), _readonly(keys), _readonly(np.column_stack([self.points, np.ones(self.m)]))
+        radius = float(np.sqrt(keys[:, -1].max()))
+        # Values built after the keys' copy: the other order moved peak RSS by
+        # 4-7% on the perfbench generate and variance-scaling workloads.
+        return (
+            _readonly(c),
+            _readonly(keys),
+            _readonly(np.column_stack([self.points, np.ones(self.m)])),
+            radius,
+        )
 
 
 @dataclass(frozen=True)
@@ -264,8 +283,11 @@ def nw_local_means(queries: np.ndarray, points: np.ndarray, h: float) -> np.ndar
     """Batched isotropic local means at bandwidth h over a (possibly huge) support.
 
     Used by the variance-scaling experiment where the reference support runs
-    to tens of thousands of rows; memory stays O(block * m).
+    to tens of thousands of rows; memory stays O(block * m).  A negative or
+    NaN bandwidth is a ValueError.
     """
+    if not h >= 0.0:
+        raise ValueError(f"bandwidth must be non-negative, got {h!r}")
     return _smooth(np.atleast_2d(np.asarray(queries, dtype=np.float64)), SupportSet(points), 1.0, h)
 
 
@@ -287,18 +309,22 @@ def _smooth(
     the support's spread; at t = 0 they are exactly 0 and the weights uniform.
     Normalised late: exp in place on the max-shifted logits, one GEMM against the
     values for the sums and the partition z, then means = sums / z and
-    n_eff = z^2 / sum(e^2).  Blocks of at most _BLOCK_ELEMS weights share one
-    buffer per call (calls may run on several threads).  A bandwidth so small
-    that t / sigma^2 or a block's row max is not finite raises NumericalError.
+    n_eff = z^2 / sum(e^2).  When `_may_underflow` says a shifted logit can lie
+    below _EXP_FLOOR, the shifted logits are clamped there before exp.  Blocks of at most
+    _BLOCK_ELEMS weights share one buffer per call (calls may run on several
+    threads).  A bandwidth so small that t / sigma^2 or a block's row max is
+    not finite raises NumericalError.
     """
-    c, keys, own_values = support._kv
+    c, keys, own_values, radius = support._kv
     vals = own_values if values is None else values
     sq = float(sigma) * float(sigma)  # Python floats: overflow gives inf, not a warning
     scale = float(t) / sq if sq > 0.0 else np.inf
     if not np.isfinite(scale):
         raise NumericalError(f"kernel scale t / sigma^2 overflows at t={t:g}, sigma={sigma:g}")
     n, p = x.shape[0], vals.shape[1] - 1
-    q = np.column_stack([(x - t * c) * scale, np.full(n, -0.5 * t * scale)])
+    xc = x - t * c
+    clamp = _may_underflow(xc, t, sq, radius)
+    q = np.column_stack([xc * scale, np.full(n, -0.5 * t * scale)])
     means, n_eff = np.empty((n, p)), np.empty(n)
     rows = max(1, min(n, _BLOCK_ELEMS // support.m))
     buf = np.empty((rows, support.m))
@@ -308,12 +334,27 @@ def _smooth(
         if not np.all(np.isfinite(top)):
             raise NumericalError(f"kernel logits are not finite at t={t:g}, sigma={sigma:g}")
         e -= top
+        if clamp:
+            np.maximum(e, _EXP_FLOOR, out=e)
         np.exp(e, out=e)
         r = e @ vals
         means[lo : lo + rows] = r[:, :p] / r[:, p:]
         if neff:
             n_eff[lo : lo + rows] = r[:, p] ** 2 / np.einsum("ij,ij->i", e, e)
     return (means, n_eff) if neff else means
+
+
+def _may_underflow(xc: np.ndarray, t: float, sq: float, radius: float) -> bool:
+    """Whether a max-shifted logit of the rows xc = x - t c can lie below _EXP_FLOOR.
+
+    Every logit -||x - t s_j||^2 / (2 sigma^2) is <= 0, so the shifted logit is
+    at least the logit itself, and by the triangle inequality
+    ||x - t s_j|| <= ||x - t c|| + t R with R = max_j ||s_j - c||.  `sq` is sigma^2.
+    """
+    if xc.shape[0] == 0:
+        return False
+    reach = float(np.sqrt(np.einsum("ij,ij->i", xc, xc).max())) + t * radius
+    return reach * reach / (2.0 * sq) > -_EXP_FLOOR
 
 
 def kde_descaled_log_density(x_tilde: np.ndarray, support: SupportSet, h: float) -> float:

@@ -149,14 +149,15 @@ def _rk45(
     t = t0
     h = (t1 - t0) / 100.0
     stages = np.empty((7,) + x.shape)
+    flat = stages.reshape(7, -1)  # a view: each stage combination is one matmul
     stages[0] = fieldfn(x, t)
     for _ in range(cfg.max_steps):
         h = min(h, t1 - t)
         for i in range(1, 7):
-            xi = x + h * np.tensordot(_DP_A[i], stages[:i], axes=(0, 0))
+            xi = x + h * (_DP_A[i] @ flat[:i]).reshape(x.shape)
             stages[i] = fieldfn(xi, min(t + _DP_C[i] * h, 1.0))
         x5 = xi
-        x4 = x + h * np.tensordot(_DP_B4, stages, axes=(0, 0))
+        x4 = x + h * (_DP_B4 @ flat).reshape(x.shape)
         if not np.all(np.isfinite(x5)):
             raise NumericalError("integration state became non-finite")
         scale = cfg.atol + cfg.rtol * np.maximum(np.abs(x), np.abs(x5))

@@ -163,6 +163,13 @@ def test_smoother_neff_matches_per_query_weights(m):
     assert nw_local_means(np.empty((0, 3)), support.points, 0.5).shape == (0, 3)
 
 
+@pytest.mark.parametrize("h", [-0.5, float("nan")])
+def test_nw_local_means_rejects_negative_or_nan_bandwidth(h):
+    rng = np.random.default_rng(5)
+    with pytest.raises(ValueError, match="bandwidth must be non-negative"):
+        nw_local_means(rng.normal(size=(3, 2)), rng.normal(size=(5, 2)), h)
+
+
 @pytest.mark.parametrize("h", [1e-155, 1e-162, 1e-200, 0.0])
 def test_smoother_bandwidth_too_small_is_numerical_error(h):
     # 1e-155: t / h^2 overflows to inf; 1e-162 and below: h^2 underflows to 0

@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from nwflow.cli import _FLAGS, EXPERIMENTS, main
-from nwflow.kernels import SupportSet
+from nwflow.kernels import _EXP_FLOOR, IsotropicGaussian, SupportSet, _may_underflow, logits
 from nwflow.schedule import PathSchedule
 from nwflow.velocity import PluginField
 
@@ -79,6 +79,21 @@ def test_metric_field_is_isotropic_on_cholesky_coordinates(seed, m, d, t, sigma_
     iso = PluginField(SupportSet(support.points @ fld.chol), sched)
     assert np.allclose(fld.chol @ fld.chol.T, metric, rtol=1e-12, atol=1e-12)
     assert _close(fld(x, t) @ fld.chol, iso(x @ fld.chol, t), tol=1e-10)
+
+
+@SETTINGS
+@given(seeds, st.integers(1, 60), dims, st.floats(1e-3, 1.0), st.floats(1e-3, 10.0),
+       st.floats(-1e3, 1e3), st.floats(1e-3, 1e2))
+def test_exp_floor_bound_never_misses(seed, m, d, t, sigma, offset, scale):
+    # states drawn from the time-t marginal of the support: t s + sigma z
+    rng = np.random.default_rng(seed)
+    support = SupportSet(offset + scale * rng.normal(size=(m, d)))
+    x = t * support.points[rng.integers(m, size=9)] + sigma * rng.normal(size=(9, d))
+    c, _, _, radius = support._kv
+    if not _may_underflow(x - t * c, t, sigma * sigma, radius):
+        kern = IsotropicGaussian(sigma / t)
+        lg = np.stack([logits(row / t, support, kern) for row in x])
+        assert np.min(lg - lg.max(axis=1, keepdims=True)) >= _EXP_FLOOR
 
 
 # A valid value for each flag, so that a rejection is about the flag being unread.

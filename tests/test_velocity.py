@@ -2,7 +2,17 @@ import numpy as np
 import pytest
 
 from nwflow.errors import ConfigError, NumericalError
-from nwflow.kernels import BilinearLogit, SupportSet, kde_descaled_score, local_mean
+from nwflow import kernels
+from nwflow.kernels import (
+    BilinearLogit,
+    IsotropicGaussian,
+    Mahalanobis,
+    SupportSet,
+    _smooth,
+    kde_descaled_score,
+    local_mean,
+    logits,
+)
 from nwflow.schedule import PathSchedule
 from nwflow.velocity import (
     MultiHeadParams,
@@ -157,6 +167,31 @@ def test_plugin_matches_attention_on_offset_support():
         got = PluginField(s, SCHED)(x, t)
         worst = max(worst, float(np.max(np.abs(got - want)) / np.max(np.abs(want))))
     assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 16])
+@pytest.mark.parametrize("m", [50, 2000])
+def test_exp_floor_keeps_the_bits_where_it_fires(monkeypatch, m, d):
+    # Late-time states near collapse: most shifted logits lie below the floor.
+    rng = np.random.default_rng(m + d)
+    support = SupportSet(2.0 * rng.normal(size=(m, d)))
+    a = rng.normal(size=(d, d))
+    metric = a @ a.T / d + 0.5 * np.eye(d)
+    iso, aniso = PluginField(support, SCHED), PluginField(support, SCHED, metric)
+    for t in (0.99, 1.0):
+        sig, h = SCHED.sigma(t), SCHED.bandwidth(t)
+        x = t * support.points[rng.integers(m, size=32)] + sig * rng.standard_normal((32, d))
+        for kern in (IsotropicGaussian(h), Mahalanobis(h, metric)):
+            lg = np.stack([logits(row / t, support, kern) for row in x])
+            assert np.mean(lg - lg.max(axis=1, keepdims=True) < kernels._EXP_FLOOR) >= 0.5
+        got = (*_smooth(x, support, t, sig, neff=True), iso(x, t), aniso(x, t))
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "_EXP_FLOOR", -np.inf)  # no clamp
+            want = (*_smooth(x, support, t, sig, neff=True), iso(x, t), aniso(x, t))
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        attn = np.stack([attention_realized_velocity(support, SCHED, row, t) for row in x])
+        assert np.max(np.abs(attn - got[2])) <= 1e-10
 
 
 def test_field_memory_is_bounded_by_the_block_budget():
