@@ -23,7 +23,6 @@ from .metrics import c2st_1nn, fit_power_law, median_heuristic, mmd2_unbiased, n
 from .ode import (
     AdaptiveRK45,
     Euler,
-    IntegratorConfig,
     SampleBatch,
     generate,
     integrate,
@@ -31,7 +30,6 @@ from .ode import (
 )
 from .schedule import PathSchedule
 from .tasks import (
-    External,
     FeatureTable,
     FourierDensity,
     Gmm,
@@ -39,10 +37,10 @@ from .tasks import (
     Rings,
     Shell,
     Spirals,
-    WhitenConfig,
     load_feature_table,
     make_support_and_eval,
     sample_task,
+    split_table,
     whiten,
 )
 from .velocity import (

@@ -26,10 +26,9 @@ from . import __version__, experiments
 from .errors import ConfigError, NumericalError, NwflowError
 from .experiments import save_report
 from .metrics import neff_profile
-from .ode import AdaptiveRK45, Euler, IntegratorConfig, generate
+from .ode import AdaptiveRK45, Euler, generate
 from .schedule import PathSchedule
 from .tasks import (
-    External,
     FeatureTable,
     FourierDensity,
     Gmm,
@@ -38,10 +37,10 @@ from .tasks import (
     Shell,
     Spirals,
     TaskSpec,
-    WhitenConfig,
     load_feature_table,
     make_support_and_eval,
     save_feature_table,
+    split_table,
     whiten,
     write_csv,
     write_json,
@@ -96,13 +95,11 @@ def _table_format(args: argparse.Namespace) -> str:
 
 def _support(args: argparse.Namespace):
     if args.features is not None:
-        spec: TaskSpec = External(_load_table(args))
-    elif args.task is not None:
-        task_seed = args.seed if args.task_seed is None else args.task_seed
-        spec = parse_task(args.task, seed=task_seed)
-    else:
+        return split_table(_load_table(args), args.m, 0, args.seed)[0]
+    if args.task is None:
         raise ConfigError("need --task or --features")
-    return make_support_and_eval(spec, args.m, 0, args.seed)[0]
+    task_seed = args.seed if args.task_seed is None else args.task_seed
+    return make_support_and_eval(parse_task(args.task, seed=task_seed), args.m, 0, args.seed)[0]
 
 
 def _reject_set(args: argparse.Namespace, dests, reader: str) -> None:
@@ -112,20 +109,20 @@ def _reject_set(args: argparse.Namespace, dests, reader: str) -> None:
         raise ConfigError(f"{reader} does not read {', '.join(given)}")
 
 
-def _integrator(args: argparse.Namespace) -> IntegratorConfig:
+def _method(args: argparse.Namespace) -> Euler | AdaptiveRK45:
     if args.rk45:
         _reject_set(args, ["euler"], "--rk45")
-        return IntegratorConfig(method=AdaptiveRK45(**_given(args, rtol="rtol", atol="atol")))
+        return AdaptiveRK45(**_given(args, rtol="rtol", atol="atol"))
     _reject_set(args, ["rtol", "atol"], "Euler (no --rk45)")
-    return IntegratorConfig(method=Euler(**_given(args, n_steps="euler")))
+    return Euler(**_given(args, n_steps="euler"))
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
     support = _support(args)
     sched = PathSchedule(**_given(args, sigma_min="sigma_min"))
-    cfg = _integrator(args)
+    method = _method(args)
     field = PluginField(support, sched)
-    batch = generate(field, args.n, seed=args.seed, cfg=cfg, jobs=args.jobs)
+    batch = generate(field, args.n, seed=args.seed, method=method, jobs=args.jobs)
     write_csv(os.path.join(args.out, "support.csv"), support.points)
     write_csv(os.path.join(args.out, "samples.csv"), batch.samples)
     write_json(
@@ -158,9 +155,7 @@ def cmd_diag_neff(args: argparse.Namespace) -> int:
 
 def cmd_whiten(args: argparse.Namespace) -> int:
     table = _load_table(args)
-    whitened, record = whiten(
-        table, WhitenConfig(strength=args.strength, **_given(args, regularization="ridge"))
-    )
+    whitened, record = whiten(table, args.strength, **_given(args, ridge="ridge"))
     fmt = _table_format(args)
     save_feature_table(
         whitened.rows, os.path.join(args.out, f"whitened.{fmt}"), fmt=fmt, names=table.names
@@ -221,21 +216,6 @@ class _Experiment(NamedTuple):
         return {*self.flags.values(), *self.extra_flags, *seed_flags}
 
 
-# variance-scaling: each family's default dimension, and the acceptance bands
-# (alpha range, r^2 floor) of the two documented (family, d) configurations.
-# Library calls get no bands, so they report an exploratory verdict.
-_VARIANCE_DIMS = {"fourier": 8, "gmm": 2}
-_VARIANCE_BANDS = {("fourier", 8): ((0.25, 0.40), 0.95), ("gmm", 2): ((0.9, float("inf")), None)}
-
-
-def _variance_scaling(args: argparse.Namespace) -> dict:
-    kw = _given(args, family="family", d="d")
-    kw.setdefault("family", "fourier")
-    kw.setdefault("d", _VARIANCE_DIMS.get(kw["family"]))
-    kw["alpha_range"], kw["r2_min"] = _VARIANCE_BANDS.get((kw["family"], kw["d"]), (None, None))
-    return kw
-
-
 def _whitening_table(args: argparse.Namespace) -> dict:
     return {} if args.features is None else {"table": _load_table(args)}
 
@@ -244,9 +224,7 @@ EXPERIMENTS = {
     "realization-fuzz": _Experiment({"n_configs": "configs"}),
     "kde-identity": _Experiment({"n_configs": "configs"}),
     "neff-collapse": _Experiment({"m": "m"}, seeds=8),
-    "variance-scaling": _Experiment(
-        {"m_ref": "m_ref"}, seeds=4, extra=_variance_scaling, extra_flags=("family", "d")
-    ),
+    "variance-scaling": _Experiment({"family": "family", "d": "d", "m_ref": "m_ref"}, seeds=4),
     "endpoint-check": _Experiment(
         {"m": "m", "n": "n", "bandwidth_factor": "bandwidth_factor",
          "mmd_bandwidth": "mmd_bandwidth"},

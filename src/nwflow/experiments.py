@@ -16,27 +16,21 @@ import numpy as np
 from scipy.special import logsumexp
 
 from . import __version__
+from .errors import NumericalError
 from .kernels import SupportSet, kde_descaled_log_density, nw_local_means, softmax_weights
 from .metrics import c2st_1nn, fit_power_law, median_heuristic, mmd2_unbiased, neff_profile
-from .ode import (
-    AdaptiveRK45,
-    Euler,
-    IntegratorConfig,
-    generate,
-    kde_direct_sample,
-)
+from .ode import AdaptiveRK45, Euler, generate, kde_direct_sample
 from .schedule import PathSchedule
 from .tasks import (
-    External,
     FeatureTable,
     FourierDensity,
     Gmm,
     Shell,
     TaskSpec,
-    WhitenConfig,
     anisotropic_gaussian_features,
     make_support_and_eval,
     sample_task,
+    split_table,
     whiten,
     write_csv,
     write_json,
@@ -69,6 +63,11 @@ _T_STAR = 0.56  # mid-flow time of the n_eff profiles
 _NEFF_GMM = {"k_components": 5, "separation_scale": 4.0, "std_lo": 0.5, "std_hi": 1.5}
 _NEFF_BAND_LOW_D = (4.5, 13.5)
 _NEFF_BAND_HIGH_D = (1.0, 1.5)
+# variance-scaling: each family's default dimension, and the acceptance bands
+# (alpha range, r^2 floor) of the two documented (family, d) configurations;
+# any other configuration reports an exploratory verdict
+_VARIANCE_DIMS = {"fourier": 8, "gmm": 2}
+_VARIANCE_BANDS = {("fourier", 8): ((0.25, 0.40), 0.95), ("gmm", 2): ((0.9, float("inf")), None)}
 # endpoint-check: Euler steps, null MMD^2 pairs, the C2ST band and the MMD^2
 # band in null IQRs about the null median
 _ENDPOINT_STEPS = 200
@@ -121,13 +120,7 @@ def _base_config(experiment: str, seed_list: Sequence[int] | None = None, **para
 
 
 def _spec_echo(spec: TaskSpec) -> dict:
-    d = {"family": type(spec).__name__.lower()}
-    for k, v in spec.__dict__.items():
-        if isinstance(v, FeatureTable):
-            d[k] = {"n": v.n, "d": v.d, "source": v.source}
-        else:
-            d[k] = v
-    return d
+    return {"family": type(spec).__name__.lower(), **spec.__dict__}
 
 
 def exp_realization_fuzz(n_configs: int = 1000, seed: int = 0) -> RunReport:
@@ -284,30 +277,30 @@ def exp_neff_collapse(
 
 def exp_variance_scaling(
     family: str = "fourier",
-    d: int = 8,
+    d: Optional[int] = None,
     m_grid: Sequence[int] = (10, 25, 50, 100, 250, 500, 1000),
     m_ref: int = 50_000,
     seeds: Sequence[int] = (0, 1, 2, 3),
     n_queries: int = 512,
-    alpha_range: Optional[tuple[float, float]] = None,
-    r2_min: Optional[float] = None,
 ) -> RunReport:
     """Decay of the local-mean gap against a large reference support.
 
     For each m, both supports are smoothed at the same Silverman bandwidth
     h = m^(-1/(4+d)) and the squared gap is averaged over queries drawn from
-    the task itself, then fitted as a power law in m.
+    the task itself, then fitted as a power law in m.  d defaults to the
+    family's documented dimension; only the documented (family, d) pairs
+    have acceptance bands.
     """
-    if family == "fourier":
-        make = lambda s: FourierDensity(d=d, seed=s)  # noqa: E731
-    elif family == "gmm":
-        make = lambda s: Gmm(d=d, seed=s)  # noqa: E731
-    else:
+    if family not in _VARIANCE_DIMS:
         raise ValueError(f"unknown family {family!r}; expected 'fourier' or 'gmm'")
+    if d is None:
+        d = _VARIANCE_DIMS[family]
+    family_cls = FourierDensity if family == "fourier" else Gmm
+    alpha_range, r2_min = _VARIANCE_BANDS.get((family, d), (None, None))
     rows = []
     vals: dict[int, list[float]] = {int(m): [] for m in m_grid}
     for seed in seeds:
-        spec = make(seed)
+        spec = family_cls(d=d, seed=seed)
         ref = sample_task(spec, m_ref, 50_000 + seed)
         queries = sample_task(spec, n_queries, 60_000 + seed)
         for m in m_grid:
@@ -338,7 +331,7 @@ def exp_variance_scaling(
             query_law="task-distribution",
             alpha_range=list(alpha_range) if alpha_range else None,
             r2_min=r2_min,
-            task=_spec_echo(make(0)),
+            task=_spec_echo(family_cls(d=d)),
         ),
         rows=rows,
         aggregates={
@@ -373,7 +366,6 @@ def exp_endpoint_check(
     independent reference draws.
     """
     sched = PathSchedule()
-    cfg = IntegratorConfig(method=Euler(_ENDPOINT_STEPS))
     ref_bandwidth = sched.sigma_min * bandwidth_factor
     rows = []
     mmd_bw: Optional[float] = mmd_bandwidth
@@ -382,7 +374,7 @@ def exp_endpoint_check(
     for seed in seeds:
         support, _ = make_support_and_eval(Gmm(d=2, seed=seed), m, 0, 20_000 + seed)
         fld = PluginField(support, sched)
-        gen = generate(fld, n, seed=seed, cfg=cfg).samples
+        gen = generate(fld, n, seed=seed, method=Euler(_ENDPOINT_STEPS)).samples
         ref = kde_direct_sample(support, ref_bandwidth, n, seed=90_000 + seed)
         if mmd_bw is None:
             mmd_bw = median_heuristic(gen, ref)
@@ -450,19 +442,20 @@ def exp_solver_control(
     Each is scored by MMD^2 against held-out draws of the same task.
     """
     sched = PathSchedule()
-    euler_cfg = IntegratorConfig(method=Euler(100))
-    rk_cfg = IntegratorConfig(method=AdaptiveRK45(rtol=rtol, atol=atol))
+    rk = AdaptiveRK45(rtol=rtol, atol=atol)
     rows = []
     mmd_bw: Optional[float] = mmd_bandwidth
     for seed in seeds:
         support, eval_rows = make_support_and_eval(Gmm(d=2, seed=seed), m, n, 30_000 + seed)
         fld = PluginField(support, sched)
-        gen_e = generate(fld, n, seed=seed, cfg=euler_cfg).samples
-        gen_r = generate(fld, n, seed=seed, cfg=rk_cfg).samples
+        gen_e = generate(fld, n, seed=seed).samples
+        gen_r = generate(fld, n, seed=seed, method=rk).samples
         if mmd_bw is None:
             mmd_bw = median_heuristic(eval_rows, gen_e)
         mmd_e = mmd2_unbiased(gen_e, eval_rows, mmd_bw)
         mmd_r = mmd2_unbiased(gen_r, eval_rows, mmd_bw)
+        if mmd_e == 0.0:
+            raise NumericalError(f"Euler MMD^2 is exactly 0 at MMD bandwidth {mmd_bw!r}")
         rel = abs(mmd_r - mmd_e) / abs(mmd_e)
         rows.append({"seed": seed, "mmd2_euler100": mmd_e, "mmd2_rk45": mmd_r, "rel_change": rel})
     median_rel = float(np.median([r["rel_change"] for r in rows]))
@@ -505,6 +498,8 @@ def exp_sphere_rate(
     control reuses the smallest-m concentration everywhere and must fit a
     strictly smaller exponent (its bias no longer shrinks).
     """
+    if d_k < 1:
+        raise ValueError(f"need d_k >= 1, got {d_k}")
     target_exp = 4.0 / (d_k + 3)
     kappa_pow = 2.0 / (d_k + 3)
 
@@ -593,20 +588,19 @@ def exp_whitening_control(
     if table is None:
         table = anisotropic_gaussian_features(4096, 16, seed=0)
     sched = PathSchedule()
-    cfg = IntegratorConfig(method=Euler(100))
     rows = []
     neff_by_lam: dict[float, float] = {}
     mmd_by_lam: dict[float, float] = {}
     mmd_bw: Optional[float] = None
     for lam in strengths:
-        tab_l, _ = whiten(table, WhitenConfig(strength=lam, regularization=0.0))
+        tab_l, _ = whiten(table, lam)
         per_neff = []
         per_mmd = []
         for seed in seeds:
-            support, eval_rows = make_support_and_eval(External(tab_l), m, n_eval, 40_000 + seed)
+            support, eval_rows = split_table(tab_l, m, n_eval, 40_000 + seed)
             prof = neff_profile(support, sched, [_T_STAR], n_queries=256, seed=seed)
             fld = PluginField(support, sched)
-            gen = generate(fld, n, seed=seed, cfg=cfg).samples
+            gen = generate(fld, n, seed=seed).samples
             if mmd_bw is None:
                 mmd_bw = median_heuristic(eval_rows, gen)
             mmd = mmd2_unbiased(gen, eval_rows, mmd_bw)
@@ -671,7 +665,6 @@ def exp_anisotropic_shells(
     sphere, so no hard criterion applies; the report records MMD ratios.
     """
     sched = PathSchedule()
-    cfg = IntegratorConfig(method=Euler(100))
     rows = []
     mmd_bw: Optional[float] = None
     ratios: dict[str, list[float]] = {name: [] for name in _SHELL_METRICS}
@@ -679,13 +672,13 @@ def exp_anisotropic_shells(
         spec = Shell(d=d, seed=seed)
         support, eval_rows = make_support_and_eval(spec, m, n, 50_000 + seed)
         iso = PluginField(support, sched)
-        gen_iso = generate(iso, n, seed=seed, cfg=cfg).samples
+        gen_iso = generate(iso, n, seed=seed).samples
         if mmd_bw is None:
             mmd_bw = median_heuristic(eval_rows, gen_iso)
         mmd_iso = mmd2_unbiased(gen_iso, eval_rows, mmd_bw)
         for name in _SHELL_METRICS:
             fld = PluginField(support, sched, _shell_metric(name, d))
-            gen_m = generate(fld, n, seed=seed, cfg=cfg).samples
+            gen_m = generate(fld, n, seed=seed).samples
             mmd_m = mmd2_unbiased(gen_m, eval_rows, mmd_bw)
             ratio = mmd_iso / mmd_m if mmd_m != 0 else float("inf")
             ratios[name].append(ratio)

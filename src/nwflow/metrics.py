@@ -25,6 +25,8 @@ __all__ = [
 # Rows per side of one kernel tile (a 512 x 512 float64 tile is 2 MiB), shared
 # by the MMD^2 sums and the 1-NN distance blocks.
 _BLOCK = 512
+# Pooled points above which median_heuristic thins the pool.
+_HEURISTIC_CAP = 2000
 
 
 def _gauss_sum(
@@ -70,27 +72,30 @@ def mmd2_unbiased(X: np.ndarray, Y: np.ndarray, bandwidth: float) -> float:
     n, np_ = X.shape[0], Y.shape[0]
     if n < 2 or np_ < 2:
         raise ConfigError("unbiased MMD^2 needs at least two points per sample")
-    if not bandwidth > 0.0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth!r}")
+    if not 0.0 < bandwidth < np.inf:
+        raise ValueError(f"bandwidth must be positive and finite, got {bandwidth!r}")
+    sq = float(bandwidth) * float(bandwidth)  # Python floats: overflow gives inf, not a warning
+    inv = -0.5 / sq if sq > 0.0 else -np.inf
+    if not np.isfinite(inv):
+        raise NumericalError(f"kernel scale 1 / (2 bandwidth^2) overflows at bandwidth={bandwidth}")
     P, Q = (Y, X) if (np_, Y.tobytes()) < (n, X.tobytes()) else (X, Y)
-    inv = -0.5 / (bandwidth * bandwidth)
     buf = np.empty(_BLOCK * _BLOCK)
     a = _gauss_sum(P, P, inv, buf, True) / (len(P) * (len(P) - 1))
     b = _gauss_sum(Q, Q, inv, buf, True) / (len(Q) * (len(Q) - 1))
     return a + b - 2.0 * _gauss_sum(P, Q, inv, buf, False) / (n * np_)
 
 
-def median_heuristic(X: np.ndarray, Y: np.ndarray, cap: int = 2000) -> float:
+def median_heuristic(X: np.ndarray, Y: np.ndarray) -> float:
     """Median pairwise distance of the pooled sample divided by sqrt(2).
 
-    Pools above `cap` points are thinned on a deterministic stride so the
-    O(n^2) distance pass stays bounded.
+    Pools above _HEURISTIC_CAP points are thinned on a deterministic stride so
+    the O(n^2) distance pass stays bounded.
     """
     pooled = np.vstack([np.atleast_2d(X), np.atleast_2d(Y)])
     if pooled.shape[0] < 2:
         raise ConfigError("median heuristic needs at least two pooled points")
-    if pooled.shape[0] > cap:
-        idx = np.unique(np.linspace(0, pooled.shape[0] - 1, cap).round().astype(int))
+    if pooled.shape[0] > _HEURISTIC_CAP:
+        idx = np.unique(np.linspace(0, pooled.shape[0] - 1, _HEURISTIC_CAP).round().astype(int))
         pooled = pooled[idx]
     med = float(np.median(pdist(pooled)))
     if med == 0.0:
@@ -156,7 +161,7 @@ def neff_profile(
     same logits are evaluated on the path state x at scale sigma_t.
     """
     t_arr = np.asarray(list(t_grid), dtype=np.float64)
-    if np.any(t_arr <= 0.0) or np.any(t_arr > 1.0):
+    if not np.all((t_arr > 0.0) & (t_arr <= 1.0)):  # also rejects NaN
         raise ValueError("t grid must lie in (0, 1]")
     if n_queries < 1:
         raise ValueError(f"need n_queries >= 1, got {n_queries}")
@@ -181,8 +186,6 @@ class RateFit:
 
     alpha: float
     r_squared: float
-    points: tuple[tuple[float, float], ...]
-    intercept: float
 
 
 def fit_power_law(points: Sequence[tuple[float, float]]) -> RateFit:
@@ -198,14 +201,9 @@ def fit_power_law(points: Sequence[tuple[float, float]]) -> RateFit:
     log_m = np.log([m for m, _ in pts])
     log_v = np.log([v for _, v in pts])
     if np.max(log_v) == np.min(log_v):
-        return RateFit(alpha=0.0, r_squared=0.0, points=tuple(pts), intercept=float(log_v[0]))
+        return RateFit(alpha=0.0, r_squared=0.0)
     slope, intercept = np.polyfit(log_m, log_v, 1)
     resid = log_v - (slope * log_m + intercept)
     ss_res = float(np.sum(resid**2))
     ss_tot = float(np.sum((log_v - log_v.mean()) ** 2))
-    return RateFit(
-        alpha=float(-slope),
-        r_squared=1.0 - ss_res / ss_tot,
-        points=tuple(pts),
-        intercept=float(intercept),
-    )
+    return RateFit(alpha=float(-slope), r_squared=1.0 - ss_res / ss_tot)

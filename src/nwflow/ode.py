@@ -11,7 +11,7 @@ from __future__ import annotations
 import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .velocity import PluginField, VelocityField
 __all__ = [
     "Euler",
     "AdaptiveRK45",
-    "IntegratorConfig",
     "SampleBatch",
     "integrate",
     "generate",
@@ -45,6 +44,9 @@ class Euler:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps!r}")
         object.__setattr__(self, "n_steps", int(self.n_steps))
 
+    def describe(self) -> dict:
+        return {"method": "euler", "n_steps": self.n_steps}
+
 
 @dataclass(frozen=True)
 class AdaptiveRK45:
@@ -63,36 +65,8 @@ class AdaptiveRK45:
         object.__setattr__(self, "atol", float(self.atol))
         object.__setattr__(self, "max_steps", int(self.max_steps))
 
-
-Method = Union[Euler, AdaptiveRK45]
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Method and flow-time interval, with 0 <= t_start < t_end <= 1."""
-
-    method: Method = Euler(100)
-    t_start: float = 0.0
-    t_end: float = 1.0
-
-    def __post_init__(self) -> None:
-        t0, t1 = float(self.t_start), float(self.t_end)
-        if not 0.0 <= t0 < t1 <= 1.0:  # also rejects NaN
-            raise ValueError(f"need 0 <= t_start < t_end <= 1, got {self.t_start!r}, {self.t_end!r}")
-        object.__setattr__(self, "t_start", t0)
-        object.__setattr__(self, "t_end", t1)
-
     def describe(self) -> dict:
-        if isinstance(self.method, Euler):
-            m = {"method": "euler", "n_steps": self.method.n_steps}
-        else:
-            m = {
-                "method": "rk45",
-                "rtol": self.method.rtol,
-                "atol": self.method.atol,
-                "max_steps": self.method.max_steps,
-            }
-        return {**m, "t_start": self.t_start, "t_end": self.t_end}
+        return {"method": "rk45", "rtol": self.rtol, "atol": self.atol, "max_steps": self.max_steps}
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,29 +104,23 @@ _FACTOR_MIN = 0.2
 _FACTOR_MAX = 5.0
 
 
-def _euler(fieldfn: VelocityField, x0: np.ndarray, t0: float, t1: float, n: int) -> np.ndarray:
-    h = (t1 - t0) / n
+def _euler(fieldfn: VelocityField, x0: np.ndarray, n: int) -> np.ndarray:
+    h = 1.0 / n
     x = np.array(x0, dtype=np.float64)
     for k in range(n):
-        x = x + h * fieldfn(x, t0 + k * h)
+        x = x + h * fieldfn(x, k * h)
     return x
 
 
-def _rk45(
-    fieldfn: VelocityField,
-    x0: np.ndarray,
-    t0: float,
-    t1: float,
-    cfg: AdaptiveRK45,
-) -> np.ndarray:
+def _rk45(fieldfn: VelocityField, x0: np.ndarray, rk: AdaptiveRK45) -> np.ndarray:
     x = np.array(x0, dtype=np.float64)
-    t = t0
-    h = (t1 - t0) / 100.0
+    t = 0.0
+    h = 0.01
     stages = np.empty((7,) + x.shape)
     flat = stages.reshape(7, -1)  # a view: each stage combination is one matmul
     stages[0] = fieldfn(x, t)
-    for _ in range(cfg.max_steps):
-        h = min(h, t1 - t)
+    for _ in range(rk.max_steps):
+        h = min(h, 1.0 - t)
         for i in range(1, 7):
             xi = x + h * (_DP_A[i] @ flat[:i]).reshape(x.shape)
             stages[i] = fieldfn(xi, min(t + _DP_C[i] * h, 1.0))
@@ -160,30 +128,30 @@ def _rk45(
         x4 = x + h * (_DP_B4 @ flat).reshape(x.shape)
         if not np.all(np.isfinite(x5)):
             raise NumericalError("integration state became non-finite")
-        scale = cfg.atol + cfg.rtol * np.maximum(np.abs(x), np.abs(x5))
+        scale = rk.atol + rk.rtol * np.maximum(np.abs(x), np.abs(x5))
         err = float(np.sqrt(np.mean(((x5 - x4) / scale) ** 2)))
         if err <= 1.0:
             t = t + h
             x = x5
-            if t >= t1:
+            if t >= 1.0:
                 return x
             stages[0] = stages[6]  # f(x5, t + h); a rejected step keeps stages[0]
         factor = _FACTOR_MAX if err == 0.0 else _SAFETY * err ** -0.2
         h = h * min(_FACTOR_MAX, max(_FACTOR_MIN, factor))
-    raise NumericalError(f"exceeded {cfg.max_steps} steps before reaching t_end")
+    raise NumericalError(f"exceeded {rk.max_steps} steps before reaching t = 1")
 
 
-def integrate(fieldfn: VelocityField, x0: np.ndarray, cfg: IntegratorConfig) -> np.ndarray:
-    """Integrate dx/dt = field(x, t) from t_start to t_end.
+def integrate(fieldfn: VelocityField, x0: np.ndarray, method: Euler | AdaptiveRK45) -> np.ndarray:
+    """Integrate dx/dt = field(x, t) from t = 0 to t = 1.
 
     Accepts a single state (d,) or a stacked batch (n, d); a batch is
     treated as one large system, so under RK45 the step sequence is shared
     across its rows.
     """
     x0 = np.asarray(x0, dtype=np.float64)
-    if isinstance(cfg.method, Euler):
-        return _euler(fieldfn, x0, cfg.t_start, cfg.t_end, cfg.method.n_steps)
-    return _rk45(fieldfn, x0, cfg.t_start, cfg.t_end, cfg.method)
+    if isinstance(method, Euler):
+        return _euler(fieldfn, x0, method.n_steps)
+    return _rk45(fieldfn, x0, method)
 
 
 # SeedSequence's entropy hash (numpy/random/bit_generator.pyx) and PCG64's
@@ -280,10 +248,10 @@ def generate(
     field: PluginField,
     n: int,
     seed: int,
-    cfg: IntegratorConfig = IntegratorConfig(),
+    method: Euler | AdaptiveRK45 = Euler(100),
     jobs: int = 1,
 ) -> SampleBatch:
-    """Draw n base samples from the field's base law and integrate each to t_end.
+    """Draw n base samples from the field's base law and integrate each to t = 1.
 
     The base law is N(0, I) for an isotropic field and N(0, M^-1) for a field
     with metric M.  Base draws come from per-sample streams keyed by (seed,
@@ -297,14 +265,14 @@ def generate(
     chunks = [x0[lo : lo + _CHUNK] for lo in range(0, n, _CHUNK)]
     if jobs > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            done = list(pool.map(lambda c: integrate(field, c, cfg), chunks))
+            done = list(pool.map(lambda c: integrate(field, c, method), chunks))
     else:
-        done = [integrate(field, c, cfg) for c in chunks]
+        done = [integrate(field, c, method) for c in chunks]
     meta = {
         "seed": seed,
         "n": n,
         "d": d,
-        "integrator": cfg.describe(),
+        "integrator": {**method.describe(), "t_start": 0.0, "t_end": 1.0},
         "base": "isotropic" if field.chol is None else "precision",
         "rng": "default_rng(SeedSequence([seed, sample_index]))",
         "support_sha256": field.support.sha256(),

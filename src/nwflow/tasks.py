@@ -25,13 +25,12 @@ __all__ = [
     "Rings",
     "Spirals",
     "FourierDensity",
-    "External",
     "TaskSpec",
     "FeatureTable",
-    "WhitenConfig",
     "WhitenTransform",
     "sample_task",
     "make_support_and_eval",
+    "split_table",
     "whiten",
     "load_feature_table",
     "save_feature_table",
@@ -172,22 +171,15 @@ class FourierDensity:
             raise ValueError("max_frequency must be >= 1")
 
 
-@dataclass(frozen=True)
-class External:
-    """Task backed by an ingested feature table; draws resample its rows."""
+TaskSpec = Union[Gmm, Shell, Moons, Rings, Spirals, FourierDensity]
 
-    table: FeatureTable
-
-
-TaskSpec = Union[Gmm, Shell, Moons, Rings, Spirals, FourierDensity, External]
-
-_FAMILY_TAGS = {Gmm: 1, Shell: 2, Moons: 3, Rings: 4, Spirals: 5, FourierDensity: 6, External: 7}
+_FAMILY_TAGS = {Gmm: 1, Shell: 2, Moons: 3, Rings: 4, Spirals: 5, FourierDensity: 6}
+_TABLE_TAG = 7  # split_table permutes by SeedSequence([7, 0, seed]); --features outputs rely on it
 
 
 def _draw_rng(spec: TaskSpec, seed: int) -> np.random.Generator:
     tag = _FAMILY_TAGS[type(spec)]
-    inst = 0 if isinstance(spec, External) else spec.seed
-    return np.random.default_rng(np.random.SeedSequence([tag, inst, seed]))
+    return np.random.default_rng(np.random.SeedSequence([tag, spec.seed, seed]))
 
 
 def _instance_rng(spec: TaskSpec) -> np.random.Generator:
@@ -329,48 +321,31 @@ def sample_task(spec: TaskSpec, n: int, seed: int) -> np.ndarray:
         return _sample_spirals(spec, n, rng)
     if isinstance(spec, FourierDensity):
         return _sample_fourier(spec, n, rng)[0]
-    if isinstance(spec, External):
-        idx = rng.integers(spec.table.n, size=n)
-        return spec.table.rows[idx].copy()
     raise TypeError(f"unknown task spec {spec!r}")
 
 
 def make_support_and_eval(
     spec: TaskSpec, m: int, n_eval: int, seed: int
 ) -> tuple[SupportSet, np.ndarray]:
-    """Support set and evaluation draws from disjoint RNG substreams.
-
-    For an External table the two parts are disjoint row subsets of a seeded
-    permutation, so evaluation rows are held out rather than resampled.
-    """
+    """Support set and evaluation draws from disjoint RNG substreams."""
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    if isinstance(spec, External):
-        if m + n_eval > spec.table.n:
-            raise ValueError(
-                f"table has {spec.table.n} rows, cannot split into {m} + {n_eval}"
-            )
-        perm = _draw_rng(spec, seed).permutation(spec.table.n)
-        rows = spec.table.rows
-        return SupportSet(rows[perm[:m]]), rows[perm[m : m + n_eval]].copy()
     sup_seed, ev_seed = (int(s) for s in np.random.SeedSequence(seed).generate_state(2, np.uint64))
     support = SupportSet(sample_task(spec, m, sup_seed))
     eval_rows = sample_task(spec, n_eval, ev_seed) if n_eval > 0 else np.empty((0, support.d))
     return support, eval_rows
 
 
-@dataclass(frozen=True)
-class WhitenConfig:
-    """Interpolated whitening strength: 0 is identity, 1 makes covariance I."""
-
-    strength: float
-    regularization: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= float(self.strength) <= 1.0:
-            raise ValueError(f"strength must lie in [0, 1], got {self.strength!r}")
-        if float(self.regularization) < 0.0:
-            raise ValueError("regularization must be >= 0")
+def split_table(
+    table: FeatureTable, m: int, n_eval: int, seed: int
+) -> tuple[SupportSet, np.ndarray]:
+    """Support set and held-out evaluation rows: disjoint row subsets of a seeded permutation."""
+    if m < 1:
+        raise ValueError(f"need m >= 1, got {m}")
+    if m + n_eval > table.n:
+        raise ValueError(f"table has {table.n} rows, cannot split into {m} + {n_eval}")
+    perm = np.random.default_rng(np.random.SeedSequence([_TABLE_TAG, 0, seed])).permutation(table.n)
+    return SupportSet(table.rows[perm[:m]]), table.rows[perm[m : m + n_eval]].copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -388,16 +363,22 @@ class WhitenTransform:
         return (rows - self.mean) @ self.matrix.T + self.mean
 
 
-def whiten(table: FeatureTable, cfg: WhitenConfig) -> tuple[FeatureTable, WhitenTransform]:
+def whiten(
+    table: FeatureTable, strength: float, ridge: float = 0.0
+) -> tuple[FeatureTable, WhitenTransform]:
     """Map rows by C^(-strength/2) about their mean, C = covariance + ridge.
 
     strength 0 returns the rows untouched (full identity, mean included);
     strength 1 makes the sample covariance the identity up to the ridge.
     """
+    lam = float(strength)
+    eps = float(ridge)
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"strength must lie in [0, 1], got {strength!r}")
+    if eps < 0.0:
+        raise ValueError("regularization must be >= 0")
     rows = table.rows
     mean = rows.mean(axis=0)
-    lam = float(cfg.strength)
-    eps = float(cfg.regularization)
     if lam == 0.0:
         record = WhitenTransform(mean, np.eye(table.d), lam, eps, np.ones(table.d))
         return table, record

@@ -241,7 +241,11 @@ def multihead_forward(params: MultiHeadParams, q: np.ndarray, keys: np.ndarray) 
     return out
 
 
-def logit_rank(params: MultiHeadParams, head: int, rel_tol: float = 1e-10) -> int:
+# logit_rank: singular values above this fraction of the largest count toward the rank
+_RANK_REL_TOL = 1e-10
+
+
+def logit_rank(params: MultiHeadParams, head: int) -> int:
     """Numerical rank of the head's bilinear logit matrix W_q' W_k / sqrt(d_k)."""
     if not 0 <= head < params.n_heads:
         raise IndexError(f"head {head} out of range for {params.n_heads} heads")
@@ -249,4 +253,4 @@ def logit_rank(params: MultiHeadParams, head: int, rel_tol: float = 1e-10) -> in
     sv = np.linalg.svd(a, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
-    return int(np.sum(sv > rel_tol * sv[0]))
+    return int(np.sum(sv > _RANK_REL_TOL * sv[0]))

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nwflow.cli import main, parse_task
+from nwflow.cli import EXPERIMENTS, main, parse_task
 from nwflow.errors import ConfigError, NumericalError, NwflowError
 from nwflow.kernels import SupportSet, Vmf, logits
 from nwflow.tasks import FourierDensity, Gmm, Moons, Shell
@@ -429,3 +429,38 @@ def test_bandwidth_below_float_range_is_numerical_error(tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path)]) == 3
     assert capsys.readouterr().err.startswith("numerical failure: kernel scale")
     assert not (tmp_path / "neff.csv").exists()
+
+
+# Every integer flag that an experiment reads, at 0 and -1: each must be a
+# configuration error (exit 2), never a traceback or a numerical failure.
+_INT_FLAGS = ("configs", "m", "n", "d", "m_ref", "n_seeds")
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize(
+    "name, dest",
+    [(name, dest) for name, spec in EXPERIMENTS.items() for dest in _INT_FLAGS if dest in spec.reads],
+)
+def test_nonpositive_experiment_int_flag_exits_2(tmp_path, name, dest, value):
+    argv = ["experiment", name, "--" + dest.replace("_", "-"), value]
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+
+
+def test_nan_t_grid_exits_2(tmp_path, capsys):
+    argv = ["diag-neff", "--task", "gmm2d", "--m", "5", "--t-grid", "0.5,nan"]
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert "t grid must lie in (0, 1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "bandwidth, code, message",
+    [
+        ("inf", 2, "positive and finite"),
+        ("1e200", 3, "Euler MMD^2 is exactly 0"),  # the kernel is constant
+        ("1e-200", 3, "kernel scale 1 / (2 bandwidth^2) overflows"),
+    ],
+)
+def test_extreme_mmd_bandwidth_keeps_exit_codes(tmp_path, capsys, bandwidth, code, message):
+    argv = ["experiment", "solver-control", "--m", "10", "--n", "40", "--seeds", "0"]
+    assert main(argv + ["--mmd-bandwidth", bandwidth, "--out", str(tmp_path)]) == code
+    assert message in capsys.readouterr().err

@@ -69,12 +69,20 @@ def test_variance_scaling_planted_check():
 
 
 def test_variance_scaling_small_run_reports():
-    report = exp_variance_scaling(
-        family="gmm", d=2, m_grid=(10, 50, 250), m_ref=2000, seeds=(0,), n_queries=64
-    )
-    assert report.passed is None  # no bands requested
+    small = dict(m_grid=(10, 50, 250), m_ref=2000, seeds=(0,), n_queries=64)
+    report = exp_variance_scaling(family="gmm", d=2, **small)
+    # (gmm, 2) is a documented configuration: its bands are echoed and judged
+    assert report.config["alpha_range"] == [0.9, float("inf")]
+    assert report.config["r2_min"] is None
+    assert isinstance(report.passed, bool)
+    assert report.passed is report.aggregates["alpha_in_band"]
     assert report.aggregates["alpha"] > 0
     assert {row["m"] for row in report.rows} == {10, 50, 250}
+    # any other (family, d) has no bands and reports an exploratory verdict
+    other = exp_variance_scaling(family="gmm", d=3, **small)
+    assert other.passed is None
+    assert other.config["alpha_range"] is None and other.config["r2_min"] is None
+    assert "alpha_in_band" not in other.aggregates
     with pytest.raises(ValueError):
         exp_variance_scaling(family="nope")
 

@@ -13,7 +13,6 @@ from nwflow.ode import (
     _SAFETY,
     AdaptiveRK45,
     Euler,
-    IntegratorConfig,
     generate,
     integrate,
     _base_draws,
@@ -27,17 +26,16 @@ def test_euler_exact_on_constants():
     c = np.array([2.0, -1.0])
     field = lambda x, t: c  # noqa: E731
     for n in (1, 7, 100):
-        cfg = IntegratorConfig(method=Euler(n))
-        got = integrate(field, np.zeros(2), cfg)
+        got = integrate(field, np.zeros(2), Euler(n))
         assert np.allclose(got, c, rtol=0, atol=1e-12)
-    one = integrate(field, np.zeros(2), IntegratorConfig(method=Euler(1)))
+    one = integrate(field, np.zeros(2), Euler(1))
     assert np.array_equal(one, c)
 
 
 def test_euler_product_oracle():
     field = lambda x, t: x  # noqa: E731
     for n in (10, 100, 500):
-        got = integrate(field, np.array([1.0]), IntegratorConfig(method=Euler(n)))
+        got = integrate(field, np.array([1.0]), Euler(n))
         assert got[0] == pytest.approx((1 + 1 / n) ** n, rel=1e-12)
 
 
@@ -45,7 +43,7 @@ def test_euler_first_order_convergence():
     field = lambda x, t: x  # noqa: E731
     errs = []
     for n in (50, 100, 200, 400):
-        got = integrate(field, np.array([1.0]), IntegratorConfig(method=Euler(n)))
+        got = integrate(field, np.array([1.0]), Euler(n))
         errs.append(abs(got[0] - np.e))
     for a, b in zip(errs, errs[1:]):
         assert 0.4 <= b / a <= 0.6  # halves within 20%
@@ -53,8 +51,8 @@ def test_euler_first_order_convergence():
 
 def test_rk45_exponential_oracle():
     field = lambda x, t: x  # noqa: E731
-    cfg = IntegratorConfig(method=AdaptiveRK45(rtol=1e-8, atol=1e-10))
-    got = integrate(field, np.array([1.0, 2.0]), cfg)
+    rk = AdaptiveRK45(rtol=1e-8, atol=1e-10)
+    got = integrate(field, np.array([1.0, 2.0]), rk)
     assert np.allclose(got, [np.e, 2 * np.e], rtol=1e-6)
 
 
@@ -62,8 +60,8 @@ def test_rk45_tolerance_monotonicity():
     field = lambda x, t: x  # noqa: E731
     errs = []
     for rtol in (1e-4, 1e-5, 1e-6, 1e-7, 1e-8):
-        cfg = IntegratorConfig(method=AdaptiveRK45(rtol=rtol, atol=1e-12))
-        got = integrate(field, np.array([1.0]), cfg)
+        rk = AdaptiveRK45(rtol=rtol, atol=1e-12)
+        got = integrate(field, np.array([1.0]), rk)
         errs.append(abs(got[0] - np.e))
     for loose, tight in zip(errs, errs[1:]):
         assert tight <= loose
@@ -71,17 +69,17 @@ def test_rk45_tolerance_monotonicity():
 
 def test_rk45_step_limit():
     field = lambda x, t: x  # noqa: E731
-    cfg = IntegratorConfig(method=AdaptiveRK45(rtol=1e-12, atol=1e-14, max_steps=3))
+    rk = AdaptiveRK45(rtol=1e-12, atol=1e-14, max_steps=3)
     with pytest.raises(NumericalError, match="exceeded 3 steps"):
-        integrate(field, np.array([1.0]), cfg)
+        integrate(field, np.array([1.0]), rk)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the blow-up overflows on purpose
 def test_rk45_blowup_detected():
     field = lambda x, t: x * x * 1e6 + 1e6  # noqa: E731
-    cfg = IntegratorConfig(method=AdaptiveRK45(rtol=1e-3, atol=1e-6, max_steps=100_000))
+    rk = AdaptiveRK45(rtol=1e-3, atol=1e-6, max_steps=100_000)
     with pytest.raises(NumericalError, match="non-finite|exceeded"):
-        integrate(field, np.array([1e154]), cfg)
+        integrate(field, np.array([1e154]), rk)
 
 
 class CountingField:
@@ -94,14 +92,13 @@ class CountingField:
         return self.fieldfn(x, t)
 
 
-def _rk45_stage0_every_attempt(fieldfn, x, cfg):
+def _rk45_stage0_every_attempt(fieldfn, x, rk):
     """Dormand-Prince without FSAL: stage 0 evaluated anew on every attempt.
 
     Returns the endpoint and the numbers of accepted and rejected attempts.
     """
-    rk = cfg.method
     b5 = np.append(_DP_A[6], 0.0)
-    t, t1 = cfg.t_start, cfg.t_end
+    t, t1 = 0.0, 1.0
     h = (t1 - t) / 100.0
     stages = np.empty((7,) + x.shape)
     accepted = rejected = 0
@@ -139,10 +136,9 @@ def test_rk45_first_same_as_last_is_exact():
     ]
     total_rejected = 0
     for fieldfn, x0, rk in cases:
-        cfg = IntegratorConfig(method=rk)
-        want, accepted, rejected = _rk45_stage0_every_attempt(fieldfn, x0, cfg)
+        want, accepted, rejected = _rk45_stage0_every_attempt(fieldfn, x0, rk)
         counted = CountingField(fieldfn)
-        got = integrate(counted, x0, cfg)
+        got = integrate(counted, x0, rk)
         assert np.array_equal(got, want)
         assert counted.calls == 6 * (accepted + rejected) + 1
         total_rejected += rejected
@@ -151,19 +147,9 @@ def test_rk45_first_same_as_last_is_exact():
 
 def test_integrator_config_validation():
     with pytest.raises(ValueError):
-        IntegratorConfig(t_start=0.5, t_end=0.5)
-    with pytest.raises(ValueError):
         Euler(0)
     with pytest.raises(ValueError):
         AdaptiveRK45(rtol=0.0)
-
-
-def test_integrator_config_time_range():
-    IntegratorConfig(t_start=0.0, t_end=1.0)
-    assert IntegratorConfig(t_start=0.25, t_end=0.5).describe()["t_start"] == 0.25
-    for t_start, t_end in ((-0.1, 1.0), (0.0, 1.5), (float("nan"), 1.0), (0.0, float("nan"))):
-        with pytest.raises(ValueError):
-            IntegratorConfig(t_start=t_start, t_end=t_end)
 
 
 def _plugin(seed=0, m=5, d=2):
@@ -186,7 +172,7 @@ def test_generate_deterministic_and_jobs_invariant():
 def test_generate_single_point_endpoint_law():
     s = np.array([[1.0, -2.0, 0.5]])
     fld = PluginField(SupportSet(s), PathSchedule(0.01))
-    batch = generate(fld, 1000, seed=3, cfg=IntegratorConfig(method=Euler(200)))
+    batch = generate(fld, 1000, seed=3, method=Euler(200))
     mean = batch.samples.mean(axis=0)
     std = batch.samples.std(axis=0, ddof=1)
     # endpoint is N(s, sigma_min^2 I) up to discretization; means within
@@ -293,12 +279,12 @@ def test_generate_endpoint_vs_euler_step_count():
     from nwflow.metrics import median_heuristic, mmd2_unbiased
 
     fld = _plugin(seed=3, m=20)
-    e = generate(fld, 500, seed=0, cfg=IntegratorConfig(method=Euler(100))).samples
-    r = generate(fld, 500, seed=0, cfg=IntegratorConfig(method=AdaptiveRK45())).samples
+    e = generate(fld, 500, seed=0, method=Euler(100)).samples
+    r = generate(fld, 500, seed=0, method=AdaptiveRK45()).samples
     bw = median_heuristic(e, r)
     null = mmd2_unbiased(
-        generate(fld, 500, seed=10, cfg=IntegratorConfig(method=Euler(100))).samples,
-        generate(fld, 500, seed=11, cfg=IntegratorConfig(method=Euler(100))).samples,
+        generate(fld, 500, seed=10, method=Euler(100)).samples,
+        generate(fld, 500, seed=11, method=Euler(100)).samples,
         bw,
     )
     cross = mmd2_unbiased(e, r, bw)
@@ -310,4 +296,4 @@ def test_sample_batch_meta():
     batch = generate(fld, 16, seed=5)
     assert batch.meta["support_sha256"] == fld.support.sha256()
     assert batch.meta["sigma_min"] == 0.01
-    assert batch.meta["integrator"]["method"] == "euler"
+    assert batch.meta["integrator"] == {"method": "euler", "n_steps": 100, "t_start": 0.0, "t_end": 1.0}

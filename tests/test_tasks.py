@@ -5,7 +5,6 @@ import pytest
 
 from nwflow.errors import ConfigError, NumericalError
 from nwflow.tasks import (
-    External,
     FeatureTable,
     FourierDensity,
     Gmm,
@@ -13,12 +12,12 @@ from nwflow.tasks import (
     Rings,
     Shell,
     Spirals,
-    WhitenConfig,
     anisotropic_gaussian_features,
     load_feature_table,
     make_support_and_eval,
     sample_task,
     save_feature_table,
+    split_table,
     whiten,
 )
 
@@ -121,24 +120,29 @@ def test_make_support_and_eval_streams():
 def test_external_split_is_disjoint():
     rows = np.arange(40, dtype=float).reshape(20, 2)
     table = FeatureTable(rows=rows)
-    sup, ev = make_support_and_eval(External(table), 8, 12, 0)
+    sup, ev = split_table(table, 8, 12, 0)
     pool = np.vstack([sup.points, ev])
     assert pool.shape == (20, 2)
     assert len({tuple(r) for r in pool}) == 20  # no row reused
+    # the permutation stream is SeedSequence([7, 0, seed]), so table splits keep their bytes
+    perm = np.random.default_rng(np.random.SeedSequence([7, 0, 0])).permutation(20)
+    assert np.array_equal(pool, rows[perm])
     with pytest.raises(ValueError):
-        make_support_and_eval(External(table), 15, 10, 0)
+        split_table(table, 15, 10, 0)
+    with pytest.raises(ValueError):
+        split_table(table, 0, 10, 0)
 
 
 def test_whiten_identity_at_zero():
     table = anisotropic_gaussian_features(200, 4, seed=1)
-    out, record = whiten(table, WhitenConfig(strength=0.0))
+    out, record = whiten(table, 0.0)
     assert out.rows is table.rows
     assert np.array_equal(record.matrix, np.eye(4))
 
 
 def test_whiten_full_makes_identity_covariance():
     table = anisotropic_gaussian_features(3000, 6, seed=2)
-    out, _ = whiten(table, WhitenConfig(strength=1.0))
+    out, _ = whiten(table, 1.0)
     cov = np.cov(out.rows, rowvar=False, ddof=1)
     assert np.max(np.abs(cov - np.eye(6))) <= 1e-8
 
@@ -146,8 +150,8 @@ def test_whiten_full_makes_identity_covariance():
 def test_whiten_transform_composition():
     # applying the half-strength transform twice equals full whitening
     table = anisotropic_gaussian_features(2000, 5, seed=3)
-    _, half = whiten(table, WhitenConfig(strength=0.5))
-    full_rows, _ = whiten(table, WhitenConfig(strength=1.0))
+    _, half = whiten(table, 0.5)
+    full_rows, _ = whiten(table, 1.0)
     twice = half.apply(half.apply(table.rows))
     assert np.max(np.abs(twice - full_rows.rows)) <= 1e-8
 
@@ -157,7 +161,7 @@ def test_whiten_spectrum_interpolation():
     cov = np.cov(table.rows, rowvar=False, ddof=1)
     eig = np.sort(np.linalg.eigvalsh(cov))
     lam = 0.4
-    out, _ = whiten(table, WhitenConfig(strength=lam))
+    out, _ = whiten(table, lam)
     got = np.sort(np.linalg.eigvalsh(np.cov(out.rows, rowvar=False, ddof=1)))
     assert np.allclose(got, eig ** (1 - lam), rtol=1e-6)
 
@@ -167,19 +171,21 @@ def test_whiten_singular_covariance():
     rows[1, 0] = 2.0
     table = FeatureTable(rows=rows)
     with pytest.raises(ConfigError, match="cannot give a full-rank covariance"):
-        whiten(table, WhitenConfig(strength=1.0, regularization=0.0))
-    out, _ = whiten(table, WhitenConfig(strength=1.0, regularization=1e-6))
+        whiten(table, 1.0, ridge=0.0)
+    out, _ = whiten(table, 1.0, ridge=1e-6)
     assert np.all(np.isfinite(out.rows))
     constant_column = FeatureTable(rows=np.array([[0.0, 1.0], [1.0, 1.0], [2.0, 1.0], [5.0, 1.0]]))
     with pytest.raises(NumericalError, match="covariance is singular"):
-        whiten(constant_column, WhitenConfig(strength=1.0))
+        whiten(constant_column, 1.0)
 
 
 def test_whiten_config_validation():
-    with pytest.raises(ValueError):
-        WhitenConfig(strength=1.5)
-    with pytest.raises(ValueError):
-        WhitenConfig(strength=0.5, regularization=-1.0)
+    table = anisotropic_gaussian_features(20, 2, seed=0)
+    for strength in (1.5, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="strength must lie in"):
+            whiten(table, strength)
+    with pytest.raises(ValueError, match="regularization must be >= 0"):
+        whiten(table, 0.5, ridge=-1.0)
 
 
 def test_csv_roundtrip(tmp_path):

@@ -384,7 +384,7 @@ def test_array_records_compare_and_hash_by_identity():
     from nwflow.kernels import Mahalanobis, WeightVector
     from nwflow.metrics import neff_profile
     from nwflow.ode import generate
-    from nwflow.tasks import FeatureTable, WhitenConfig, whiten
+    from nwflow.tasks import FeatureTable, whiten
 
     metric = np.eye(1) * 2.0
     table = FeatureTable(np.random.default_rng(0).normal(size=(5, 2)))
@@ -395,7 +395,7 @@ def test_array_records_compare_and_hash_by_identity():
         lambda: generate(PluginField(S12, SCHED), 3, seed=0),
         lambda: neff_profile(S12, SCHED, t_grid=(0.5,), n_queries=4),
         lambda: FeatureTable(table.rows),
-        lambda: whiten(table, WhitenConfig(0.5))[1],
+        lambda: whiten(table, 0.5)[1],
         lambda: Mahalanobis(1.0, metric),
         lambda: BilinearLogit(metric, 1.0),
         lambda: WeightVector(np.array([0.5, 0.5]), 2.0),
