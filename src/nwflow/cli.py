@@ -320,7 +320,8 @@ _FIELD_FLAGS = ("task", "task_seed", "features", "format", "m", "n", "sigma_min"
 def _add_flags(p: argparse.ArgumentParser, dests) -> None:
     p.add_argument("--seed", type=int, help="root seed (default: env NWFLOW_SEED, else 0)")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--jobs", type=int, default=os.cpu_count(), help="worker threads (default: the CPU count)")
+    p.add_argument("--jobs", type=int, default=os.cpu_count(),
+                   help="generate's worker threads (default: the CPU count); other commands ignore it")
     p.add_argument("--config", help="JSON config file mirroring these flags")
     for dest in dests:
         p.add_argument("--" + dest.replace("_", "-"), **_FLAGS[dest])

@@ -17,7 +17,7 @@ from scipy.special import logsumexp
 
 from . import __version__
 from .errors import NumericalError
-from .kernels import SupportSet, kde_descaled_log_density, nw_local_means, softmax_weights
+from .kernels import SupportSet, _smooth, kde_descaled_log_density, nw_local_means
 from .metrics import c2st_1nn, fit_power_law, median_heuristic, mmd2_unbiased, neff_profile
 from .ode import AdaptiveRK45, Euler, generate, kde_direct_sample
 from .schedule import PathSchedule
@@ -387,6 +387,8 @@ def exp_endpoint_check(
             null_median = float(np.median(nulls))
             q75, q25 = np.percentile(nulls, [75, 25])
             null_iqr = float(q75 - q25)
+            if null_iqr == 0.0:
+                raise NumericalError(f"null MMD^2 IQR is exactly 0 at MMD bandwidth {mmd_bw!r}")
         mmd = mmd2_unbiased(gen, ref, mmd_bw)
         acc = c2st_1nn(gen, ref)
         mmd_ok = abs(mmd - null_median) <= _NULL_IQR_FACTOR * null_iqr
@@ -511,10 +513,11 @@ def exp_sphere_rate(
         for m in map(int, m_grid):
             design = _uniform_sphere(rng, m, d_k)
             y = design[:, 0] + _SPHERE_NOISE * rng.standard_normal(m)
-            cos = queries @ design.T
-            out.append(
-                [float(np.mean((softmax_weights(k * cos) @ y - queries[:, 0]) ** 2)) for k in kappas(m)]
-            )
+            support, values = SupportSet(design), np.column_stack([y, np.ones(m)])
+            # On the unit sphere kappa cos = kappa - kappa ||x - s||^2 / 2: the vMF smoother
+            # is the core's Gaussian smoother at sigma^2 = 1 / kappa and t = 1.
+            est = [_smooth(queries, support, 1.0, k ** -0.5, values)[:, 0] for k in kappas(m)]
+            out.append([float(np.mean((e - queries[:, 0]) ** 2)) for e in est])
         return out
 
     rows = []
@@ -583,10 +586,12 @@ def exp_whitening_control(
     Whitening equalizes the feature spectrum, which collapses the kernel's
     effective sample size while generation quality stays comparable; the
     hard criterion here is only the n_eff drop between the endpoints of the
-    strength grid.  Defaults to a synthetic anisotropic table.
+    strength grid.  Defaults to a synthetic anisotropic table; at most the
+    table's rows beyond the support are held out.
     """
     if table is None:
         table = anisotropic_gaussian_features(4096, 16, seed=0)
+    n_eval = max(0, min(n_eval, table.n - m))
     sched = PathSchedule()
     rows = []
     neff_by_lam: dict[float, float] = {}

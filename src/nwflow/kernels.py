@@ -235,22 +235,17 @@ def logits(x: np.ndarray, support: SupportSet, kernel: KernelSpec) -> np.ndarray
 def softmax_weights(raw: np.ndarray) -> np.ndarray:
     """Max-subtracted softmax along the last axis.
 
-    If every logit in a row is -inf the shifted exponentials are NaN; ties
-    are then broken uniformly over the argmax set of the raw logits, so
-    extreme bandwidths degrade to uniform weights instead of poisoning the
-    output with NaN.
+    A row whose maximum is not finite (every logit -inf, or a +inf or NaN
+    logit) raises NumericalError, as the smoother core does.
     """
     raw = np.asarray(raw, dtype=np.float64)
     top = np.max(raw, axis=-1, keepdims=True)
-    finite_top = np.isfinite(top)
-    if np.all(finite_top):
-        out = raw - top
-        np.exp(out, out=out)
-        out /= np.sum(out, axis=-1, keepdims=True)
-        return out
-    shifted = np.where(finite_top, raw - np.where(finite_top, top, 0.0), 0.0)
-    expd = np.where(finite_top, np.exp(shifted), (raw == top).astype(np.float64))
-    return expd / np.sum(expd, axis=-1, keepdims=True)
+    if not np.all(np.isfinite(top)):
+        raise NumericalError("softmax logits have a row whose maximum is not finite")
+    out = raw - top
+    np.exp(out, out=out)
+    out /= np.sum(out, axis=-1, keepdims=True)
+    return out
 
 
 def nw_weights(x: np.ndarray, support: SupportSet, kernel: KernelSpec) -> WeightVector:

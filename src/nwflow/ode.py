@@ -255,19 +255,18 @@ def generate(
 
     The base law is N(0, I) for an isotropic field and N(0, M^-1) for a field
     with metric M.  Base draws come from per-sample streams keyed by (seed,
-    index); chunks of fixed size are integrated independently, so results do
-    not depend on the worker count.
+    index); chunks of fixed size are integrated independently on `jobs` >= 1
+    threads, so results do not depend on the worker count.
     """
     if n < 1:
         raise ConfigError(f"need n >= 1 samples, got {n}")
+    if jobs < 1:
+        raise ConfigError(f"need jobs >= 1 worker threads, got {jobs}")
     d = field.support.d
     x0 = _base_draws(n, d, seed, field.chol)
     chunks = [x0[lo : lo + _CHUNK] for lo in range(0, n, _CHUNK)]
-    if jobs > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            done = list(pool.map(lambda c: integrate(field, c, method), chunks))
-    else:
-        done = [integrate(field, c, method) for c in chunks]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        done = list(pool.map(lambda c: integrate(field, c, method), chunks))
     meta = {
         "seed": seed,
         "n": n,

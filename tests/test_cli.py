@@ -310,6 +310,7 @@ def test_config_file_sets_jobs(tmp_path, monkeypatch):
         ["experiment", "neff-collapse", "--m", "0"],
         ["experiment", "neff-collapse", "--n-seeds", "0"],
         ["diag-neff", "--task", "gmm2d", "--m", "5", "--n", "0"],
+        ["generate", "--task", "gmm2d", "--m", "5", "--n", "10", "--jobs", "0"],
     ],
 )
 def test_explicit_zero_is_config_error(tmp_path, argv):
@@ -464,3 +465,24 @@ def test_extreme_mmd_bandwidth_keeps_exit_codes(tmp_path, capsys, bandwidth, cod
     argv = ["experiment", "solver-control", "--m", "10", "--n", "40", "--seeds", "0"]
     assert main(argv + ["--mmd-bandwidth", bandwidth, "--out", str(tmp_path)]) == code
     assert message in capsys.readouterr().err
+
+
+def test_degenerate_endpoint_kernel_is_numerical_error(tmp_path, capsys):
+    # At bandwidth 1e200 the kernel is constant: every MMD^2 and the null IQR
+    # are exactly 0, and the band |mmd2 - median| <= 3 IQR held vacuously.
+    argv = ["experiment", "endpoint-check", "--n", "200", "--n-seeds", "1", "--mmd-bandwidth", "1e200"]
+    assert main(argv + ["--out", str(tmp_path)]) == 3
+    assert "null MMD^2 IQR is exactly 0" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_whitening_control_holds_out_what_a_small_table_has(tmp_path):
+    rng = np.random.default_rng(7)
+    rows = rng.standard_normal((200, 3)) @ np.diag([3.0, 1.0, 0.2])
+    table = tmp_path / "t.csv"
+    table.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in rows) + "\n")
+    argv = ["experiment", "whitening-control", "--features", str(table), "--m", "30", "--n-seeds", "1"]
+    assert main(argv + ["--out", str(tmp_path / "out")]) in (0, 1)
+    report = json.loads(read(str(tmp_path / "out" / "report.json")))
+    assert report["config"]["n_eval"] == 170
+    assert report["config"]["table"]["n"] == 200

@@ -101,21 +101,27 @@ def test_softmax_shift_invariance():
         assert np.max(np.abs(softmax_weights(lg + c) - base)) <= 1e-12
 
 
-def test_softmax_all_underflow_uniform_over_argmax():
-    w = softmax_weights(np.array([-np.inf, -np.inf, -np.inf]))
-    assert np.allclose(w, [1 / 3] * 3)
+def test_softmax_all_underflow_row_raises():
+    # A row with no finite maximum raises, as the smoother core does; -inf
+    # entries next to a finite maximum get weight 0.
+    for raw in ([-np.inf, -np.inf, -np.inf], [np.inf, 0.0, 1.0], [np.nan, 0.0, 1.0]):
+        with pytest.raises(NumericalError):
+            softmax_weights(np.array(raw))
     w = softmax_weights(np.array([-np.inf, -3.0, -np.inf]))
     assert np.allclose(w, [0.0, 1.0, 0.0])
 
 
 def test_softmax_2d_underflow_row_next_to_finite_rows():
-    raw = np.array([[-np.inf, -np.inf, -np.inf], [0.0, -2.0, -np.inf], [5.0, 5.0, 5.0]])
+    finite = np.array([[0.0, -2.0, -np.inf], [5.0, 5.0, 5.0]])
+    raw = np.vstack([[-np.inf, -np.inf, -np.inf], finite])
     before = raw.copy()
-    w = softmax_weights(raw)
-    assert np.allclose(w[0], [1 / 3] * 3)
-    assert w[1] == pytest.approx([W0, W1, 0.0], abs=1e-15)
-    assert np.array_equal(w[2], [1 / 3] * 3)
+    with pytest.raises(NumericalError):
+        softmax_weights(raw)
+    w = softmax_weights(finite)
+    assert w[0] == pytest.approx([W0, W1, 0.0], abs=1e-15)
+    assert np.array_equal(w[1], [1 / 3] * 3)
     assert np.array_equal(raw, before)  # the input is never normalized in place
+    assert np.array_equal(finite, before[1:])
 
 
 def test_softmax_finite_rows_match_max_shift_formula_bitwise():
@@ -252,6 +258,28 @@ def test_vmf_logits_and_norm_check():
         logits(2.0 * x, s, Vmf(3.0))
     with pytest.raises(ConfigError, match="unit-norm support rows"):
         logits(x, SupportSet(2.0 * pts), Vmf(3.0))
+
+
+def test_vmf_smoother_is_core_gaussian_smoother_on_the_sphere():
+    # kappa cos = kappa - kappa ||x - s||^2 / 2 on the unit sphere, so the vMF
+    # estimate sphere-rate takes from the core at sigma^2 = 1 / kappa, t = 1
+    # matches the literal per-query route through the Vmf logits.
+    rng = np.random.default_rng(32)
+    worst = 0.0
+    for d in (1, 2, 3, 8):
+        q = rng.standard_normal((16, d))
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+        for m in (1, 64, 4096):
+            design = rng.standard_normal((m, d))
+            design /= np.linalg.norm(design, axis=1, keepdims=True)
+            y = design[:, 0] + 0.5 * rng.standard_normal(m)
+            support = SupportSet(design)
+            values = np.column_stack([y, np.ones(m)])
+            for kappa in (0.5, 4.0, 64.0, 300.0):
+                got = _smooth(q, support, 1.0, kappa ** -0.5, values)[:, 0]
+                want = [local_mean(x, support, Vmf(kappa), values=y) for x in q]
+                worst = max(worst, float(np.max(np.abs(got - np.array(want)))))
+    assert worst <= 1e-12
 
 
 def test_dim_mismatch():

@@ -10,6 +10,7 @@ table with a header that the script writes from a fixed seed.  The checkout's
 diffing the two outputs compares their bytes.  It prints a markdown table
 `| output | sha256 |`, then one `| run | exit code |` table.  DIR also gets
 `exit_codes.json`, so `tools/output_diff.py` can compare two such trees.
+OpenBLAS, OpenMP and MKL are pinned to one thread for every run.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ import random
 import sys
 import tempfile
 
+# Pinned before numpy is imported, as perfbench pins its workers: OpenBLAS's
+# threaded GEMM rounds some shapes differently at other thread counts.
+os.environ.update({k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 from nwflow.cli import EXPERIMENTS, main  # noqa: E402
