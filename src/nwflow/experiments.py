@@ -13,11 +13,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import __version__
 from .errors import NumericalError
-from .kernels import SupportSet, _smooth, kde_descaled_log_density, nw_local_means
+from .kernels import SupportSet, _logsumexp, _smooth, kde_descaled_log_density, nw_local_means
 from .metrics import c2st_1nn, fit_power_law, median_heuristic, mmd2_unbiased, neff_profile
 from .ode import AdaptiveRK45, Euler, generate, kde_direct_sample
 from .schedule import PathSchedule
@@ -199,7 +198,7 @@ def exp_kde_identity(n_configs: int = 200, n_points: int = 16, seed: int = 0) ->
                 d * np.log(t)
                 - np.log(m)
                 - 0.5 * d * np.log(2.0 * np.pi * sig * sig)
-                + logsumexp(-sq / (2.0 * sig * sig))
+                + _logsumexp(-sq / (2.0 * sig * sig))
             )
             config_worst = max(config_worst, abs(log_mix - log_kde))
             checked += 1

@@ -15,7 +15,6 @@ from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ConfigError, NumericalError
 
@@ -352,6 +351,21 @@ def _may_underflow(xc: np.ndarray, t: float, sq: float, radius: float) -> bool:
     return reach * reach / (2.0 * sq) > -_EXP_FLOOR
 
 
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) of a 1-D array; a maximum that is not finite raises NumericalError.
+
+    The k ties at the maximum stay out of the shifted sum: log1p(s) + log(k) + max
+    with s = sum(exp(others - max)) / k (Blanchard, Higham and Higham, 2021).
+    """
+    top = np.max(a, keepdims=True)
+    if not np.isfinite(top[0]):
+        raise NumericalError("log-sum-exp of logits whose maximum is not finite")
+    tie = a == top
+    k = np.sum(tie, keepdims=True, dtype=np.float64)
+    s = np.sum(np.exp(np.where(tie, -np.inf, a) - top), keepdims=True) / k
+    return float((np.log1p(s) + np.log(k) + top)[0])
+
+
 def kde_descaled_log_density(x_tilde: np.ndarray, support: SupportSet, h: float) -> float:
     """log of the de-scaled Gaussian mixture density (1/m) sum_i phi_h(x_tilde - s_i).
 
@@ -359,7 +373,7 @@ def kde_descaled_log_density(x_tilde: np.ndarray, support: SupportSet, h: float)
     (2 pi h^2)^(-d/2) normalization; the log-sum-exp keeps it finite where
     the density itself underflows (d >= 16).
     """
-    lse = float(logsumexp(logits(x_tilde, support, IsotropicGaussian(h))))
+    lse = _logsumexp(logits(x_tilde, support, IsotropicGaussian(h)))
     return lse - np.log(support.m) - 0.5 * support.d * np.log(2.0 * np.pi * h * h)
 
 

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
 
 from .errors import ConfigError, NumericalError
 from .kernels import SupportSet, _smooth
@@ -25,46 +24,57 @@ __all__ = [
 # Rows per side of one kernel tile (a 512 x 512 float64 tile is 2 MiB), shared
 # by the MMD^2 sums and the 1-NN distance blocks.
 _BLOCK = 512
+# Rows per slab of the exact distance pass, which stays in cache against a few thousand points.
+_SLAB = 8
 # Pooled points above which median_heuristic thins the pool.
 _HEURISTIC_CAP = 2000
 
 
-def _gauss_sum(
-    X: np.ndarray, Y: np.ndarray, inv: float, buf: np.ndarray, self_pairs: bool
-) -> float:
-    """Sum of exp(inv * ||x - y||^2) over pairs, one _BLOCK x _BLOCK tile of `buf` at a time.
+def _gauss_sum(q: np.ndarray, k: np.ndarray, buf: np.ndarray, self_pairs: bool) -> float:
+    """Sum of exp(q_i . k_j) over pairs, one _BLOCK x _BLOCK tile of `buf` at a time.
 
-    With self_pairs (Y must then be X), only the upper-triangle tiles are
-    visited and the sum runs over pairs i != j: a diagonal tile drops its unit
-    diagonal, and an off-diagonal tile stands for itself and its transpose.
-    Without it, the sum runs over the full len(X) x len(Y) rectangle, even
-    when X and Y are the same array.
+    With self_pairs (q and k must then lift the same sample), only the
+    upper-triangle tiles are visited and the sum runs over pairs i != j: a
+    diagonal tile drops its diagonal, and an off-diagonal tile stands for
+    itself and its transpose.  Without it, the sum runs over the full
+    len(q) x len(k) rectangle, even when both lift the same sample.
     """
     total = 0.0
-    for lo in range(0, X.shape[0], _BLOCK):
-        a = X[lo : lo + _BLOCK]
-        for lo2 in range(lo if self_pairs else 0, Y.shape[0], _BLOCK):
-            b = Y[lo2 : lo2 + _BLOCK]
-            tile = buf[: a.shape[0] * b.shape[0]].reshape(a.shape[0], b.shape[0])
-            cdist(a, b, "sqeuclidean", out=tile)
-            np.multiply(tile, inv, out=tile)
+    for lo in range(0, q.shape[0], _BLOCK):
+        a = q[lo : lo + _BLOCK]
+        for lo2 in range(lo if self_pairs else 0, k.shape[0], _BLOCK):
+            b = k[lo2 : lo2 + _BLOCK]
+            tile = np.matmul(a, b.T, out=buf[: a.shape[0] * b.shape[0]].reshape(a.shape[0], b.shape[0]))
+            if self_pairs and lo2 == lo:
+                np.fill_diagonal(tile, -np.inf)
             np.exp(tile, out=tile)
-            s = float(tile.sum())
-            if not self_pairs:
-                total += s
-            elif lo2 == lo:
-                total += s - a.shape[0]
-            else:
-                total += 2.0 * s
+            total += (2.0 if self_pairs and lo2 != lo else 1.0) * float(tile.sum())
     return total
+
+
+def _sqdist(a: np.ndarray, bt: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Squared distances of the rows of `a` to the columns of `bt` (d, N), into `out`.
+
+    Each sums (a_k - b_k)^2 over the coordinates in order, as cdist and pdist
+    do, so near-ties round as theirs do; the rows go in slabs of _SLAB.
+    """
+    tmp = np.empty((_SLAB, bt.shape[1]))
+    for lo in range(0, a.shape[0], _SLAB):
+        rows, o, t = a[lo : lo + _SLAB], out[lo : lo + _SLAB], tmp[: a.shape[0] - lo]
+        np.square(np.subtract(rows[:, :1], bt[0], out=o), out=o)
+        for j in range(1, bt.shape[0]):
+            o += np.square(np.subtract(rows[:, j : j + 1], bt[j], out=t), out=t)
+    return out
 
 
 def mmd2_unbiased(X: np.ndarray, Y: np.ndarray, bandwidth: float) -> float:
     """Unbiased Gaussian-kernel U-statistic of the squared MMD; may be negative.
 
-    The kernel sums run over tiles of one reused buffer, so memory stays
-    O(_BLOCK^2) whatever the sample sizes.  The pair is first put in a
-    canonical order, by (rows, bytes), so swapping the arguments sums the
+    Rows centred on the pooled mean c lift to queries [-2 inv (x - c),
+    inv ||x - c||^2, inv] and keys [x - c, 1, ||x - c||^2], whose dot product
+    is inv ||x - y||^2: each kernel tile is one GEMM into one reused buffer, so
+    memory stays O(_BLOCK^2) whatever the sample sizes.  The pair is first put
+    in a canonical order, by (rows, bytes), so swapping the arguments sums the
     same tiles in the same order and returns the bitwise-identical value.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -79,10 +89,14 @@ def mmd2_unbiased(X: np.ndarray, Y: np.ndarray, bandwidth: float) -> float:
     if not np.isfinite(inv):
         raise NumericalError(f"kernel scale 1 / (2 bandwidth^2) overflows at bandwidth={bandwidth}")
     P, Q = (Y, X) if (np_, Y.tobytes()) < (n, X.tobytes()) else (X, Y)
+    z = np.vstack([P, Q])
+    z -= z.mean(axis=0)
+    r2, one, p = np.einsum("ij,ij->i", z, z), np.ones(n + np_), len(P)
+    q, k = np.column_stack([(-2.0 * inv) * z, inv * r2, inv * one]), np.column_stack([z, one, r2])
     buf = np.empty(_BLOCK * _BLOCK)
-    a = _gauss_sum(P, P, inv, buf, True) / (len(P) * (len(P) - 1))
-    b = _gauss_sum(Q, Q, inv, buf, True) / (len(Q) * (len(Q) - 1))
-    return a + b - 2.0 * _gauss_sum(P, Q, inv, buf, False) / (n * np_)
+    a = _gauss_sum(q[:p], k[:p], buf, True) / (p * (p - 1))
+    b = _gauss_sum(q[p:], k[p:], buf, True) / (len(Q) * (len(Q) - 1))
+    return a + b - 2.0 * _gauss_sum(q[:p], k[p:], buf, False) / (n * np_)
 
 
 def median_heuristic(X: np.ndarray, Y: np.ndarray) -> float:
@@ -91,13 +105,20 @@ def median_heuristic(X: np.ndarray, Y: np.ndarray) -> float:
     Pools above _HEURISTIC_CAP points are thinned on a deterministic stride so
     the O(n^2) distance pass stays bounded.
     """
-    pooled = np.vstack([np.atleast_2d(X), np.atleast_2d(Y)])
+    pooled = np.vstack([np.atleast_2d(X), np.atleast_2d(Y)]).astype(np.float64, copy=False)
     if pooled.shape[0] < 2:
         raise ConfigError("median heuristic needs at least two pooled points")
     if pooled.shape[0] > _HEURISTIC_CAP:
         idx = np.unique(np.linspace(0, pooled.shape[0] - 1, _HEURISTIC_CAP).round().astype(int))
         pooled = pooled[idx]
-    med = float(np.median(pdist(pooled)))
+    n, pt = pooled.shape[0], np.ascontiguousarray(pooled.T)
+    dist, pos = np.empty(n * (n - 1) // 2), 0  # the pairs i < j, row by row
+    for lo in range(0, n - 1, _SLAB):
+        rows = pooled[lo : lo + _SLAB]
+        for r, row in enumerate(_sqdist(rows, pt[:, lo + 1 :], np.empty((len(rows), n - 1 - lo)))):
+            dist[pos : pos + row.size - r] = row[r:]
+            pos += row.size - r
+    med = float(np.median(np.sqrt(dist, out=dist), overwrite_input=True))
     if med == 0.0:
         raise ConfigError("all pooled points identical; no pairwise scale")
     return med / np.sqrt(2.0)
@@ -118,14 +139,14 @@ def c2st_1nn(X: np.ndarray, Y: np.ndarray) -> float:
     if n < 10:
         raise ConfigError("need at least 10 points per sample")
     pooled = np.vstack([X, Y])
-    labels = np.repeat([0, 1], n)
+    pt, labels = np.ascontiguousarray(pooled.T), np.repeat([0, 1], n)
+    buf = np.empty((min(_BLOCK, 2 * n), 2 * n))  # reused: fresh pages would fault on every block
     total = 0.0
     for lo in range(0, 2 * n, _BLOCK):
         hi = min(lo + _BLOCK, 2 * n)
-        dist = cdist(pooled[lo:hi], pooled, "sqeuclidean")
+        dist = _sqdist(pooled[lo:hi], pt, buf[: hi - lo])
         dist[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
-        dmin = dist.min(axis=1)
-        ties = dist == dmin[:, None]
+        ties = dist == dist.min(axis=1, keepdims=True)
         same = ties & (labels[None, :] == labels[lo:hi, None])
         total += float(np.sum(same.sum(axis=1) / ties.sum(axis=1)))
     return total / (2 * n)

@@ -342,6 +342,8 @@ def split_table(
     """Support set and held-out evaluation rows: disjoint row subsets of a seeded permutation."""
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
+    if n_eval < 0:
+        raise ValueError(f"need n_eval >= 0, got {n_eval}")
     if m + n_eval > table.n:
         raise ValueError(f"table has {table.n} rows, cannot split into {m} + {n_eval}")
     perm = np.random.default_rng(np.random.SeedSequence([_TABLE_TAG, 0, seed])).permutation(table.n)

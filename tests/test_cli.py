@@ -36,6 +36,36 @@ def test_generate_bytes_independent_of_blas_threads_and_jobs(tmp_path):
     assert len(set(samples.values())) == 1
 
 
+def test_runtime_needs_no_scipy(tmp_path):
+    # numpy is the only runtime dependency: importing the CLI loads no scipy
+    # module, and generate and an experiment run with scipy made unimportable.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = (
+        "import sys, nwflow, nwflow.cli\n"
+        "print(sorted(k for k in sys.modules if k == 'scipy' or k.startswith('scipy.')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    runs = (
+        ["generate", "--task", "gmm2d", "--m", "50", "--n", "64"],
+        ["experiment", "endpoint-check", "--n", "200", "--n-seeds", "1"],
+    )
+    blocked = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from nwflow.cli import main\n"
+        f"codes = [main(argv + ['--out', out]) for argv, out in zip({list(runs)!r}, sys.argv[1:])]\n"
+        "print(codes)"
+    )
+    outs = [str(tmp_path / "gen"), str(tmp_path / "exp")]
+    proc = subprocess.run([sys.executable, "-c", blocked, *outs], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[0, 0]", proc.stdout + proc.stderr
+    assert os.path.isfile(os.path.join(outs[0], "samples.csv"))
+
+
 def test_parse_task_names():
     assert isinstance(parse_task("gmm2d", 0), Gmm)
     assert parse_task("gmm16d", 0).d == 16

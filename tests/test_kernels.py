@@ -8,6 +8,7 @@ from nwflow.kernels import (
     Mahalanobis,
     SupportSet,
     Vmf,
+    _logsumexp,
     _smooth,
     kde_descaled_log_density,
     kde_descaled_score,
@@ -109,6 +110,40 @@ def test_softmax_all_underflow_row_raises():
             softmax_weights(np.array(raw))
     w = softmax_weights(np.array([-np.inf, -3.0, -np.inf]))
     assert np.allclose(w, [0.0, 1.0, 0.0])
+
+
+def test_logsumexp_is_bitwise_scipy():
+    # scipy is the independent reference here: the library itself runs on numpy alone.
+    from scipy.special import logsumexp
+
+    rng = np.random.default_rng(29)
+    cases = [
+        np.array([0.3]),
+        np.array([-1e300]),
+        np.array([2.0, 2.0, 2.0]),
+        np.array([1.0, -0.5, 1.0, 0.25]),
+        np.array([-745.0, -744.5, -746.1, -745.0]),
+        np.array([-np.inf, -3.0, -np.inf]),
+    ]
+    for k in range(300):
+        a = rng.normal(size=int(rng.integers(1, 400))) * 10.0 ** rng.uniform(-4, 4)
+        if k % 3 == 0:
+            a[rng.integers(a.size, size=3)] = a.max()  # tied maxima
+        if k % 4 == 0:
+            a -= 745.0  # near exp's underflow
+        cases.append(a)
+    for a in cases:
+        got = _logsumexp(a)
+        assert type(got) is float
+        assert got == float(logsumexp(a)), a
+
+
+def test_logsumexp_non_finite_maximum_raises():
+    for raw in ([np.nan, 0.0], [-np.inf, -np.inf], [np.inf, 1.0], [np.nan]):
+        with pytest.raises(NumericalError):
+            _logsumexp(np.array(raw))
+    with pytest.raises(NumericalError):
+        kde_descaled_log_density(np.array([np.nan, 0.0]), SupportSet(np.eye(2)), 0.5)
 
 
 def test_softmax_2d_underflow_row_next_to_finite_rows():

@@ -1,14 +1,19 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist
 
 from nwflow.errors import ConfigError, NumericalError
 from nwflow.kernels import SupportSet, nw_local_means
 from nwflow.metrics import (
+    _sqdist,
     c2st_1nn,
     fit_power_law,
     median_heuristic,
@@ -101,6 +106,33 @@ def test_mmd2_memory_is_bounded_by_one_tile():
     assert peak < 16 * 2**20
 
 
+_MMD_BLAS_SCRIPT = """
+import numpy as np
+from nwflow.metrics import mmd2_unbiased
+for n, m in ((1100, 513), (2000, 2000)):
+    rng = np.random.default_rng(n + m)
+    x = rng.normal(size=(n, 2))
+    y = rng.normal(size=(m, 2)) * 1.2 + 0.1
+    print(repr(mmd2_unbiased(x, y, 0.8)), repr(mmd2_unbiased(y, x, 0.35)))
+"""
+
+
+def test_mmd2_bytes_independent_of_blas_threads():
+    # Fresh processes, because OpenBLAS reads its thread count at import; the
+    # kernel tiles are GEMMs, whose blocking may follow the thread count.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    outs = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-c", _MMD_BLAS_SCRIPT], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.add(proc.stdout)
+    assert len(outs) == 1
+
+
 def test_nw_local_means_memory_is_bounded_by_one_block():
     rng = np.random.default_rng(4)
     queries = rng.normal(size=(512, 8))
@@ -171,6 +203,47 @@ def test_median_heuristic_subsample_deterministic():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(3000, 2))
     assert median_heuristic(x, x) == median_heuristic(x, x)
+
+
+def _with_duplicates(rng, n, d):
+    x = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3)
+    x[rng.integers(n, size=n // 3)] = x[rng.integers(n)]  # duplicate rows
+    x[: n // 4] += 1e-9 * rng.normal(size=(n // 4, d))  # near-ties
+    return x
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_exact_distances_are_bitwise_scipy(d):
+    # scipy's cdist and pdist are the independent reference; near-ties decide
+    # 1-NN labels, so the distances must round exactly as theirs do.
+    rng = np.random.default_rng(d)
+    for n, m in ((1, 3), (9, 9), (37, 530), (600, 41)):
+        a, b = _with_duplicates(rng, n, d), _with_duplicates(rng, m, d)
+        b[: min(n, m) // 2] = a[: min(n, m) // 2]
+        got = _sqdist(a, np.ascontiguousarray(b.T), np.empty((n, m)))
+        assert np.array_equal(got, cdist(a, b, "sqeuclidean"))
+    for n in (2, 3, 50, 700, 2500):
+        x = _with_duplicates(rng, n, d)
+        pool = np.vstack([x[: n // 2 + 1], x[n // 2 :]])
+        if len(pool) > 2000:
+            pool = pool[np.unique(np.linspace(0, len(pool) - 1, 2000).round().astype(int))]
+        want = float(np.median(pdist(pool))) / np.sqrt(2.0)
+        assert median_heuristic(x[: n // 2 + 1], x[n // 2 :]) == want
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_c2st_matches_dense_cdist_reference(d):
+    rng = np.random.default_rng(10 + d)
+    x = _with_duplicates(rng, 700, d)
+    y = np.vstack([x[:200], _with_duplicates(rng, 500, d)])
+    pooled = np.vstack([x, y])
+    dist = cdist(pooled, pooled, "sqeuclidean")
+    np.fill_diagonal(dist, np.inf)
+    ties = dist == dist.min(axis=1)[:, None]
+    labels = np.repeat([0, 1], 700)
+    same = ties & (labels[None, :] == labels[:, None])
+    want = float(np.mean(same.sum(axis=1) / ties.sum(axis=1)))
+    assert c2st_1nn(x, y) == pytest.approx(want, abs=1e-15)
 
 
 def test_c2st_separable():

@@ -133,6 +133,17 @@ def test_external_split_is_disjoint():
         split_table(table, 0, 10, 0)
 
 
+def test_split_table_rejects_negative_n_eval():
+    # m + n_eval <= n alone let 30 + (-10) through as a 20-row support and no eval rows.
+    table = anisotropic_gaussian_features(20, 3, seed=0)
+    with pytest.raises(ValueError, match="need n_eval >= 0, got -10"):
+        split_table(table, 30, -10, 0)
+    with pytest.raises(ValueError, match="need n_eval >= 0, got -1"):
+        split_table(table, 5, -1, 0)
+    sup, ev = split_table(table, 20, 0, 0)
+    assert sup.m == 20 and ev.shape == (0, 3)
+
+
 def test_whiten_identity_at_zero():
     table = anisotropic_gaussian_features(200, 4, seed=1)
     out, record = whiten(table, 0.0)
