@@ -288,45 +288,46 @@ def nw_local_means(queries: np.ndarray, points: np.ndarray, h: float) -> np.ndar
 def _smooth(
     x: np.ndarray,
     support: SupportSet,
-    t: float,
-    sigma: float,
+    t: Union[float, np.ndarray],
+    sigma: Union[float, np.ndarray],
     values: Optional[np.ndarray] = None,
     *,
     neff: bool = False,
 ) -> Union[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Local means under the weights softmax(-||x - t s||^2 / (2 sigma^2)); with `neff`, (means, n_eff).
 
-    `x` is (n, d); the means average the support rows, or the first p columns of
-    `values` (m, p+1, last column ones).  The logits, less the row constant the
-    softmax cancels, are one GEMM of [(x - t c) t / sigma^2, -t^2 / (2 sigma^2)]
-    against the keys about the support mean c, so rounding stays at the scale of
-    the support's spread; at t = 0 they are exactly 0 and the weights uniform.
-    Normalised late: exp in place on the max-shifted logits, one GEMM against the
-    values for the sums and the partition z, then means = sums / z and
-    n_eff = z^2 / sum(e^2).  When `_may_underflow` says a shifted logit can lie
-    below _EXP_FLOOR, the shifted logits are clamped there before exp.  Blocks of at most
-    _BLOCK_ELEMS weights share one buffer per call (calls may run on several
-    threads).  A bandwidth so small that t / sigma^2 or a block's row max is
-    not finite raises NumericalError.
+    `x` is (n, d); `t` and `sigma` are floats or (n, 1) columns of per-row values.  The means
+    average the support rows, or the first p columns of `values` (m, p+1, last column ones).
+    The logits, less the row constant the softmax cancels, are one GEMM of
+    [(x - t c) t / sigma^2, -t^2 / (2 sigma^2)] against the keys about the support mean c, so
+    rounding stays at the scale of the support's spread; at t = 0 they are exactly 0 and the
+    weights uniform.  Normalised late: exp in place on the max-shifted logits, one GEMM against
+    the values for the sums and the partition z, then means = sums / z and n_eff = z^2 / sum(e^2).
+    When `_may_underflow` says a shifted logit can lie below _EXP_FLOOR, the shifted logits are
+    clamped there before exp.  Blocks of at most _BLOCK_ELEMS weights share one buffer per call
+    (calls may run on several threads).  A bandwidth so small that t / sigma^2 or a block's row
+    max is not finite raises NumericalError.
     """
     c, keys, own_values, radius = support._kv
     vals = own_values if values is None else values
-    sq = float(sigma) * float(sigma)  # Python floats: overflow gives inf, not a warning
-    scale = float(t) / sq if sq > 0.0 else np.inf
-    if not np.isfinite(scale):
-        raise NumericalError(f"kernel scale t / sigma^2 overflows at t={t:g}, sigma={sigma:g}")
+    with np.errstate(all="ignore"):  # overflow gives inf, not a warning
+        t, sq = np.asarray(t, dtype=np.float64), np.square(sigma, dtype=np.float64)
+        scale = t / sq
+    if not np.all(np.isfinite(scale)):
+        raise NumericalError(f"kernel scale t / sigma^2 overflows at t={np.max(t):g}, sigma={np.min(sigma):g}")
     n, p = x.shape[0], vals.shape[1] - 1
     xc = x - t * c
     clamp = _may_underflow(xc, t, sq, radius)
-    q = np.column_stack([xc * scale, np.full(n, -0.5 * t * scale)])
+    q = np.concatenate([xc * scale, np.full((n, 1), -0.5) * t * scale], axis=1)
     means, n_eff = np.empty((n, p)), np.empty(n)
     rows = max(1, min(n, _BLOCK_ELEMS // support.m))
-    buf = np.empty((rows, support.m))
+    # Column-major for small supports: the row max and the shift sweep contiguous columns.
+    buf = np.empty((rows, support.m), order="F" if support.m**2 < _BLOCK_ELEMS else "C")
     for lo in range(0, n, rows):
         e = np.matmul(q[lo : lo + rows], keys.T, out=buf[: min(rows, n - lo)])
         top = np.max(e, axis=1, keepdims=True)
         if not np.all(np.isfinite(top)):
-            raise NumericalError(f"kernel logits are not finite at t={t:g}, sigma={sigma:g}")
+            raise NumericalError(f"kernel logits are not finite at t={np.max(t):g}, sigma={np.min(sigma):g}")
         e -= top
         if clamp:
             np.maximum(e, _EXP_FLOOR, out=e)
@@ -338,17 +339,17 @@ def _smooth(
     return (means, n_eff) if neff else means
 
 
-def _may_underflow(xc: np.ndarray, t: float, sq: float, radius: float) -> bool:
+def _may_underflow(xc: np.ndarray, t: np.ndarray, sq: np.ndarray, radius: float) -> bool:
     """Whether a max-shifted logit of the rows xc = x - t c can lie below _EXP_FLOOR.
 
     Every logit -||x - t s_j||^2 / (2 sigma^2) is <= 0, so the shifted logit is
-    at least the logit itself, and by the triangle inequality
-    ||x - t s_j|| <= ||x - t c|| + t R with R = max_j ||s_j - c||.  `sq` is sigma^2.
+    at least the logit itself, and by the triangle inequality ||x - t s_j|| <= ||x - t c|| + t R
+    with R = max_j ||s_j - c||.  `sq` is sigma^2; of columns, the largest t and least sq bound all.
     """
     if xc.shape[0] == 0:
         return False
-    reach = float(np.sqrt(np.einsum("ij,ij->i", xc, xc).max())) + t * radius
-    return reach * reach / (2.0 * sq) > -_EXP_FLOOR
+    reach = float(np.sqrt(np.einsum("ij,ij->i", xc, xc).max())) + float(np.max(t)) * radius
+    return reach * reach / (2.0 * float(np.min(sq))) > -_EXP_FLOOR
 
 
 def _logsumexp(a: np.ndarray) -> float:

@@ -139,7 +139,7 @@ def c2st_1nn(X: np.ndarray, Y: np.ndarray) -> float:
     if n < 10:
         raise ConfigError("need at least 10 points per sample")
     pooled = np.vstack([X, Y])
-    pt, labels = np.ascontiguousarray(pooled.T), np.repeat([0, 1], n)
+    pt = np.ascontiguousarray(pooled.T)
     buf = np.empty((min(_BLOCK, 2 * n), 2 * n))  # reused: fresh pages would fault on every block
     total = 0.0
     for lo in range(0, 2 * n, _BLOCK):
@@ -147,8 +147,8 @@ def c2st_1nn(X: np.ndarray, Y: np.ndarray) -> float:
         dist = _sqdist(pooled[lo:hi], pt, buf[: hi - lo])
         dist[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
         ties = dist == dist.min(axis=1, keepdims=True)
-        same = ties & (labels[None, :] == labels[lo:hi, None])
-        total += float(np.sum(same.sum(axis=1) / ties.sum(axis=1)))
+        in_x, in_y = np.count_nonzero(ties[:, :n], axis=1), np.count_nonzero(ties[:, n:], axis=1)
+        total += float(np.sum(np.where(np.arange(lo, hi) < n, in_x, in_y) / (in_x + in_y)))
     return total / (2 * n)
 
 

@@ -2,8 +2,9 @@
 
 Generation draws base noise, integrates each draw forward under a velocity
 field, and returns the endpoint batch.  Reproducibility is anchored in
-per-sample RNG streams keyed by (seed, sample index), so the result is
-bit-identical no matter how many workers integrate the chunks.
+per-sample RNG streams keyed by (seed, sample index), and the batch is cut
+into groups of chunks by its size and the support size alone, so the result
+is bit-identical no matter how many workers integrate the groups.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .kernels import SupportSet, _readonly
+from .kernels import _BLOCK_ELEMS, SupportSet, _readonly
 from .velocity import PluginField, VelocityField
 
 __all__ = [
@@ -31,6 +32,7 @@ __all__ = [
 # Fixed integration chunk; must not depend on the worker count or outputs
 # would change with --jobs.
 _CHUNK = 256
+_GROUP = 8  # most chunks that `integrate` advances in lockstep
 
 
 @dataclass(frozen=True)
@@ -104,54 +106,71 @@ _FACTOR_MIN = 0.2
 _FACTOR_MAX = 5.0
 
 
-def _euler(fieldfn: VelocityField, x0: np.ndarray, n: int) -> np.ndarray:
-    h = 1.0 / n
-    x = np.array(x0, dtype=np.float64)
-    for k in range(n):
-        x = x + h * fieldfn(x, k * h)
-    return x
-
-
-def _rk45(fieldfn: VelocityField, x0: np.ndarray, rk: AdaptiveRK45) -> np.ndarray:
-    x = np.array(x0, dtype=np.float64)
-    t = 0.0
-    h = 0.01
-    stages = np.empty((7,) + x.shape)
-    flat = stages.reshape(7, -1)  # a view: each stage combination is one matmul
-    stages[0] = fieldfn(x, t)
-    for _ in range(rk.max_steps):
-        h = min(h, 1.0 - t)
-        for i in range(1, 7):
-            xi = x + h * (_DP_A[i] @ flat[:i]).reshape(x.shape)
-            stages[i] = fieldfn(xi, min(t + _DP_C[i] * h, 1.0))
-        x5 = xi
-        x4 = x + h * (_DP_B4 @ flat).reshape(x.shape)
-        if not np.all(np.isfinite(x5)):
-            raise NumericalError("integration state became non-finite")
-        scale = rk.atol + rk.rtol * np.maximum(np.abs(x), np.abs(x5))
-        err = float(np.sqrt(np.mean(((x5 - x4) / scale) ** 2)))
-        if err <= 1.0:
-            t = t + h
-            x = x5
-            if t >= 1.0:
-                return x
-            stages[0] = stages[6]  # f(x5, t + h); a rejected step keeps stages[0]
-        factor = _FACTOR_MAX if err == 0.0 else _SAFETY * err ** -0.2
-        h = h * min(_FACTOR_MAX, max(_FACTOR_MIN, factor))
-    raise NumericalError(f"exceeded {rk.max_steps} steps before reaching t = 1")
+def _groups(fieldfn: VelocityField, x0: np.ndarray) -> list[np.ndarray]:
+    """Runs of up to _GROUP chunks, fewer where a weight block (rows x m) would pass _BLOCK_ELEMS;
+    OpenBLAS rounds a GEMM row differently in other batch shapes, so only n and m decide them."""
+    m = getattr(getattr(fieldfn, "support", None), "m", 1)
+    rows = _CHUNK * max(1, min(_GROUP, _BLOCK_ELEMS // (_CHUNK * m)))
+    return [x0] if x0.ndim == 1 else [x0[lo : lo + rows] for lo in range(0, len(x0), rows)]
 
 
 def integrate(fieldfn: VelocityField, x0: np.ndarray, method: Euler | AdaptiveRK45) -> np.ndarray:
     """Integrate dx/dt = field(x, t) from t = 0 to t = 1.
 
-    Accepts a single state (d,) or a stacked batch (n, d); a batch is
-    treated as one large system, so under RK45 the step sequence is shared
-    across its rows.
+    Accepts a single state (d,) or a stacked batch (n, d).  The 256-row chunks of a group
+    (`_groups`) advance in lockstep: a solver stage is one field call over the group's running
+    chunks, with t an (n, 1) column where their times differ; Euler steps share one t.  RK45
+    step control is per 256-row chunk: each keeps its own t, step size, error norm,
+    accept/reject and max_steps budget, so its steps do not depend on the rest of the batch.
     """
     x0 = np.asarray(x0, dtype=np.float64)
+    done = [_lockstep(fieldfn, g, method) for g in _groups(fieldfn, x0)]
+    return done[0] if len(done) == 1 else np.vstack(done or [x0])  # an empty batch has no group
+
+
+def _lockstep(fieldfn: VelocityField, x0: np.ndarray, method: Euler | AdaptiveRK45) -> np.ndarray:
+    """`integrate` on one group; a chunk that reaches t = 1 leaves the group's arrays."""
+    x = np.array(x0, dtype=np.float64)
     if isinstance(method, Euler):
-        return _euler(fieldfn, x0, method.n_steps)
-    return _rk45(fieldfn, x0, method)
+        h = 1.0 / method.n_steps
+        for k in range(method.n_steps):
+            x = x + h * fieldfn(x, k * h)
+        return x
+    x = np.atleast_2d(x)
+    out, at = np.empty_like(x), np.arange(len(x))  # at: each running row's place in `out`
+    sizes = [min(_CHUNK, len(x) - lo) for lo in range(0, len(x), _CHUNK)]  # running chunks
+    t, h = [0.0] * len(sizes), [0.01] * len(sizes)  # per running chunk, as Python floats
+    stages = np.empty((7,) + x.shape)
+    stages[0] = fieldfn(x, 0.0)
+    for _ in range(method.max_steps):
+        h = [min(hc, 1.0 - tc) for hc, tc in zip(h, t)]
+        step, flat = np.repeat(h, sizes)[:, None], stages.reshape(7, -1)  # a view: one matmul per sum
+        for i in range(1, 7):
+            xi = x + step * (_DP_A[i] @ flat[:i]).reshape(x.shape)
+            ts = [min(tc + _DP_C[i] * hc, 1.0) for tc, hc in zip(t, h)]
+            ts = ts[0] if ts.count(ts[0]) == len(ts) else np.repeat(ts, sizes)[:, None]
+            stages[i] = fieldfn(xi, ts)
+        x4 = x + step * (_DP_B4 @ flat).reshape(x.shape)
+        if not np.all(np.isfinite(xi)):
+            raise NumericalError("integration state became non-finite")
+        ratio = ((xi - x4) / (method.atol + method.rtol * np.maximum(np.abs(x), np.abs(xi)))) ** 2
+        for c, lo in enumerate(np.cumsum([0] + sizes[:-1]).tolist()):
+            rows = slice(lo, lo + sizes[c])
+            err = float(np.sqrt(np.mean(ratio[rows])))
+            if err <= 1.0:  # x5 is the last stage's state; stage 6 is f(x5, t + h)
+                t[c] = t[c] + h[c]
+                x[rows], stages[0, rows] = xi[rows], stages[6, rows]
+            factor = _FACTOR_MAX if err == 0.0 else _SAFETY * err ** -0.2
+            h[c] = h[c] * min(_FACTOR_MAX, max(_FACTOR_MIN, factor))
+        if max(t) >= 1.0:  # finished chunks leave the group
+            run = [tc < 1.0 for tc in t]
+            keep = np.repeat(run, sizes)
+            out[at[~keep]] = x[~keep]
+            if not any(run):
+                return out.reshape(x0.shape)
+            sizes, t, h = ([v for v, r in zip(u, run) if r] for u in (sizes, t, h))
+            x, at, stages = x[keep], at[keep], stages.compress(keep, axis=1)  # C order for `flat`
+    raise NumericalError(f"exceeded {method.max_steps} steps before reaching t = 1")
 
 
 # SeedSequence's entropy hash (numpy/random/bit_generator.pyx) and PCG64's
@@ -255,8 +274,10 @@ def generate(
 
     The base law is N(0, I) for an isotropic field and N(0, M^-1) for a field
     with metric M.  Base draws come from per-sample streams keyed by (seed,
-    index); chunks of fixed size are integrated independently on `jobs` >= 1
-    threads, so results do not depend on the worker count.
+    index).  The groups of chunks that `integrate` advances in lockstep are
+    integrated independently on `jobs` >= 1 threads; they depend on n and the
+    support size only, so the samples do not depend on the worker count and
+    equal `integrate` of the base draws.
     """
     if n < 1:
         raise ConfigError(f"need n >= 1 samples, got {n}")
@@ -264,9 +285,8 @@ def generate(
         raise ConfigError(f"need jobs >= 1 worker threads, got {jobs}")
     d = field.support.d
     x0 = _base_draws(n, d, seed, field.chol)
-    chunks = [x0[lo : lo + _CHUNK] for lo in range(0, n, _CHUNK)]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        done = list(pool.map(lambda c: integrate(field, c, method), chunks))
+        done = list(pool.map(lambda g: integrate(field, g, method), _groups(field, x0)))
     meta = {
         "seed": seed,
         "n": n,

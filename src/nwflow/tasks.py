@@ -483,12 +483,15 @@ def _fmt(v: object) -> str:
 def write_csv(
     path: str, rows: Iterable[Sequence[object]], header: Optional[Sequence[str]] = None
 ) -> None:
-    """Write rows as comma-separated lines, after an optional header line."""
+    """Write rows as comma-separated lines after an optional header; a float64 matrix row by row."""
     with open(path, "w", encoding="utf-8") as fh:
         if header is not None:
             fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(map(_fmt, row)) + "\n")
+        if isinstance(rows, np.ndarray) and rows.dtype == np.float64 and rows.ndim == 2:
+            line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+            fh.writelines(line % tuple(row) for row in map(np.ndarray.tolist, rows))
+        else:
+            fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
 
 
 def _json_scalar(obj: object):

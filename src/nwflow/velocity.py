@@ -19,7 +19,7 @@ exactly at zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -47,9 +47,10 @@ __all__ = [
     "logit_rank",
 ]
 
-# Evaluation contract shared by every concrete field: (x, t) -> v, where x is
-# a single point (d,) or a batch (n, d) and t is a float in [0, 1].
-VelocityField = Callable[[np.ndarray, float], np.ndarray]
+# Evaluation contract shared by every concrete field: (x, t) -> v, where x is a single point
+# (d,) or a batch (n, d) and t is a float in [0, 1] or, for a batch, an (n, 1) column of
+# per-row times (`integrate` passes one when the chunks it advances together differ in t).
+VelocityField = Callable[[np.ndarray, Union[float, np.ndarray]], np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,7 +77,7 @@ class PluginField:
         object.__setattr__(self, "chol", chol)
         object.__setattr__(self, "_chol_support", chol_support)
 
-    def __call__(self, x: np.ndarray, t: float) -> np.ndarray:
+    def __call__(self, x: np.ndarray, t: Union[float, np.ndarray]) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if not np.all(np.isfinite(x)):
             raise NumericalError("velocity evaluated at a non-finite state")

@@ -236,14 +236,16 @@ def test_c2st_matches_dense_cdist_reference(d):
     rng = np.random.default_rng(10 + d)
     x = _with_duplicates(rng, 700, d)
     y = np.vstack([x[:200], _with_duplicates(rng, 500, d)])
-    pooled = np.vstack([x, y])
-    dist = cdist(pooled, pooled, "sqeuclidean")
-    np.fill_diagonal(dist, np.inf)
-    ties = dist == dist.min(axis=1)[:, None]
-    labels = np.repeat([0, 1], 700)
-    same = ties & (labels[None, :] == labels[:, None])
-    want = float(np.mean(same.sum(axis=1) / ties.sum(axis=1)))
-    assert c2st_1nn(x, y) == pytest.approx(want, abs=1e-15)
+    # The second input is rounded to 0.1, so many distances tie exactly.
+    for x, y in ((x, y), (np.round(x, 1), np.round(y, 1))):
+        pooled = np.vstack([x, y])
+        dist = cdist(pooled, pooled, "sqeuclidean")
+        np.fill_diagonal(dist, np.inf)
+        ties = dist == dist.min(axis=1)[:, None]
+        labels = np.repeat([0, 1], 700)
+        same = ties & (labels[None, :] == labels[:, None])
+        want = float(np.mean(same.sum(axis=1) / ties.sum(axis=1)))
+        assert c2st_1nn(x, y) == pytest.approx(want, abs=1e-15)
 
 
 def test_c2st_separable():

@@ -11,6 +11,7 @@ from nwflow.ode import (
     _FACTOR_MAX,
     _FACTOR_MIN,
     _SAFETY,
+    _groups,
     AdaptiveRK45,
     Euler,
     generate,
@@ -167,6 +168,21 @@ def test_generate_deterministic_and_jobs_invariant():
     assert np.array_equal(a.samples, c.samples)
     d_ = generate(fld, 300, seed=8)
     assert not np.array_equal(a.samples, d_.samples)
+    # RK45 over 1100 rows: four 256-row chunks and a ragged 76-row one, finishing
+    # on different attempts.  m = 50 is one group of five chunks (column-major
+    # weights); m = 2000 is groups of two chunks (row-major weights).
+    rk = AdaptiveRK45(rtol=1e-3, atol=1e-5)
+    for m, groups in ((50, 1), (2000, 3)):
+        fld, x0 = _plugin(seed=m, m=m), _base_draws(1100, 2, 9, None)
+        assert len(_groups(fld, x0)) == groups
+        want = integrate(fld, x0, rk)
+        for jobs in (1, 2, 3):
+            assert np.array_equal(generate(fld, 1100, seed=9, method=rk, jobs=jobs).samples, want)
+        # Each chunk keeps its own steps: integrated alone it differs only by
+        # the rounding of the field's matrix products in other batch shapes.
+        alone = np.vstack([integrate(fld, c, rk) for c in np.split(x0, range(256, 1100, 256))])
+        assert np.max(np.abs(alone - want)) <= 1e-10
+    assert integrate(fld, np.empty((0, 2)), rk).shape == (0, 2)  # no chunk, no group
 
 
 def test_generate_single_point_endpoint_law():

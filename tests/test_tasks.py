@@ -19,6 +19,7 @@ from nwflow.tasks import (
     save_feature_table,
     split_table,
     whiten,
+    write_csv,
 )
 
 
@@ -213,6 +214,24 @@ def test_csv_roundtrip(tmp_path):
     named = load_feature_table(path2, "csv")
     assert named.names == ("a", "b")
     assert named.rows.shape == (1, 2)
+
+
+def test_write_csv_float_array_bytes_match_per_value_format(tmp_path):
+    """A float64 array's row-at-a-time path writes the bytes `_fmt` writes value by value."""
+    rng = np.random.default_rng(20)
+    big = np.finfo(np.float64).max
+    special = [-0.0, 0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e16, -1e16,
+               1e17, 0.1, 1.0 / 3.0, big, -big, np.inf, -np.inf, np.nan]
+    # Random bit patterns cover every exponent, subnormals and NaN payloads.
+    fuzz = rng.integers(0, 2**64, size=2000, dtype=np.uint64).view(np.float64)
+    values = np.concatenate([special, fuzz, rng.normal(size=400) * 10.0 ** rng.integers(-20, 20, 400)])
+    for d in (1, 2, 16):
+        arr = values[: len(values) // d * d].reshape(-1, d)
+        fast, ref = os.path.join(tmp_path, "fast.csv"), os.path.join(tmp_path, "ref.csv")
+        write_csv(fast, arr, header=[f"c{j}" for j in range(d)])
+        write_csv(ref, arr.tolist(), header=[f"c{j}" for j in range(d)])  # lists go through _fmt
+        with open(fast, "rb") as a, open(ref, "rb") as b:
+            assert a.read() == b.read()
 
 
 def test_csv_errors(tmp_path):

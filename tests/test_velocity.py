@@ -194,6 +194,31 @@ def test_exp_floor_keeps_the_bits_where_it_fires(monkeypatch, m, d):
         assert np.max(np.abs(attn - got[2])) <= 1e-10
 
 
+@pytest.mark.parametrize("m", [50, 2000])  # column-major and row-major weight blocks
+def test_per_row_time_column_matches_scalar_time_per_chunk(m):
+    """One call with an (n, 1) column of per-row times, as `integrate` makes for chunks at
+    different times, gives each chunk the field of a scalar-t call on that chunk alone.
+
+    The calls differ only in how the matrix products round a row in batches of
+    other shapes, so the bound is relative to the local means m = sigma u + (1 - sigma_min) x,
+    which u divides by sigma."""
+    rng = np.random.default_rng(m)
+    support = SupportSet(2.0 * rng.normal(size=(m, 2)))
+    a = rng.normal(size=(2, 2))
+    times, sizes = (0.0, 0.3, 0.97, 1.0), (256, 256, 256, 76)
+    x = np.vstack([
+        t * support.points[rng.integers(m, size=k)] + SCHED.sigma(t) * rng.standard_normal((k, 2))
+        for t, k in zip(times, sizes)
+    ])
+    column = np.repeat(times, sizes)[:, None]
+    for fld in (PluginField(support, SCHED), PluginField(support, SCHED, a @ a.T + 0.5 * np.eye(2))):
+        got = np.split(fld(x, column), np.cumsum(sizes)[:-1])
+        for g, rows, t in zip(got, np.split(x, np.cumsum(sizes)[:-1]), times):
+            want, sig = fld(rows, t), SCHED.sigma(t)
+            means = sig * want + (1.0 - SCHED.sigma_min) * rows
+            assert sig * np.max(np.abs(g - want)) <= 1e-15 * np.max(np.abs(means))
+
+
 def test_field_memory_is_bounded_by_the_block_budget():
     import tracemalloc
 
