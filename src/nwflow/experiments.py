@@ -302,10 +302,10 @@ def exp_variance_scaling(
         spec = family_cls(d=d, seed=seed)
         ref = sample_task(spec, m_ref, 50_000 + seed)
         queries = sample_task(spec, n_queries, 60_000 + seed)
-        for m in m_grid:
-            h = float(m) ** (-1.0 / (4 + d))
+        hs = [float(m) ** (-1.0 / (4 + d)) for m in m_grid]
+        for m, h, ref_means in zip(m_grid, hs, nw_local_means(queries, ref, hs)):
             sm = sample_task(spec, int(m), 70_000 + 1000 * seed + int(m))
-            gap = nw_local_means(queries, sm, h) - nw_local_means(queries, ref, h)
+            gap = nw_local_means(queries, sm, h) - ref_means
             v = float(np.mean(np.sum(gap * gap, axis=1)))
             vals[int(m)].append(v)
             rows.append({"family": family, "d": d, "seed": seed, "m": int(m), "h": h, "value": v})
@@ -515,7 +515,7 @@ def exp_sphere_rate(
             support, values = SupportSet(design), np.column_stack([y, np.ones(m)])
             # On the unit sphere kappa cos = kappa - kappa ||x - s||^2 / 2: the vMF smoother
             # is the core's Gaussian smoother at sigma^2 = 1 / kappa and t = 1.
-            est = [_smooth(queries, support, 1.0, k ** -0.5, values)[:, 0] for k in kappas(m)]
+            est = _smooth(queries, support, 1.0, [k ** -0.5 for k in kappas(m)], values)[:, :, 0]
             out.append([float(np.mean((e - queries[:, 0]) ** 2)) for e in est])
         return out
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -33,7 +33,6 @@ __all__ = [
     "nw_local_means",
     "kde_descaled_log_density",
     "kde_descaled_score",
-    "low_rank_metric",
 ]
 
 _UNIT_NORM_TOL = 1e-9
@@ -42,6 +41,9 @@ _UNIT_NORM_TOL = 1e-9
 # rows per block follow from the support size alone, so memory is O(block * m)
 # whatever the number of queries and the dimension.
 _BLOCK_ELEMS = 1 << 20
+
+# Weights per column tile at several bandwidths: 0.8 MB of float64, inside a 2 MB L2.
+_TILE_ELEMS = 100_000
 
 # Floor for the smoother's max-shifted logits.  numpy's SIMD exp leaves its
 # fast path between -708 and -700, where its result stops being a normal
@@ -273,70 +275,81 @@ def local_mean(
     return w @ values
 
 
-def nw_local_means(queries: np.ndarray, points: np.ndarray, h: float) -> np.ndarray:
-    """Batched isotropic local means at bandwidth h over a (possibly huge) support.
+def nw_local_means(queries: np.ndarray, points: np.ndarray, h: Union[float, Sequence[float]]) -> np.ndarray:
+    """Isotropic local means over a (possibly huge) support: (n, d) at a float h, (k, n, d) at k bandwidths.
 
-    Used by the variance-scaling experiment where the reference support runs
-    to tens of thousands of rows; memory stays O(block * m).  A negative or
-    NaN bandwidth is a ValueError.
+    Used by the variance-scaling experiment, whose reference support runs to tens of thousands
+    of rows; memory stays O(block * m), and k bandwidths share one logit GEMM.  A negative or
+    NaN bandwidth, or an empty sequence, is a ValueError.
     """
-    if not h >= 0.0:
-        raise ValueError(f"bandwidth must be non-negative, got {h!r}")
-    return _smooth(np.atleast_2d(np.asarray(queries, dtype=np.float64)), SupportSet(points), 1.0, h)
+    hs = np.asarray(h, dtype=np.float64)
+    if hs.ndim > 1 or hs.size == 0 or not np.all(hs >= 0.0):
+        raise ValueError(f"bandwidth must be non-negative (a float or a nonempty 1-D sequence), got {h!r}")
+    return _smooth(np.atleast_2d(np.asarray(queries, dtype=np.float64)), SupportSet(points), 1.0, hs)
 
 
 def _smooth(
     x: np.ndarray,
     support: SupportSet,
     t: Union[float, np.ndarray],
-    sigma: Union[float, np.ndarray],
+    sigma: Union[float, Sequence[float], np.ndarray],
     values: Optional[np.ndarray] = None,
     *,
     neff: bool = False,
 ) -> Union[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Local means under the weights softmax(-||x - t s||^2 / (2 sigma^2)); with `neff`, (means, n_eff).
 
-    `x` is (n, d); `t` and `sigma` are floats or (n, 1) columns of per-row values.  The means
-    average the support rows, or the first p columns of `values` (m, p+1, last column ones).
-    The logits, less the row constant the softmax cancels, are one GEMM of
-    [(x - t c) t / sigma^2, -t^2 / (2 sigma^2)] against the keys about the support mean c, so
-    rounding stays at the scale of the support's spread; at t = 0 they are exactly 0 and the
-    weights uniform.  Normalised late: exp in place on the max-shifted logits, one GEMM against
-    the values for the sums and the partition z, then means = sums / z and n_eff = z^2 / sum(e^2).
-    When `_may_underflow` says a shifted logit can lie below _EXP_FLOOR, the shifted logits are
-    clamped there before exp.  Blocks of at most _BLOCK_ELEMS weights share one buffer per call
-    (calls may run on several threads).  A bandwidth so small that t / sigma^2 or a block's row
-    max is not finite raises NumericalError.
+    `x` is (n, d); `t` and `sigma` are floats or (n, 1) columns, or `sigma` is a 1-D sequence of k
+    bandwidths at a float t and the results get a leading k axis.  The means average the support
+    rows, or the first p columns of `values` (m, p+1, last column ones).  The logits, less the row
+    constant the softmax cancels, are one GEMM of [(x - t c) t / s0^2, -t^2 / (2 s0^2)] against
+    the keys about the support mean c, at the least sigma s0, so rounding stays at the scale of the
+    support's spread.  Normalised late: per bandwidth, exp of the max-shifted logits times
+    s0^2 / sigma^2 (the row max stays 0, so z >= 1), clamped at _EXP_FLOOR where `_may_underflow`
+    says so, then one GEMM against the values gives the sums and z; means = sums / z and
+    n_eff = z^2 / sum(e^2).  Blocks of at most _BLOCK_ELEMS weights share one buffer per call
+    (calls may run on several threads).  One bandwidth's block is one tile, used in place; with k
+    bandwidths each block goes through a reused tile of about _TILE_ELEMS weights, kept in cache.
+    A bandwidth so small that t / sigma^2 or a block's row max is not finite raises NumericalError.
     """
     c, keys, own_values, radius = support._kv
     vals = own_values if values is None else values
     with np.errstate(all="ignore"):  # overflow gives inf, not a warning
         t, sq = np.asarray(t, dtype=np.float64), np.square(sigma, dtype=np.float64)
-        scale = t / sq
+        sq0 = np.min(sq) if sq.ndim == 1 else sq  # of k bandwidths, the least gives the largest scale
+        scale = t / sq0
     if not np.all(np.isfinite(scale)):
         raise NumericalError(f"kernel scale t / sigma^2 overflows at t={np.max(t):g}, sigma={np.min(sigma):g}")
-    n, p = x.shape[0], vals.shape[1] - 1
+    n, m, p = x.shape[0], support.m, vals.shape[1] - 1
+    ratios = list(np.where(sq == sq0, 1.0, sq0 / sq)) if sq.size > 1 and sq.ndim == 1 else [None]
     xc = x - t * c
     clamp = _may_underflow(xc, t, sq, radius)
     q = np.concatenate([xc * scale, np.full((n, 1), -0.5) * t * scale], axis=1)
-    means, n_eff = np.empty((n, p)), np.empty(n)
-    rows = max(1, min(n, _BLOCK_ELEMS // support.m))
+    means, n_eff = np.empty((len(ratios), n, p)), np.empty((len(ratios), n))
+    rows = max(1, min(n, _BLOCK_ELEMS // m))
     # Column-major for small supports: the row max and the shift sweep contiguous columns.
-    buf = np.empty((rows, support.m), order="F" if support.m**2 < _BLOCK_ELEMS else "C")
+    buf = np.empty((rows, m), order="F" if m**2 < _BLOCK_ELEMS else "C")
+    width = m if ratios[0] is None else max(1, min(m, _TILE_ELEMS // rows))
+    work = None if ratios[0] is None else np.empty_like(buf[:, :width])  # the tile, in buf's order
     for lo in range(0, n, rows):
-        e = np.matmul(q[lo : lo + rows], keys.T, out=buf[: min(rows, n - lo)])
-        top = np.max(e, axis=1, keepdims=True)
+        g = np.matmul(q[lo : lo + rows], keys.T, out=buf[: min(rows, n - lo)])
+        top = np.max(g, axis=1, keepdims=True)
         if not np.all(np.isfinite(top)):
             raise NumericalError(f"kernel logits are not finite at t={np.max(t):g}, sigma={np.min(sigma):g}")
-        e -= top
-        if clamp:
-            np.maximum(e, _EXP_FLOOR, out=e)
-        np.exp(e, out=e)
-        r = e @ vals
-        means[lo : lo + rows] = r[:, :p] / r[:, p:]
-        if neff:
-            n_eff[lo : lo + rows] = r[:, p] ** 2 / np.einsum("ij,ij->i", e, e)
-    return (means, n_eff) if neff else means
+        g -= top
+        for j, ratio in enumerate(ratios):
+            for c0 in range(0, m, width):
+                e = g if ratio is None else np.multiply(g[:, c0 : c0 + width], ratio, out=work[: len(g), : m - c0])
+                if clamp:
+                    np.maximum(e, _EXP_FLOOR, out=e)
+                np.exp(e, out=e)
+                part = (e @ vals[c0 : c0 + width], np.einsum("ij,ij->i", e, e) if neff else 0.0)
+                r, ss = part if c0 == 0 else (r + part[0], ss + part[1])
+            means[j, lo : lo + rows] = r[:, :p] / r[:, p:]
+            if neff:
+                n_eff[j, lo : lo + rows] = r[:, p] ** 2 / ss
+    out = (means, n_eff) if sq.ndim == 1 else (means[0], n_eff[0])
+    return out if neff else out[0]
 
 
 def _may_underflow(xc: np.ndarray, t: np.ndarray, sq: np.ndarray, radius: float) -> bool:
@@ -384,13 +397,3 @@ def kde_descaled_score(x_tilde: np.ndarray, support: SupportSet, h: float) -> np
     x_tilde = _check_query(x_tilde, support.d)
     return (local_mean(x_tilde, support, kernel) - x_tilde) / (h * h)
 
-
-def low_rank_metric(projection: np.ndarray, ridge: float = 1e-8) -> np.ndarray:
-    """SPD metric L'L + ridge*I realizing an r-dimensional projection kernel."""
-    proj = np.asarray(projection, dtype=np.float64)
-    if proj.ndim != 2:
-        raise ConfigError(f"projection must be r x d, got shape {proj.shape}")
-    if not ridge > 0.0:
-        raise ValueError("ridge must be positive to keep the metric definite")
-    d = proj.shape[1]
-    return proj.T @ proj + ridge * np.eye(d)

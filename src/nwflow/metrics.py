@@ -186,10 +186,7 @@ def neff_profile(
         raise ValueError("t grid must lie in (0, 1]")
     if n_queries < 1:
         raise ValueError(f"need n_queries >= 1, got {n_queries}")
-    med = np.empty_like(t_arr)
-    q25 = np.empty_like(t_arr)
-    q75 = np.empty_like(t_arr)
-    hs = np.empty_like(t_arr)
+    med, q25, q75, hs = (np.empty_like(t_arr) for _ in range(4))
     rng = np.random.default_rng(np.random.SeedSequence([11, seed]))
     for i, t in enumerate(t_arr):
         sig = sched.sigma(t)

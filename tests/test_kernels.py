@@ -8,13 +8,13 @@ from nwflow.kernels import (
     Mahalanobis,
     SupportSet,
     Vmf,
+    _TILE_ELEMS,
     _logsumexp,
     _smooth,
     kde_descaled_log_density,
     kde_descaled_score,
     local_mean,
     logits,
-    low_rank_metric,
     nw_local_means,
     nw_weights,
     softmax_weights,
@@ -186,6 +186,39 @@ def test_nw_local_means_matches_per_query_local_mean():
         assert np.array_equal(nw_local_means(queries, pts, 1e-3), pts[nearest])
 
 
+@pytest.mark.parametrize("offset", [0.0, 1e3])
+def test_nw_local_means_at_many_bandwidths_matches_per_query_local_mean(offset):
+    rng = np.random.default_rng(23)
+    n = 40
+    # m = 300 fits one column tile; 2.5 tiles leave a ragged last one.
+    for m in (300, int(2.5 * (_TILE_ELEMS // n))):
+        pts = offset + rng.normal(size=(m, 3))
+        queries = offset + 1.5 * rng.normal(size=(n, 3))
+        support = SupportSet(pts)
+        sqd = ((queries[:, None, :] - pts[None]) ** 2).sum(axis=2)
+        nearest, two = np.argmin(sqd, axis=1), np.sort(sqd, axis=1)[:, :2]
+        # At h = 1e-3, these queries' other weights lie below exp(-745), so they collapse.
+        collapsed = (two[:, 1] - two[:, 0]) / 2e-6 > 745.0
+        assert collapsed.sum() > n // 2
+        # 1e-3: the clamp fires; 1e3: near-uniform weights.
+        for hs in ([1e-3, 0.05, 0.4, 3.0, 1e3], [1e3, 3.0, 0.4, 0.05, 1e-3]):
+            got = nw_local_means(queries, pts, hs)
+            assert got.shape == (len(hs), n, 3)
+            for h, means in zip(hs, got):
+                want = np.stack([local_mean(q, support, IsotropicGaussian(h)) for q in queries])
+                assert np.max(np.abs(means - want)) / np.max(np.abs(want)) <= 1e-12
+            assert np.array_equal(got[hs.index(1e-3)][collapsed], pts[nearest][collapsed])
+
+
+def test_nw_local_means_one_bandwidth_sequence_is_the_float_call():
+    rng = np.random.default_rng(24)
+    queries, pts = rng.normal(size=(30, 4)), rng.normal(size=(70_000, 4))
+    for h in (1e-3, 0.3):
+        got = nw_local_means(queries, pts, [h])
+        assert got.shape == (1, 30, 4)
+        assert got[0].tobytes() == nw_local_means(queries, pts, h).tobytes()
+
+
 @pytest.mark.parametrize("m", [1, 7, 300])
 def test_smoother_neff_matches_per_query_weights(m):
     rng = np.random.default_rng(m)
@@ -201,17 +234,23 @@ def test_smoother_neff_matches_per_query_weights(m):
         assert np.max(np.abs(neff - want) / want) <= 1e-12
         if m == 1:
             assert np.all(neff == 1.0)
+        # k bandwidths in one call: n_eff sums e^2 over the column tiles
+        many = _smooth(x, support, t, [sig, 2.0 * sig], neff=True)
+        for k, s in enumerate((sig, 2.0 * sig)):
+            one = _smooth(x, support, t, s, neff=True)
+            assert np.allclose(many[0][k], one[0], rtol=1e-12, atol=1e-12)
+            assert np.allclose(many[1][k], one[1], rtol=1e-12, atol=0.0)
     assert nw_local_means(np.empty((0, 3)), support.points, 0.5).shape == (0, 3)
 
 
-@pytest.mark.parametrize("h", [-0.5, float("nan")])
+@pytest.mark.parametrize("h", [-0.5, float("nan"), [0.3, -0.5], [0.3, float("nan")], [], [[0.3]]])
 def test_nw_local_means_rejects_negative_or_nan_bandwidth(h):
     rng = np.random.default_rng(5)
     with pytest.raises(ValueError, match="bandwidth must be non-negative"):
         nw_local_means(rng.normal(size=(3, 2)), rng.normal(size=(5, 2)), h)
 
 
-@pytest.mark.parametrize("h", [1e-155, 1e-162, 1e-200, 0.0])
+@pytest.mark.parametrize("h", [1e-155, 1e-162, 1e-200, 0.0, [0.3, 1e-200]])
 def test_smoother_bandwidth_too_small_is_numerical_error(h):
     # 1e-155: t / h^2 overflows to inf; 1e-162 and below: h^2 underflows to 0
     rng = np.random.default_rng(5)
@@ -408,13 +447,3 @@ def test_support_set_validation():
     assert s.m == 2 and s.d == 2
     with pytest.raises(ValueError):
         s.points[0, 0] = 9.0  # frozen storage
-
-
-def test_low_rank_metric():
-    rng = np.random.default_rng(53)
-    proj = rng.normal(size=(2, 6))
-    metric = low_rank_metric(proj, ridge=1e-8)
-    np.linalg.cholesky(metric)  # SPD
-    z = rng.normal(size=6)
-    quad = z @ metric @ z
-    assert quad == pytest.approx(np.sum((proj @ z) ** 2) + 1e-8 * z @ z, rel=1e-10)
