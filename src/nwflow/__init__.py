@@ -20,14 +20,7 @@ from .kernels import (
     nw_weights,
 )
 from .metrics import c2st_1nn, fit_power_law, median_heuristic, mmd2_unbiased, neff_profile
-from .ode import (
-    AdaptiveRK45,
-    Euler,
-    SampleBatch,
-    generate,
-    integrate,
-    kde_direct_sample,
-)
+from .ode import AdaptiveRK45, Euler, generate, integrate, kde_direct_sample
 from .schedule import PathSchedule
 from .tasks import (
     FeatureTable,

@@ -16,6 +16,7 @@ does not read is a configuration error rather than silently ignored.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -95,7 +96,9 @@ def _table_format(args: argparse.Namespace) -> str:
 
 def _support(args: argparse.Namespace):
     if args.features is not None:
+        _reject_set(args, ["task", "task_seed"], "--features")
         return split_table(_load_table(args), args.m, 0, args.seed)[0]
+    _reject_set(args, ["format"], "a run without --features")
     if args.task is None:
         raise ConfigError("need --task or --features")
     task_seed = args.seed if args.task_seed is None else args.task_seed
@@ -122,9 +125,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
     sched = PathSchedule(**_given(args, sigma_min="sigma_min"))
     method = _method(args)
     field = PluginField(support, sched)
-    batch = generate(field, args.n, seed=args.seed, method=method, jobs=args.jobs)
+    samples = generate(field, args.n, seed=args.seed, method=method, jobs=args.jobs)
     write_csv(os.path.join(args.out, "support.csv"), support.points)
-    write_csv(os.path.join(args.out, "samples.csv"), batch.samples)
+    write_csv(os.path.join(args.out, "samples.csv"), samples)
     write_json(
         os.path.join(args.out, "meta.json"),
         {
@@ -133,7 +136,19 @@ def cmd_generate(args: argparse.Namespace) -> int:
             "task": args.task,
             "features": args.features,
             "m": support.m,
-            **batch.meta,
+            "seed": args.seed,
+            "n": args.n,
+            "d": support.d,
+            "integrator": {
+                "method": "rk45" if args.rk45 else "euler",
+                **dataclasses.asdict(method),
+                "t_start": 0.0,
+                "t_end": 1.0,
+            },
+            "base": "isotropic" if field.chol is None else "precision",
+            "rng": "default_rng(SeedSequence([seed, sample_index]))",
+            "support_sha256": support.sha256(),
+            "sigma_min": sched.sigma_min,
         },
     )
     return EXIT_OK
@@ -217,7 +232,10 @@ class _Experiment(NamedTuple):
 
 
 def _whitening_table(args: argparse.Namespace) -> dict:
-    return {} if args.features is None else {"table": _load_table(args)}
+    if args.features is None:
+        _reject_set(args, ["format"], "a run without --features")
+        return {}
+    return {"table": _load_table(args)}
 
 
 EXPERIMENTS = {

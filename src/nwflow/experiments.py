@@ -373,7 +373,7 @@ def exp_endpoint_check(
     for seed in seeds:
         support, _ = make_support_and_eval(Gmm(d=2, seed=seed), m, 0, 20_000 + seed)
         fld = PluginField(support, sched)
-        gen = generate(fld, n, seed=seed, method=Euler(_ENDPOINT_STEPS)).samples
+        gen = generate(fld, n, seed=seed, method=Euler(_ENDPOINT_STEPS))
         ref = kde_direct_sample(support, ref_bandwidth, n, seed=90_000 + seed)
         if mmd_bw is None:
             mmd_bw = median_heuristic(gen, ref)
@@ -449,8 +449,8 @@ def exp_solver_control(
     for seed in seeds:
         support, eval_rows = make_support_and_eval(Gmm(d=2, seed=seed), m, n, 30_000 + seed)
         fld = PluginField(support, sched)
-        gen_e = generate(fld, n, seed=seed).samples
-        gen_r = generate(fld, n, seed=seed, method=rk).samples
+        gen_e = generate(fld, n, seed=seed)
+        gen_r = generate(fld, n, seed=seed, method=rk)
         if mmd_bw is None:
             mmd_bw = median_heuristic(eval_rows, gen_e)
         mmd_e = mmd2_unbiased(gen_e, eval_rows, mmd_bw)
@@ -604,7 +604,7 @@ def exp_whitening_control(
             support, eval_rows = split_table(tab_l, m, n_eval, 40_000 + seed)
             prof = neff_profile(support, sched, [_T_STAR], n_queries=256, seed=seed)
             fld = PluginField(support, sched)
-            gen = generate(fld, n, seed=seed).samples
+            gen = generate(fld, n, seed=seed)
             if mmd_bw is None:
                 mmd_bw = median_heuristic(eval_rows, gen)
             mmd = mmd2_unbiased(gen, eval_rows, mmd_bw)
@@ -676,13 +676,13 @@ def exp_anisotropic_shells(
         spec = Shell(d=d, seed=seed)
         support, eval_rows = make_support_and_eval(spec, m, n, 50_000 + seed)
         iso = PluginField(support, sched)
-        gen_iso = generate(iso, n, seed=seed).samples
+        gen_iso = generate(iso, n, seed=seed)
         if mmd_bw is None:
             mmd_bw = median_heuristic(eval_rows, gen_iso)
         mmd_iso = mmd2_unbiased(gen_iso, eval_rows, mmd_bw)
         for name in _SHELL_METRICS:
             fld = PluginField(support, sched, _shell_metric(name, d))
-            gen_m = generate(fld, n, seed=seed).samples
+            gen_m = generate(fld, n, seed=seed)
             mmd_m = mmd2_unbiased(gen_m, eval_rows, mmd_bw)
             ratio = mmd_iso / mmd_m if mmd_m != 0 else float("inf")
             ratios[name].append(ratio)

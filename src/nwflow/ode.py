@@ -2,28 +2,27 @@
 
 Generation draws base noise, integrates each draw forward under a velocity
 field, and returns the endpoint batch.  Reproducibility is anchored in
-per-sample RNG streams keyed by (seed, sample index), and the batch is cut
-into groups of chunks by its size and the support size alone, so the result
-is bit-identical no matter how many workers integrate the groups.
+per-sample RNG streams keyed by (seed, sample index), and `integrate` cuts the
+batch into groups of chunks by its size and the support size alone, so the
+result is bit-identical no matter how many workers integrate the groups.
 """
 
 from __future__ import annotations
 
 import operator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .kernels import _BLOCK_ELEMS, SupportSet, _readonly
+from .kernels import _BLOCK_ELEMS, SupportSet
 from .velocity import PluginField, VelocityField
 
 __all__ = [
     "Euler",
     "AdaptiveRK45",
-    "SampleBatch",
     "integrate",
     "generate",
     "kde_direct_sample",
@@ -46,9 +45,6 @@ class Euler:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps!r}")
         object.__setattr__(self, "n_steps", int(self.n_steps))
 
-    def describe(self) -> dict:
-        return {"method": "euler", "n_steps": self.n_steps}
-
 
 @dataclass(frozen=True)
 class AdaptiveRK45:
@@ -66,25 +62,6 @@ class AdaptiveRK45:
         object.__setattr__(self, "rtol", float(self.rtol))
         object.__setattr__(self, "atol", float(self.atol))
         object.__setattr__(self, "max_steps", int(self.max_steps))
-
-    def describe(self) -> dict:
-        return {"method": "rk45", "rtol": self.rtol, "atol": self.atol, "max_steps": self.max_steps}
-
-
-@dataclass(frozen=True, eq=False)
-class SampleBatch:
-    """Generated endpoints plus the record needed to regenerate them."""
-
-    samples: np.ndarray
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        s = np.asarray(self.samples, dtype=np.float64)
-        if s.ndim != 2 or s.shape[0] < 1:
-            raise ValueError(f"samples must be a nonempty n x d matrix, got {s.shape}")
-        if not np.all(np.isfinite(s)):
-            raise NumericalError("sample batch contains non-finite values")
-        object.__setattr__(self, "samples", _readonly(s))
 
 
 # Dormand-Prince 5(4) tableau.  Row 6 of A is b5, so the last stage is f at the step's result.
@@ -111,32 +88,43 @@ def _groups(fieldfn: VelocityField, x0: np.ndarray) -> list[np.ndarray]:
     OpenBLAS rounds a GEMM row differently in other batch shapes, so only n and m decide them."""
     m = getattr(getattr(fieldfn, "support", None), "m", 1)
     rows = _CHUNK * max(1, min(_GROUP, _BLOCK_ELEMS // (_CHUNK * m)))
-    return [x0] if x0.ndim == 1 else [x0[lo : lo + rows] for lo in range(0, len(x0), rows)]
+    return [x0[lo : lo + rows] for lo in range(0, len(x0), rows)]
 
 
-def integrate(fieldfn: VelocityField, x0: np.ndarray, method: Euler | AdaptiveRK45) -> np.ndarray:
-    """Integrate dx/dt = field(x, t) from t = 0 to t = 1.
+def integrate(
+    fieldfn: VelocityField, x0: np.ndarray, method: Euler | AdaptiveRK45, jobs: int = 1
+) -> np.ndarray:
+    """Integrate dx/dt = field(x, t) from t = 0 to t = 1 for each row of an (n, d) batch.
 
-    Accepts a single state (d,) or a stacked batch (n, d).  The 256-row chunks of a group
-    (`_groups`) advance in lockstep: a solver stage is one field call over the group's running
-    chunks, with t an (n, 1) column where their times differ; Euler steps share one t.  RK45
-    step control is per 256-row chunk: each keeps its own t, step size, error norm,
-    accept/reject and max_steps budget, so its steps do not depend on the rest of the batch.
+    The batch is cut into groups of 256-row chunks (`_groups`) that `jobs` >= 1 threads
+    integrate independently.  The groups depend on n and the support size only, so the result
+    does not depend on `jobs`.  The chunks of a group advance in lockstep: a solver stage is
+    one field call over the group's running chunks, with t an (n, 1) column where their times
+    differ; Euler steps share one t.  RK45 step control is per 256-row chunk: each keeps its
+    own t, step size, error norm, accept/reject and max_steps budget, so its steps do not
+    depend on the rest of the batch.
     """
     x0 = np.asarray(x0, dtype=np.float64)
-    done = [_lockstep(fieldfn, g, method) for g in _groups(fieldfn, x0)]
-    return done[0] if len(done) == 1 else np.vstack(done or [x0])  # an empty batch has no group
+    if x0.ndim != 2:
+        raise ConfigError(f"integrate takes an (n, d) batch, got shape {x0.shape}")
+    if jobs < 1:
+        raise ConfigError(f"need jobs >= 1 worker threads, got {jobs}")
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        done = list(pool.map(lambda g: _lockstep(fieldfn, g, method), _groups(fieldfn, x0)))
+    x = np.vstack(done or [x0])  # an empty batch has no group
+    if not np.all(np.isfinite(x)):  # the one check on Euler's last step
+        raise NumericalError("integration state became non-finite")
+    return x
 
 
 def _lockstep(fieldfn: VelocityField, x0: np.ndarray, method: Euler | AdaptiveRK45) -> np.ndarray:
     """`integrate` on one group; a chunk that reaches t = 1 leaves the group's arrays."""
-    x = np.array(x0, dtype=np.float64)
+    x = x0.copy()
     if isinstance(method, Euler):
         h = 1.0 / method.n_steps
         for k in range(method.n_steps):
             x = x + h * fieldfn(x, k * h)
         return x
-    x = np.atleast_2d(x)
     out, at = np.empty_like(x), np.arange(len(x))  # at: each running row's place in `out`
     sizes = [min(_CHUNK, len(x) - lo) for lo in range(0, len(x), _CHUNK)]  # running chunks
     t, h = [0.0] * len(sizes), [0.01] * len(sizes)  # per running chunk, as Python floats
@@ -167,7 +155,7 @@ def _lockstep(fieldfn: VelocityField, x0: np.ndarray, method: Euler | AdaptiveRK
             keep = np.repeat(run, sizes)
             out[at[~keep]] = x[~keep]
             if not any(run):
-                return out.reshape(x0.shape)
+                return out
             sizes, t, h = ([v for v, r in zip(u, run) if r] for u in (sizes, t, h))
             x, at, stages = x[keep], at[keep], stages.compress(keep, axis=1)  # C order for `flat`
     raise NumericalError(f"exceeded {method.max_steps} steps before reaching t = 1")
@@ -269,35 +257,16 @@ def generate(
     seed: int,
     method: Euler | AdaptiveRK45 = Euler(100),
     jobs: int = 1,
-) -> SampleBatch:
-    """Draw n base samples from the field's base law and integrate each to t = 1.
+) -> np.ndarray:
+    """n x d endpoints: n base samples from the field's base law, each integrated to t = 1.
 
     The base law is N(0, I) for an isotropic field and N(0, M^-1) for a field
     with metric M.  Base draws come from per-sample streams keyed by (seed,
-    index).  The groups of chunks that `integrate` advances in lockstep are
-    integrated independently on `jobs` >= 1 threads; they depend on n and the
-    support size only, so the samples do not depend on the worker count and
-    equal `integrate` of the base draws.
+    index); `integrate` advances them on `jobs` threads, which change no bit.
     """
     if n < 1:
         raise ConfigError(f"need n >= 1 samples, got {n}")
-    if jobs < 1:
-        raise ConfigError(f"need jobs >= 1 worker threads, got {jobs}")
-    d = field.support.d
-    x0 = _base_draws(n, d, seed, field.chol)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        done = list(pool.map(lambda g: integrate(field, g, method), _groups(field, x0)))
-    meta = {
-        "seed": seed,
-        "n": n,
-        "d": d,
-        "integrator": {**method.describe(), "t_start": 0.0, "t_end": 1.0},
-        "base": "isotropic" if field.chol is None else "precision",
-        "rng": "default_rng(SeedSequence([seed, sample_index]))",
-        "support_sha256": field.support.sha256(),
-        "sigma_min": field.schedule.sigma_min,
-    }
-    return SampleBatch(samples=np.vstack(done), meta=meta)
+    return integrate(field, _base_draws(n, field.support.d, seed, field.chol), method, jobs)
 
 
 def kde_direct_sample(support: SupportSet, bandwidth: float, n: int, seed: int) -> np.ndarray:

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nwflow import __version__
 from nwflow.cli import EXPERIMENTS, main, parse_task
 from nwflow.errors import ConfigError, NumericalError, NwflowError
 from nwflow.kernels import SupportSet, Vmf, logits
@@ -90,6 +91,34 @@ def test_generate_writes_files_and_is_deterministic(tmp_path):
     assert meta["integrator"]["n_steps"] == 100
     samples = np.loadtxt(os.path.join(out1, "samples.csv"), delimiter=",")
     assert samples.shape == (50, 2)
+
+
+def test_generate_meta_json(tmp_path):
+    argv = ["generate", "--task", "gmm2d", "--m", "20", "--n", "30", "--seed", "4", "--sigma-min", "0.05"]
+    runs = {
+        "euler": (["--euler", "7"], {"method": "euler", "n_steps": 7}),
+        "rk45": (["--rk45", "--rtol", "1e-4"],
+                 {"method": "rk45", "rtol": 1e-4, "atol": 1e-7, "max_steps": 100_000}),
+    }
+    for name, (flags, integrator) in runs.items():
+        out = tmp_path / name
+        assert main(argv + flags + ["--out", str(out)]) == 0
+        support = SupportSet(np.loadtxt(out / "support.csv", delimiter=","))
+        assert json.loads(read(str(out / "meta.json"))) == {
+            "command": "generate",
+            "library_version": __version__,
+            "task": "gmm2d",
+            "features": None,
+            "m": 20,
+            "seed": 4,
+            "n": 30,
+            "d": 2,
+            "integrator": {**integrator, "t_start": 0.0, "t_end": 1.0},
+            "base": "isotropic",
+            "rng": "default_rng(SeedSequence([seed, sample_index]))",
+            "support_sha256": support.sha256(),
+            "sigma_min": 0.05,
+        }
 
 
 def test_generate_rejects_bad_m(tmp_path):
@@ -360,9 +389,18 @@ def test_explicit_zero_is_config_error(tmp_path, argv):
         (["experiment", "kde-identity", "--configs", "1"], {"m": 5}),
         (["experiment", "realization-fuzz", "--configs", "1"], {"n-seeds": 2}),
         (["generate", "--task", "gmm2d"], {"rtol": 1e-4}),
+        (["generate", "--task", "gmm2d", "--features", "t.csv"], None),
+        (["generate", "--task-seed", "3", "--features", "t.csv"], None),
+        (["diag-neff", "--task", "gmm2d", "--features", "t.csv"], None),
+        (["generate", "--task", "gmm2d", "--format", "csv"], None),
+        (["diag-neff", "--task", "gmm2d", "--format", "csv"], None),
+        (["experiment", "whitening-control", "--n-seeds", "1", "--format", "csv"], None),
     ],
 )
-def test_unread_flag_exits_2(tmp_path, argv, config):
+def test_unread_flag_exits_2(tmp_path, monkeypatch, argv, config):
+    # t.csv exists, so only the unread flag can make a run exit 2.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.csv").write_text("".join(f"{i},{i % 7}\n" for i in range(60)))
     if config is not None:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))

@@ -27,25 +27,25 @@ def test_euler_exact_on_constants():
     c = np.array([2.0, -1.0])
     field = lambda x, t: c  # noqa: E731
     for n in (1, 7, 100):
-        got = integrate(field, np.zeros(2), Euler(n))
+        got = integrate(field, np.zeros(2)[None], Euler(n))
         assert np.allclose(got, c, rtol=0, atol=1e-12)
-    one = integrate(field, np.zeros(2), Euler(1))
-    assert np.array_equal(one, c)
+    one = integrate(field, np.zeros(2)[None], Euler(1))
+    assert np.array_equal(one[0], c)
 
 
 def test_euler_product_oracle():
     field = lambda x, t: x  # noqa: E731
     for n in (10, 100, 500):
-        got = integrate(field, np.array([1.0]), Euler(n))
-        assert got[0] == pytest.approx((1 + 1 / n) ** n, rel=1e-12)
+        got = integrate(field, np.array([1.0])[None], Euler(n))
+        assert got[0, 0] == pytest.approx((1 + 1 / n) ** n, rel=1e-12)
 
 
 def test_euler_first_order_convergence():
     field = lambda x, t: x  # noqa: E731
     errs = []
     for n in (50, 100, 200, 400):
-        got = integrate(field, np.array([1.0]), Euler(n))
-        errs.append(abs(got[0] - np.e))
+        got = integrate(field, np.array([1.0])[None], Euler(n))
+        errs.append(abs(got[0, 0] - np.e))
     for a, b in zip(errs, errs[1:]):
         assert 0.4 <= b / a <= 0.6  # halves within 20%
 
@@ -53,8 +53,8 @@ def test_euler_first_order_convergence():
 def test_rk45_exponential_oracle():
     field = lambda x, t: x  # noqa: E731
     rk = AdaptiveRK45(rtol=1e-8, atol=1e-10)
-    got = integrate(field, np.array([1.0, 2.0]), rk)
-    assert np.allclose(got, [np.e, 2 * np.e], rtol=1e-6)
+    got = integrate(field, np.array([1.0, 2.0])[None], rk)
+    assert np.allclose(got, [[np.e, 2 * np.e]], rtol=1e-6)
 
 
 def test_rk45_tolerance_monotonicity():
@@ -62,8 +62,8 @@ def test_rk45_tolerance_monotonicity():
     errs = []
     for rtol in (1e-4, 1e-5, 1e-6, 1e-7, 1e-8):
         rk = AdaptiveRK45(rtol=rtol, atol=1e-12)
-        got = integrate(field, np.array([1.0]), rk)
-        errs.append(abs(got[0] - np.e))
+        got = integrate(field, np.array([1.0])[None], rk)
+        errs.append(abs(got[0, 0] - np.e))
     for loose, tight in zip(errs, errs[1:]):
         assert tight <= loose
 
@@ -72,7 +72,7 @@ def test_rk45_step_limit():
     field = lambda x, t: x  # noqa: E731
     rk = AdaptiveRK45(rtol=1e-12, atol=1e-14, max_steps=3)
     with pytest.raises(NumericalError, match="exceeded 3 steps"):
-        integrate(field, np.array([1.0]), rk)
+        integrate(field, np.array([1.0])[None], rk)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the blow-up overflows on purpose
@@ -80,7 +80,15 @@ def test_rk45_blowup_detected():
     field = lambda x, t: x * x * 1e6 + 1e6  # noqa: E731
     rk = AdaptiveRK45(rtol=1e-3, atol=1e-6, max_steps=100_000)
     with pytest.raises(NumericalError, match="non-finite|exceeded"):
-        integrate(field, np.array([1e154]), rk)
+        integrate(field, np.array([1e154])[None], rk)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the last step overflows on purpose
+def test_euler_overflow_on_last_step_detected():
+    # Euler has no per-step check: the end-of-integrate check is the only guard.
+    field = lambda x, t: x * 1e300  # noqa: E731
+    with pytest.raises(NumericalError, match="non-finite"):
+        integrate(field, np.array([[1e10, 1.0]]), Euler(1))
 
 
 class CountingField:
@@ -133,7 +141,7 @@ def test_rk45_first_same_as_last_is_exact():
     cases = [
         (plugin, rng.standard_normal((64, 2)), AdaptiveRK45()),
         (plugin, rng.standard_normal((64, 2)), AdaptiveRK45(rtol=1e-7, atol=1e-9)),
-        (lambda x, t: x, np.array([1.0, 2.0]), AdaptiveRK45(rtol=1e-8, atol=1e-10)),
+        (lambda x, t: x, np.array([1.0, 2.0])[None], AdaptiveRK45(rtol=1e-8, atol=1e-10)),
     ]
     total_rejected = 0
     for fieldfn, x0, rk in cases:
@@ -164,10 +172,10 @@ def test_generate_deterministic_and_jobs_invariant():
     a = generate(fld, 300, seed=7)
     b = generate(fld, 300, seed=7)
     c = generate(fld, 300, seed=7, jobs=4)
-    assert np.array_equal(a.samples, b.samples)
-    assert np.array_equal(a.samples, c.samples)
+    assert np.array_equal(a, b)
+    assert np.array_equal(a, c)
     d_ = generate(fld, 300, seed=8)
-    assert not np.array_equal(a.samples, d_.samples)
+    assert not np.array_equal(a, d_)
     # RK45 over 1100 rows: four 256-row chunks and a ragged 76-row one, finishing
     # on different attempts.  m = 50 is one group of five chunks (column-major
     # weights); m = 2000 is groups of two chunks (row-major weights).
@@ -177,7 +185,7 @@ def test_generate_deterministic_and_jobs_invariant():
         assert len(_groups(fld, x0)) == groups
         want = integrate(fld, x0, rk)
         for jobs in (1, 2, 3):
-            assert np.array_equal(generate(fld, 1100, seed=9, method=rk, jobs=jobs).samples, want)
+            assert np.array_equal(generate(fld, 1100, seed=9, method=rk, jobs=jobs), want)
         # Each chunk keeps its own steps: integrated alone it differs only by
         # the rounding of the field's matrix products in other batch shapes.
         alone = np.vstack([integrate(fld, c, rk) for c in np.split(x0, range(256, 1100, 256))])
@@ -188,9 +196,9 @@ def test_generate_deterministic_and_jobs_invariant():
 def test_generate_single_point_endpoint_law():
     s = np.array([[1.0, -2.0, 0.5]])
     fld = PluginField(SupportSet(s), PathSchedule(0.01))
-    batch = generate(fld, 1000, seed=3, method=Euler(200))
-    mean = batch.samples.mean(axis=0)
-    std = batch.samples.std(axis=0, ddof=1)
+    samples = generate(fld, 1000, seed=3, method=Euler(200))
+    mean = samples.mean(axis=0)
+    std = samples.std(axis=0, ddof=1)
     # endpoint is N(s, sigma_min^2 I) up to discretization; means within
     # 3 * (0.011 / sqrt(1000)) * sqrt(d) per coordinate, stds within 25%
     tol = 3 * (0.011 / np.sqrt(1000)) * np.sqrt(3)
@@ -203,12 +211,18 @@ def test_generate_precision_base_contract():
     support = SupportSet(rng.normal(size=(4, 2)))
     metric = np.array([[2.0, 0.3], [0.3, 1.0]])
     ani = PluginField(support, PathSchedule(0.01), metric)
-    batch = generate(ani, 50, seed=0)
-    assert batch.samples.shape == (50, 2)
-    assert batch.meta["base"] == "precision"
-    assert generate(_plugin(), 10, seed=0).meta["base"] == "isotropic"
+    # generate is integrate of the field's base draws, N(0, M^-1) or N(0, I), at any
+    # worker count; 2100 rows are two groups of chunks.
+    for fld in (ani, _plugin()):
+        x0 = _base_draws(2100, 2, 0, fld.chol)
+        assert len(_groups(fld, x0)) == 2
+        want = integrate(fld, x0, Euler(10))
+        for jobs in (1, 2):
+            assert np.array_equal(generate(fld, 2100, seed=0, method=Euler(10), jobs=jobs), want)
     with pytest.raises(ConfigError, match="need n >= 1 samples"):
         generate(_plugin(), 0, seed=0)
+    with pytest.raises(ConfigError, match=r"\(n, d\) batch"):
+        integrate(ani, np.zeros(2), Euler(10))
 
 
 def test_precision_base_covariance():
@@ -295,21 +309,13 @@ def test_generate_endpoint_vs_euler_step_count():
     from nwflow.metrics import median_heuristic, mmd2_unbiased
 
     fld = _plugin(seed=3, m=20)
-    e = generate(fld, 500, seed=0, method=Euler(100)).samples
-    r = generate(fld, 500, seed=0, method=AdaptiveRK45()).samples
+    e = generate(fld, 500, seed=0, method=Euler(100))
+    r = generate(fld, 500, seed=0, method=AdaptiveRK45())
     bw = median_heuristic(e, r)
     null = mmd2_unbiased(
-        generate(fld, 500, seed=10, method=Euler(100)).samples,
-        generate(fld, 500, seed=11, method=Euler(100)).samples,
+        generate(fld, 500, seed=10, method=Euler(100)),
+        generate(fld, 500, seed=11, method=Euler(100)),
         bw,
     )
     cross = mmd2_unbiased(e, r, bw)
     assert cross <= abs(null) * 10 + 1e-3
-
-
-def test_sample_batch_meta():
-    fld = _plugin(seed=4)
-    batch = generate(fld, 16, seed=5)
-    assert batch.meta["support_sha256"] == fld.support.sha256()
-    assert batch.meta["sigma_min"] == 0.01
-    assert batch.meta["integrator"] == {"method": "euler", "n_steps": 100, "t_start": 0.0, "t_end": 1.0}

@@ -408,7 +408,6 @@ def test_late_time_single_point_closed_form():
 def test_array_records_compare_and_hash_by_identity():
     from nwflow.kernels import Mahalanobis, WeightVector
     from nwflow.metrics import neff_profile
-    from nwflow.ode import generate
     from nwflow.tasks import FeatureTable, whiten
 
     metric = np.eye(1) * 2.0
@@ -417,7 +416,6 @@ def test_array_records_compare_and_hash_by_identity():
         lambda: SupportSet(S12.points),
         lambda: PluginField(S12, SCHED),
         lambda: PluginField(S12, SCHED, metric),
-        lambda: generate(PluginField(S12, SCHED), 3, seed=0),
         lambda: neff_profile(S12, SCHED, t_grid=(0.5,), n_queries=4),
         lambda: FeatureTable(table.rows),
         lambda: whiten(table, 0.5)[1],
