@@ -5,6 +5,8 @@ field, and returns the endpoint batch.  Reproducibility is anchored in
 per-sample RNG streams keyed by (seed, sample index), and `integrate` cuts the
 batch into groups of chunks by its size and the support size alone, so the
 result is bit-identical no matter how many workers integrate the groups.
+The streams are seeded, and a KDE row index drawn, by array arithmetic over
+all rows; only numpy's ziggurat normal runs per row (`_stream_draws`).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -55,8 +57,8 @@ class AdaptiveRK45:
     max_steps: int = 100_000
 
     def __post_init__(self) -> None:
-        if not (float(self.rtol) > 0.0 and float(self.atol) > 0.0):
-            raise ValueError("rtol and atol must be positive")
+        if not (0.0 < float(self.rtol) < np.inf and 0.0 < float(self.atol) < np.inf):
+            raise ValueError(f"rtol and atol must be positive and finite, got {self.rtol!r}, {self.atol!r}")
         if int(self.max_steps) < 1:
             raise ValueError("max_steps must be >= 1")
         object.__setattr__(self, "rtol", float(self.rtol))
@@ -141,7 +143,8 @@ def _lockstep(fieldfn: VelocityField, x0: np.ndarray, method: Euler | AdaptiveRK
         x4 = x + step * (_DP_B4 @ flat).reshape(x.shape)
         if not np.all(np.isfinite(xi)):
             raise NumericalError("integration state became non-finite")
-        ratio = ((xi - x4) / (method.atol + method.rtol * np.maximum(np.abs(x), np.abs(xi)))) ** 2
+        with np.errstate(over="ignore"):  # an infinite error norm rejects the step
+            ratio = ((xi - x4) / (method.atol + method.rtol * np.maximum(np.abs(x), np.abs(xi)))) ** 2
         for c, lo in enumerate(np.cumsum([0] + sizes[:-1]).tolist()):
             rows = slice(lo, lo + sizes[c])
             err = float(np.sqrt(np.mean(ratio[rows])))
@@ -161,17 +164,17 @@ def _lockstep(fieldfn: VelocityField, x0: np.ndarray, method: Euler | AdaptiveRK
     raise NumericalError(f"exceeded {method.max_steps} steps before reaching t = 1")
 
 
-# SeedSequence's entropy hash (numpy/random/bit_generator.pyx) and PCG64's
-# seeding step (pcg64.h), restated so that every per-sample stream can be
-# seeded in one vectorised pass.  The tests compare the result bit for bit
-# with default_rng(SeedSequence([seed, i])).
+# SeedSequence's entropy hash (numpy/random/bit_generator.pyx), PCG64's seeding, step and
+# XSL-RR output (pcg64.h) and Generator.integers' Lemire index (distributions.c), restated as
+# array arithmetic so that the per-sample streams are seeded and indexed in one vectorised
+# pass.  The tests compare the results bit for bit with default_rng(SeedSequence([seed, i])).
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _MIX_HASH = (0x43B0D7E5, 0x931E8875)  # mix_entropy: initial constant, multiplier
 _STATE_HASH = (0x8B51F9DD, 0x58F38DED)  # generate_state: initial constant, multiplier
 _MIX_L = np.uint32(0xCA01F9DD)
 _MIX_R = np.uint32(0x4973F715)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT = (np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645))  # (hi, lo)
+_U32, _LOW32 = np.uint64(32), np.uint64(_MASK32)
 
 
 def _uint32_words(value: int) -> list[int]:
@@ -179,11 +182,7 @@ def _uint32_words(value: int) -> list[int]:
     value = operator.index(value)
     if value < 0:
         raise ValueError(f"seed must be non-negative, got {value}")
-    words = [value & _MASK32]
-    while value > _MASK32:
-        value >>= 32
-        words.append(value & _MASK32)
-    return words
+    return [(value >> s) & _MASK32 for s in range(0, max(value.bit_length(), 1), 32)]
 
 
 def _hasher(const: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -204,11 +203,30 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return r ^ (r >> np.uint32(16))
 
 
-def _sample_streams(seed: int, n: int) -> Iterator[np.random.Generator]:
-    """Yield, for i = 0..n-1, a Generator on the stream of default_rng(SeedSequence([seed, i])).
+def _add128(a: tuple, b: tuple) -> tuple:
+    """a + b mod 2**128 on (hi, lo) uint64 halves."""
+    lo = a[1] + b[1]
+    return a[0] + b[0] + (lo < b[1]), lo
 
-    One Generator is repositioned and yielded each time, so each row must be
-    drawn before the next one is requested.
+
+def _lcg(state: tuple, inc: tuple) -> tuple:
+    """PCG64's step state * mult + inc mod 2**128 on (hi, lo) uint64 halves; the high half
+    of lo * mult_lo (64 x 64 -> 128 bits) is summed from 32-bit halves."""
+    (hi, lo), (m_hi, m_lo) = state, _PCG_MULT
+    a0, a1, b0, b1 = lo & _LOW32, lo >> _U32, m_lo & _LOW32, m_lo >> _U32
+    mid = ((a0 * b0) >> _U32) + ((a1 * b0) & _LOW32) + a0 * b1  # at most 2**64 - 1
+    carry = a1 * b1 + ((a1 * b0) >> _U32) + (mid >> _U32)
+    return _add128((carry + lo * m_hi + hi * m_lo, lo * m_lo), inc)
+
+
+def _stream_draws(seed: int, n: int, d: int, m: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices in [0, m) and (n, d) N(0, I) rows: row i is rng.integers(m), then
+    rng.standard_normal(d), on rng = default_rng(SeedSequence([seed, i])); m = 1 draws no index.
+
+    Vectorised over the rows: the SeedSequence hash, PCG64's seeding and, for m > 1, its first
+    step, XSL-RR output word and Lemire's multiply-shift index.  Per row, one Generator is set
+    to the row's state and draws numpy's ziggurat normal.  A row whose first word Lemire
+    rejects (probability below m / 2**32) is redrawn on the literal stream.
     """
     if n > 1 << 32:
         raise ConfigError(f"at most 2**32 samples per seed, got {n}")
@@ -217,38 +235,44 @@ def _sample_streams(seed: int, n: int) -> Iterator[np.random.Generator]:
     entropy.append(np.arange(n, dtype=np.uint32))
     hashmix = _hasher(*_MIX_HASH)
     pool = [hashmix(entropy[k] if k < len(entropy) else np.zeros(n, np.uint32)) for k in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for src, dst in ((src, dst) for src in range(4) for dst in range(4) if src != dst):
+        pool[dst] = _mix(pool[dst], hashmix(pool[src]))
     for word in entropy[4:]:
         for dst in range(4):
             pool[dst] = _mix(pool[dst], hashmix(word))
     hashmix = _hasher(*_STATE_HASH)
     out = [hashmix(pool[k % 4]).astype(np.uint64) for k in range(8)]
     # generate_state(4, uint64): little-endian pairs of the 8 uint32 words.
-    u64 = [(out[2 * k] | (out[2 * k + 1] << np.uint64(32))).tolist() for k in range(4)]
-    bitgen = np.random.PCG64(0)
-    rng = np.random.Generator(bitgen)
-    state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
-    for s_hi, s_lo, i_hi, i_lo in zip(*u64):
-        # pcg64_set_seed: inc = 2 initseq + 1; state = (inc + initstate) * mult + inc.
-        inc = ((((i_hi << 64) | i_lo) << 1) | 1) & _MASK128
-        pcg_state = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128
-        state["state"] = {"state": pcg_state, "inc": inc}
-        bitgen.state = state
-        yield rng
+    s_hi, s_lo, i_hi, i_lo = (out[2 * k] | (out[2 * k + 1] << _U32) for k in range(4))
+    # pcg64_set_seed: inc = 2 initseq + 1; state = (inc + initstate) * mult + inc.
+    inc = ((i_hi << np.uint64(1)) | (i_lo >> np.uint64(63)), (i_lo << np.uint64(1)) | np.uint64(1))
+    state = _lcg(_add128(inc, (s_hi, s_lo)), inc)
+    idx, redo = np.zeros(n, dtype=np.intp), []
+    if m > 1:  # integers(m): Lemire on the first word's low half; m > 2**32 redraws every row
+        state = (hi, lo) = _lcg(state, inc)
+        rot = hi >> np.uint64(58)  # XSL-RR: rotate hi ^ lo right by the top 6 bits
+        word = ((hi ^ lo) >> rot) | ((hi ^ lo) << ((np.uint64(64) - rot) & np.uint64(63)))
+        prod = (word & _LOW32) * np.uint64(m)
+        idx[:] = prod >> _U32
+        redo = np.flatnonzero(((prod & _LOW32) < (2**32 - m) % m) | (m > 1 << 32)).tolist()
+    z, bitgen = np.empty((n, d)), np.random.PCG64(0)
+    rng, pcg = np.random.Generator(bitgen), {"state": 0, "inc": 0}
+    full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}  # reused; rows refill pcg
+    states, incs = (((hi.astype(object) << 64) | lo.astype(object)).tolist() for hi, lo in (state, inc))
+    for row, pcg["state"], pcg["inc"] in zip(z, states, incs):
+        bitgen.state = full
+        rng.standard_normal(out=row)
+    for i in redo:
+        rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
+        idx[i] = rng.integers(m)
+        rng.standard_normal(out=z[i])
+    return idx, z
 
 
 def _base_draws(n: int, d: int, seed: int, chol: Optional[np.ndarray]) -> np.ndarray:
     """N(0, I) draws, or N(0, M^-1) for the Cholesky factor L of a metric M = L L'."""
-    z = np.empty((n, d))
-    for i, rng in enumerate(_sample_streams(seed, n)):
-        z[i] = rng.standard_normal(d)
-    if chol is None:
-        return z
-    # cov(L^-T z) = (L L')^-1 = M^-1
-    return np.linalg.solve(chol.T, z.T).T
+    z = _stream_draws(seed, n, d)[1]
+    return z if chol is None else np.linalg.solve(chol.T, z.T).T  # cov(L^-T z) = (L L')^-1 = M^-1
 
 
 def generate(
@@ -280,11 +304,7 @@ def kde_direct_sample(support: SupportSet, bandwidth: float, n: int, seed: int) 
         raise ValueError(f"bandwidth must be positive, got {bandwidth!r}")
     if n < 1:
         raise ConfigError(f"need n >= 1 samples, got {n}")
-    idx = np.empty(n, dtype=np.intp)
-    z = np.empty((n, support.d))
-    for i, rng in enumerate(_sample_streams(seed, n)):
-        idx[i] = rng.integers(support.m)
-        z[i] = rng.standard_normal(support.d)
+    idx, z = _stream_draws(seed, n, support.d, support.m)
     rows = support.points[idx] + bandwidth * z
     if not np.all(np.isfinite(rows)):
         raise NumericalError("sample batch contains non-finite values")

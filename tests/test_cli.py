@@ -377,6 +377,19 @@ def test_explicit_zero_is_config_error(tmp_path, argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--task", "gmm2d", "--m", "50", "--n", "10", "--rk45", "--rtol", "inf"],
+        ["experiment", "solver-control", "--m", "10", "--n", "40", "--seeds", "0", "--atol", "inf"],
+    ],
+)
+def test_infinite_rk45_tolerance_exits_2(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert "rtol and atol must be positive and finite" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
     "argv, config",
     [
         (["generate", "--task", "gmm2d", "--rtol", "1e-4"], None),

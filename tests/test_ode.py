@@ -12,6 +12,8 @@ from nwflow.ode import (
     _FACTOR_MIN,
     _SAFETY,
     _groups,
+    _lcg,
+    _stream_draws,
     AdaptiveRK45,
     Euler,
     generate,
@@ -73,6 +75,20 @@ def test_rk45_step_limit():
     rk = AdaptiveRK45(rtol=1e-12, atol=1e-14, max_steps=3)
     with pytest.raises(NumericalError, match="exceeded 3 steps"):
         integrate(field, np.array([1.0])[None], rk)
+
+
+@pytest.mark.parametrize("tol", [{"rtol": np.inf}, {"atol": np.inf}, {"rtol": np.nan}, {"atol": 0.0}])
+def test_rk45_tolerances_must_be_positive_and_finite(tol):
+    with pytest.raises(ValueError, match="positive and finite"):
+        AdaptiveRK45(**tol)
+
+
+def test_rk45_overflowing_error_norm_rejects_without_warning():
+    # At tolerances of 1e-300 the error ratio overflows to inf, which only rejects the step;
+    # the suite turns a leaked RuntimeWarning into an error.
+    rk = AdaptiveRK45(rtol=1e-300, atol=1e-300, max_steps=3)
+    with pytest.raises(NumericalError, match="exceeded 3 steps"):
+        integrate(lambda x, t: np.sin(x) + t, np.array([[0.3, -1.2]]), rk)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the blow-up overflows on purpose
@@ -293,6 +309,41 @@ def test_kde_direct_sample_matches_literal_per_row_streams(seed, m):
         idx = int(rng.integers(m))
         rows.append(support.points[idx] + 0.3 * rng.standard_normal(2))
     assert np.array_equal(kde_direct_sample(support, 0.3, 200, seed=seed), np.stack(rows))
+
+
+def test_kde_direct_sample_rows_do_not_depend_on_n():
+    support = SupportSet(np.random.default_rng(3).normal(size=(50, 2)))
+    many = kde_direct_sample(support, 0.3, 200, seed=90_000)
+    assert np.array_equal(kde_direct_sample(support, 0.3, 1, seed=90_000), many[:1])
+
+
+def test_pcg64_step_matches_python_ints():
+    mult = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+    top = 2**64 - 1
+    words = np.random.default_rng(4).integers(0, 2**64, size=(4, 200), dtype=np.uint64)
+    # Forced carries and wraps: all-ones low halves, high halves or both, in state and inc.
+    words[:, :4] = [[top, 0, top, 5], [top, top, 0, top], [0, top, top, top], [1, top, 3, top]]
+    state, inc = (words[0], words[1]), (words[2], words[3])
+    hi, lo = _lcg(state, inc)
+    for k in range(words.shape[1]):
+        s_k, i_k = (int(words[0, k]) << 64) | int(words[1, k]), (int(words[2, k]) << 64) | int(words[3, k])
+        want = (s_k * mult + i_k) % 2**128
+        assert (int(hi[k]), int(lo[k])) == (want >> 64, want & top)
+
+
+@pytest.mark.parametrize("m", [1, 50, 3 * 2**30])
+def test_stream_row_index_matches_literal_integers(m):
+    n, d, seed = 400, 3, 100_007
+    idx, z = _stream_draws(seed, n, d, m)
+    for i in range(n):
+        rng = _literal_rng(seed, i)
+        assert idx[i] == rng.integers(m)
+        assert np.array_equal(z[i], rng.standard_normal(d))
+    if m == 3 * 2**30:
+        # Lemire rejects a first word whose (low32 * m) mod 2**32 falls below (2**32 - m) mod m,
+        # here about a quarter of them, so the redraw on the literal stream runs.
+        low = [int(_literal_rng(seed, i).bit_generator.random_raw()) & 0xFFFFFFFF for i in range(n)]
+        assert sum((w * m) % 2**32 < (2**32 - m) % m for w in low) > n // 8
 
 
 def test_negative_stream_seed_is_rejected(tmp_path):
