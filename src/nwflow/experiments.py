@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -51,8 +51,10 @@ __all__ = [
 ]
 
 _RNG_NOTE = "numpy default_rng(SeedSequence([...])); all streams derived from echoed seeds"
+_SCHED = PathSchedule()  # every experiment's path schedule, sigma_min included
 
 # Fixed thresholds and calibrated task parameters, echoed in the configs that use them.
+_FUZZ_DIMS = (1, 2, 4, 8, 16)  # realization-fuzz and kde-identity: the drawn dimensions
 _FUZZ_TOL = 1e-10  # realization-fuzz: max |attention - plug-in|
 _KDE_TOL = 1e-12  # kde-identity: max |log mixture - log KDE|
 _KDE_DENSITY_FLOOR = 1e-280  # kde-identity: skip points whose KDE density is below this
@@ -78,6 +80,7 @@ _SPHERE_NOISE = 0.5  # sphere-rate: observation noise std
 _EXPONENT_TOL = 0.15  # sphere-rate: |alpha - target exponent|
 _NEFF_DROP_MIN = 3.0  # whitening-control: n_eff ratio, weakest over strongest whitening
 _SHELL_METRICS = ("identity", "radial-rank1", "random-spd")  # anisotropic-shells: see _shell_metric
+_MMD_BANDWIDTH_RULE = "median heuristic, first seed, shared across seeds"  # without mmd_bandwidth
 
 
 @dataclass
@@ -122,28 +125,31 @@ def _spec_echo(spec: TaskSpec) -> dict:
     return {"family": type(spec).__name__.lower(), **spec.__dict__}
 
 
+def _fuzz_cases(rng: np.random.Generator, n_configs: int) -> Iterator[tuple[int, int, float, SupportSet]]:
+    """n_configs fuzz cases (d, m, t, an m x d N(0, 2^2) support), drawn in this order from rng."""
+    if n_configs < 1:
+        raise ValueError(f"need n_configs >= 1, got {n_configs}")
+    for _ in range(n_configs):
+        d = int(rng.choice(_FUZZ_DIMS))
+        m = int(rng.integers(1, 65))
+        t = float(rng.uniform(1e-3, 1.0))
+        yield d, m, t, SupportSet(rng.normal(0.0, 2.0, (m, d)))
+
+
 def exp_realization_fuzz(n_configs: int = 1000, seed: int = 0) -> RunReport:
     """Fuzz the single-head attention route against the stable plug-in route.
 
     States are drawn from the path marginal, which is where an ODE solver
     actually evaluates the field.
     """
-    if n_configs < 1:
-        raise ValueError(f"need n_configs >= 1, got {n_configs}")
-    sched = PathSchedule()
     rng = np.random.default_rng(np.random.SeedSequence([101, seed]))
-    dims = np.array([1, 2, 4, 8, 16])
     rows = []
     worst = 0.0
-    for i in range(n_configs):
-        d = int(rng.choice(dims))
-        m = int(rng.integers(1, 65))
-        t = float(rng.uniform(1e-3, 1.0))
-        support = SupportSet(rng.normal(0.0, 2.0, (m, d)))
+    for i, (d, m, t, support) in enumerate(_fuzz_cases(rng, n_configs)):
         anchor = support.points[int(rng.integers(m))]
-        x = t * anchor + sched.sigma(t) * rng.standard_normal(d)
-        fld = PluginField(support, sched)
-        dev = float(np.max(np.abs(attention_realized_velocity(support, sched, x, t) - fld(x, t))))
+        x = t * anchor + _SCHED.sigma(t) * rng.standard_normal(d)
+        fld = PluginField(support, _SCHED)
+        dev = float(np.max(np.abs(attention_realized_velocity(support, _SCHED, x, t) - fld(x, t))))
         worst = max(worst, dev)
         rows.append({"config": i, "d": d, "m": m, "t": t, "deviation": dev})
     return RunReport(
@@ -151,9 +157,9 @@ def exp_realization_fuzz(n_configs: int = 1000, seed: int = 0) -> RunReport:
             "realization-fuzz",
             n_configs=n_configs,
             seed=seed,
-            sigma_min=sched.sigma_min,
+            sigma_min=_SCHED.sigma_min,
             t_range=[1e-3, 1.0],
-            dims=dims.tolist(),
+            dims=list(_FUZZ_DIMS),
             m_range=[1, 64],
             tolerance=_FUZZ_TOL,
             query_law="path-marginal",
@@ -171,21 +177,13 @@ def exp_kde_identity(n_configs: int = 200, n_points: int = 16, seed: int = 0) ->
     uses means t*s_i at scale sigma_t plus the d*log(t) Jacobian, the KDE
     uses bandwidth h(t) directly.
     """
-    if n_configs < 1:
-        raise ValueError(f"need n_configs >= 1, got {n_configs}")
-    sched = PathSchedule()
     rng = np.random.default_rng(np.random.SeedSequence([102, seed]))
-    dims = np.array([1, 2, 4, 8, 16])
     rows = []
     worst = 0.0
     checked = 0
-    for i in range(n_configs):
-        d = int(rng.choice(dims))
-        m = int(rng.integers(1, 65))
-        t = float(rng.uniform(1e-3, 1.0))
-        sig = sched.sigma(t)
-        h = sched.bandwidth(t)
-        support = SupportSet(rng.normal(0.0, 2.0, (m, d)))
+    for i, (d, m, t, support) in enumerate(_fuzz_cases(rng, n_configs)):
+        sig = _SCHED.sigma(t)
+        h = _SCHED.bandwidth(t)
         anchors = support.points[rng.integers(m, size=n_points)]
         x_tilde = anchors + h * rng.standard_normal((n_points, d))
         config_worst = 0.0
@@ -210,7 +208,7 @@ def exp_kde_identity(n_configs: int = 200, n_points: int = 16, seed: int = 0) ->
             n_configs=n_configs,
             n_points=n_points,
             seed=seed,
-            sigma_min=sched.sigma_min,
+            sigma_min=_SCHED.sigma_min,
             tolerance=_KDE_TOL,
             density_floor=_KDE_DENSITY_FLOOR,
         ),
@@ -233,7 +231,6 @@ def exp_neff_collapse(
     collapse (about 9 at d=2 down to about 1 at d=16), and the config echoes
     them in full.
     """
-    sched = PathSchedule()
     rows = []
     medians: dict[int, float] = {}
     for d in dims:
@@ -241,7 +238,7 @@ def exp_neff_collapse(
         for seed in seeds:
             spec = Gmm(d=d, **_NEFF_GMM, seed=seed)
             support = SupportSet(sample_task(spec, m, 10_000 + seed))
-            prof = neff_profile(support, sched, [_T_STAR], n_queries=n_queries, seed=seed)
+            prof = neff_profile(support, _SCHED, [_T_STAR], n_queries=n_queries, seed=seed)
             per_seed.append(float(prof.median[0]))
             rows.append({"d": d, "seed": seed, "median_neff": per_seed[-1]})
         medians[d] = float(np.median(per_seed))
@@ -257,7 +254,7 @@ def exp_neff_collapse(
             m=m,
             t_star=_T_STAR,
             n_queries=n_queries,
-            sigma_min=sched.sigma_min,
+            sigma_min=_SCHED.sigma_min,
             gmm=dict(_NEFF_GMM),
             band_low_d=list(_NEFF_BAND_LOW_D),
             band_high_d=list(_NEFF_BAND_HIGH_D),
@@ -343,12 +340,6 @@ def exp_variance_scaling(
     )
 
 
-def _mmd_bandwidth_rule(mmd_bandwidth: Optional[float]) -> str:
-    if mmd_bandwidth is not None:
-        return "explicit override"
-    return "median heuristic, first seed, shared across seeds"
-
-
 def exp_endpoint_check(
     m: int = 50,
     n: int = 2000,
@@ -364,15 +355,14 @@ def exp_endpoint_check(
     share a comparable kernel; the null MMD distribution comes from pairs of
     independent reference draws.
     """
-    sched = PathSchedule()
-    ref_bandwidth = sched.sigma_min * bandwidth_factor
+    ref_bandwidth = _SCHED.sigma_min * bandwidth_factor
     rows = []
     mmd_bw: Optional[float] = mmd_bandwidth
     null_median = null_iqr = None
     all_ok = True
     for seed in seeds:
         support, _ = make_support_and_eval(Gmm(d=2, seed=seed), m, 0, 20_000 + seed)
-        fld = PluginField(support, sched)
+        fld = PluginField(support, _SCHED)
         gen = generate(fld, n, seed=seed, method=Euler(_ENDPOINT_STEPS))
         ref = kde_direct_sample(support, ref_bandwidth, n, seed=90_000 + seed)
         if mmd_bw is None:
@@ -409,13 +399,13 @@ def exp_endpoint_check(
             task={**_spec_echo(Gmm(d=2)), "seed": "per-run-seed"},
             m=m,
             n=n,
-            sigma_min=sched.sigma_min,
+            sigma_min=_SCHED.sigma_min,
             euler_steps=_ENDPOINT_STEPS,
             bandwidth_factor=bandwidth_factor,
             null_pairs=_NULL_PAIRS,
             c2st_band=list(_C2ST_BAND),
             null_iqr_factor=_NULL_IQR_FACTOR,
-            mmd_bandwidth_rule=_mmd_bandwidth_rule(mmd_bandwidth),
+            mmd_bandwidth_rule="explicit override" if mmd_bandwidth is not None else _MMD_BANDWIDTH_RULE,
             c2st_rule="leave-one-out 1-NN substitute for a trained classifier",
         ),
         rows=rows,
@@ -442,13 +432,12 @@ def exp_solver_control(
 
     Each is scored by MMD^2 against held-out draws of the same task.
     """
-    sched = PathSchedule()
     rk = AdaptiveRK45(rtol=rtol, atol=atol)
     rows = []
     mmd_bw: Optional[float] = mmd_bandwidth
     for seed in seeds:
         support, eval_rows = make_support_and_eval(Gmm(d=2, seed=seed), m, n, 30_000 + seed)
-        fld = PluginField(support, sched)
+        fld = PluginField(support, _SCHED)
         gen_e = generate(fld, n, seed=seed)
         gen_r = generate(fld, n, seed=seed, method=rk)
         if mmd_bw is None:
@@ -467,11 +456,11 @@ def exp_solver_control(
             task={**_spec_echo(Gmm(d=2)), "seed": "per-run-seed"},
             m=m,
             n=n,
-            sigma_min=sched.sigma_min,
+            sigma_min=_SCHED.sigma_min,
             rtol=rtol,
             atol=atol,
             rel_tol=_SOLVER_REL_TOL,
-            mmd_bandwidth_rule=_mmd_bandwidth_rule(mmd_bandwidth),
+            mmd_bandwidth_rule="explicit override" if mmd_bandwidth is not None else _MMD_BANDWIDTH_RULE,
         ),
         rows=rows,
         aggregates={"median_rel_change": median_rel, "mmd_bandwidth": mmd_bw},
@@ -591,7 +580,6 @@ def exp_whitening_control(
     if table is None:
         table = anisotropic_gaussian_features(4096, 16, seed=0)
     n_eval = max(0, min(n_eval, table.n - m))
-    sched = PathSchedule()
     rows = []
     neff_by_lam: dict[float, float] = {}
     mmd_by_lam: dict[float, float] = {}
@@ -602,8 +590,8 @@ def exp_whitening_control(
         per_mmd = []
         for seed in seeds:
             support, eval_rows = split_table(tab_l, m, n_eval, 40_000 + seed)
-            prof = neff_profile(support, sched, [_T_STAR], n_queries=256, seed=seed)
-            fld = PluginField(support, sched)
+            prof = neff_profile(support, _SCHED, [_T_STAR], n_queries=256, seed=seed)
+            fld = PluginField(support, _SCHED)
             gen = generate(fld, n, seed=seed)
             if mmd_bw is None:
                 mmd_bw = median_heuristic(eval_rows, gen)
@@ -627,7 +615,7 @@ def exp_whitening_control(
             n=n,
             n_eval=n_eval,
             t_star=_T_STAR,
-            sigma_min=sched.sigma_min,
+            sigma_min=_SCHED.sigma_min,
             table={"n": table.n, "d": table.d, "source": table.source},
             neff_drop_min=_NEFF_DROP_MIN,
             mmd_bandwidth_rule="median heuristic, first run, shared across strengths",
@@ -668,20 +656,19 @@ def exp_anisotropic_shells(
     A fixed global metric cannot track the radial direction around the
     sphere, so no hard criterion applies; the report records MMD ratios.
     """
-    sched = PathSchedule()
     rows = []
     mmd_bw: Optional[float] = None
     ratios: dict[str, list[float]] = {name: [] for name in _SHELL_METRICS}
     for seed in seeds:
         spec = Shell(d=d, seed=seed)
         support, eval_rows = make_support_and_eval(spec, m, n, 50_000 + seed)
-        iso = PluginField(support, sched)
+        iso = PluginField(support, _SCHED)
         gen_iso = generate(iso, n, seed=seed)
         if mmd_bw is None:
             mmd_bw = median_heuristic(eval_rows, gen_iso)
         mmd_iso = mmd2_unbiased(gen_iso, eval_rows, mmd_bw)
         for name in _SHELL_METRICS:
-            fld = PluginField(support, sched, _shell_metric(name, d))
+            fld = PluginField(support, _SCHED, _shell_metric(name, d))
             gen_m = generate(fld, n, seed=seed)
             mmd_m = mmd2_unbiased(gen_m, eval_rows, mmd_bw)
             ratio = mmd_iso / mmd_m if mmd_m != 0 else float("inf")
@@ -702,7 +689,7 @@ def exp_anisotropic_shells(
             d=d,
             m=m,
             n=n,
-            sigma_min=sched.sigma_min,
+            sigma_min=_SCHED.sigma_min,
             metric_names=list(_SHELL_METRICS),
             note="exploratory; no hard pass criterion",
         ),

@@ -34,6 +34,7 @@ __all__ = [
 # would change with --jobs.
 _CHUNK = 256
 _GROUP = 8  # most chunks that `integrate` advances in lockstep
+_RTOL_MIN = 100 * np.finfo(np.float64).eps  # scipy solve_ivp's floor; rounding dominates below it
 
 
 @dataclass(frozen=True)
@@ -57,8 +58,9 @@ class AdaptiveRK45:
     max_steps: int = 100_000
 
     def __post_init__(self) -> None:
-        if not (0.0 < float(self.rtol) < np.inf and 0.0 < float(self.atol) < np.inf):
-            raise ValueError(f"rtol and atol must be positive and finite, got {self.rtol!r}, {self.atol!r}")
+        if not (_RTOL_MIN <= float(self.rtol) < np.inf and 0.0 < float(self.atol) < np.inf):
+            raise ValueError(f"rtol and atol must be positive and finite, and rtol >= {_RTOL_MIN:.3g} "
+                             f"(100 epsilon), got {self.rtol!r}, {self.atol!r}")
         if int(self.max_steps) < 1:
             raise ValueError("max_steps must be >= 1")
         object.__setattr__(self, "rtol", float(self.rtol))

@@ -173,22 +173,16 @@ class FourierDensity:
 
 TaskSpec = Union[Gmm, Shell, Moons, Rings, Spirals, FourierDensity]
 
-_FAMILY_TAGS = {Gmm: 1, Shell: 2, Moons: 3, Rings: 4, Spirals: 5, FourierDensity: 6}
 _TABLE_TAG = 7  # split_table permutes by SeedSequence([7, 0, seed]); --features outputs rely on it
 
 
-def _draw_rng(spec: TaskSpec, seed: int) -> np.random.Generator:
-    tag = _FAMILY_TAGS[type(spec)]
-    return np.random.default_rng(np.random.SeedSequence([tag, spec.seed, seed]))
-
-
-def _instance_rng(spec: TaskSpec) -> np.random.Generator:
-    tag = _FAMILY_TAGS[type(spec)]
-    return np.random.default_rng(np.random.SeedSequence([tag, spec.seed]))
+def _rng(spec: TaskSpec, *draw: int) -> np.random.Generator:
+    """Stream [tag, spec.seed, *draw]: the task instance's without draw, a sample's with its seed."""
+    return np.random.default_rng(np.random.SeedSequence([_FAMILIES[type(spec)][0], spec.seed, *draw]))
 
 
 def _sample_gmm(spec: Gmm, n: int, rng: np.random.Generator) -> np.ndarray:
-    inst = _instance_rng(spec)
+    inst = _rng(spec)
     means = inst.uniform(-spec.separation_scale, spec.separation_scale, (spec.k_components, spec.d))
     stds = np.exp(inst.uniform(np.log(spec.std_lo), np.log(spec.std_hi), spec.k_components))
     comp = rng.integers(spec.k_components, size=n)
@@ -243,7 +237,7 @@ _FOURIER_MARGIN = 0.5  # log-space headroom above the scanned maximum
 
 def _fourier_modes(spec: FourierDensity) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Frequency matrix (n_modes, d) in radians plus cosine/sine coefficients."""
-    inst = _instance_rng(spec)
+    inst = _rng(spec)
     waves = np.zeros((spec.n_modes, spec.d), dtype=np.int64)
     for k in range(spec.n_modes):
         while True:
@@ -304,24 +298,24 @@ def _sample_fourier(
     return out, proposed, filled
 
 
+# spec class -> (SeedSequence tag, sampler); the tags key every family's streams, so they stay fixed
+_FAMILIES = {
+    Gmm: (1, _sample_gmm),
+    Shell: (2, _sample_shell),
+    Moons: (3, _sample_moons),
+    Rings: (4, _sample_rings),
+    Spirals: (5, _sample_spirals),
+    FourierDensity: (6, lambda spec, n, rng: _sample_fourier(spec, n, rng)[0]),
+}
+
+
 def sample_task(spec: TaskSpec, n: int, seed: int) -> np.ndarray:
     """n i.i.d. draws from the task family; deterministic in (spec, n, seed)."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    rng = _draw_rng(spec, seed)
-    if isinstance(spec, Gmm):
-        return _sample_gmm(spec, n, rng)
-    if isinstance(spec, Shell):
-        return _sample_shell(spec, n, rng)
-    if isinstance(spec, Moons):
-        return _sample_moons(spec, n, rng)
-    if isinstance(spec, Rings):
-        return _sample_rings(spec, n, rng)
-    if isinstance(spec, Spirals):
-        return _sample_spirals(spec, n, rng)
-    if isinstance(spec, FourierDensity):
-        return _sample_fourier(spec, n, rng)[0]
-    raise TypeError(f"unknown task spec {spec!r}")
+    if type(spec) not in _FAMILIES:
+        raise TypeError(f"unknown task spec {spec!r}")
+    return _FAMILIES[type(spec)][1](spec, n, _rng(spec, seed))
 
 
 def make_support_and_eval(

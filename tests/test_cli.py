@@ -380,6 +380,9 @@ def test_explicit_zero_is_config_error(tmp_path, argv):
     "argv",
     [
         ["generate", "--task", "gmm2d", "--m", "50", "--n", "10", "--rk45", "--rtol", "inf"],
+        # finite, but below the rtol floor of 100 machine epsilons
+        ["generate", "--task", "gmm2d", "--m", "50", "--n", "10", "--rk45", "--rtol", "1e-300",
+         "--atol", "1e-300"],
         ["experiment", "solver-control", "--m", "10", "--n", "40", "--seeds", "0", "--atol", "inf"],
     ],
 )

@@ -77,18 +77,30 @@ def test_rk45_step_limit():
         integrate(field, np.array([1.0])[None], rk)
 
 
-@pytest.mark.parametrize("tol", [{"rtol": np.inf}, {"atol": np.inf}, {"rtol": np.nan}, {"atol": 0.0}])
+@pytest.mark.parametrize(
+    "tol",
+    [{"rtol": np.inf}, {"atol": np.inf}, {"rtol": np.nan}, {"atol": 0.0},
+     {"rtol": 1e-300}, {"rtol": 1e-15}],
+)
 def test_rk45_tolerances_must_be_positive_and_finite(tol):
     with pytest.raises(ValueError, match="positive and finite"):
         AdaptiveRK45(**tol)
 
 
 def test_rk45_overflowing_error_norm_rejects_without_warning():
-    # At tolerances of 1e-300 the error ratio overflows to inf, which only rejects the step;
-    # the suite turns a leaked RuntimeWarning into an error.
-    rk = AdaptiveRK45(rtol=1e-300, atol=1e-300, max_steps=3)
+    # The field is 0 for the first step's six stages and 1 at its endpoint, so from x0 = 0 that
+    # step's error is 0.01 / 40 against a scale of atol = 1e-300: the squared error ratio
+    # overflows to inf, which only rejects the step.  The suite turns a leaked RuntimeWarning
+    # into an error.
+    calls = []
+
+    def field(x, t):
+        calls.append(t)
+        return np.zeros_like(x) if len(calls) <= 6 else np.ones_like(x)
+
+    rk = AdaptiveRK45(rtol=100 * np.finfo(np.float64).eps, atol=1e-300, max_steps=3)
     with pytest.raises(NumericalError, match="exceeded 3 steps"):
-        integrate(lambda x, t: np.sin(x) + t, np.array([[0.3, -1.2]]), rk)
+        integrate(field, np.zeros((1, 2)), rk)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the blow-up overflows on purpose

@@ -79,11 +79,11 @@ def test_fourier_within_box_and_deterministic():
 def test_fourier_acceptance_matches_prediction():
     # envelope guard: the scan mesh predicts the rejection sampler's acceptance rate
     from nwflow.tasks import (
-        _draw_rng,
         _fourier_bound,
         _fourier_logdens,
         _fourier_modes,
         _fourier_scan_mesh,
+        _rng,
         _sample_fourier,
     )
 
@@ -93,7 +93,7 @@ def test_fourier_acceptance_matches_prediction():
         bound = _fourier_bound(spec, waves, a, b)
         logdens = _fourier_logdens(_fourier_scan_mesh(spec), waves, a, b)
         predicted = float(np.mean(np.exp(logdens - bound)))
-        _, proposed, accepted = _sample_fourier(spec, 4000, _draw_rng(spec, 9))
+        _, proposed, accepted = _sample_fourier(spec, 4000, _rng(spec, 9))
         ratio = accepted / proposed / predicted
         assert 0.5 <= ratio <= 2.0, (d, predicted, accepted / proposed)
 
@@ -116,6 +116,20 @@ def test_make_support_and_eval_streams():
     assert not np.array_equal(sup.points[:50], ev[:50])
     sup1row, _ = make_support_and_eval(spec, 1, 0, 3)
     assert sup1row.m == 1
+
+
+def test_family_stream_tags_cover_taskspec_and_are_distinct():
+    # a repeated tag would make two families share their instance and draw streams silently
+    from typing import get_args
+
+    from nwflow.tasks import _FAMILIES, _TABLE_TAG, TaskSpec
+
+    assert set(_FAMILIES) == set(get_args(TaskSpec))
+    tags = [tag for tag, _ in _FAMILIES.values()]
+    assert len(set(tags)) == len(tags)
+    assert _TABLE_TAG not in tags
+    with pytest.raises(TypeError, match="unknown task spec"):
+        sample_task(object(), 3, 0)
 
 
 def test_external_split_is_disjoint():
