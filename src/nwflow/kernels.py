@@ -37,10 +37,13 @@ __all__ = [
 
 _UNIT_NORM_TOL = 1e-9
 
-# Largest weight block the smoother core materializes (8 MiB of float64).  The
-# rows per block follow from the support size alone, so memory is O(block * m)
-# whatever the number of queries and the dimension.
-_BLOCK_ELEMS = 1 << 20
+# Weight block the smoother core materializes: 2^18 float64 (2 MiB), an L2's worth, in rows
+# set by the support size alone, so memory is O(block) for any number of queries and dimension.
+_BLOCK_ELEMS = 1 << 18
+# Block rows are whole panels of this many: a block edge then cuts a 256-row chunk where a GEMM
+# panel ends, so rows round as in a call on the chunk alone; and at m > 2^14 one panel still
+# spans enough queries that the logit GEMM does not re-pack the keys every few rows.
+_ROWS = 16
 
 # Weights per column tile at several bandwidths: 0.8 MB of float64, inside a 2 MB L2.
 _TILE_ELEMS = 100_000
@@ -307,9 +310,10 @@ def _smooth(
     support's spread.  Normalised late: per bandwidth, exp of the max-shifted logits times
     s0^2 / sigma^2 (the row max stays 0, so z >= 1), clamped at _EXP_FLOOR where `_may_underflow`
     says so, then one GEMM against the values gives the sums and z; means = sums / z and
-    n_eff = z^2 / sum(e^2).  Blocks of at most _BLOCK_ELEMS weights share one buffer per call
-    (calls may run on several threads).  One bandwidth's block is one tile, used in place; with k
-    bandwidths each block goes through a reused tile of about _TILE_ELEMS weights, kept in cache.
+    n_eff = z^2 / sum(e^2).  Blocks of whole _ROWS-row panels, about _BLOCK_ELEMS weights, share
+    one buffer per call (calls may run on several threads).  One bandwidth's block is one tile,
+    used in place; with k bandwidths each block goes through a reused tile of at most _TILE_ELEMS
+    weights, kept in cache.
     A bandwidth so small that t / sigma^2 or a block's row max is not finite raises NumericalError.
     """
     c, keys, own_values, radius = support._kv
@@ -326,10 +330,12 @@ def _smooth(
     clamp = _may_underflow(xc, t, sq, radius)
     q = np.concatenate([xc * scale, np.full((n, 1), -0.5) * t * scale], axis=1)
     means, n_eff = np.empty((len(ratios), n, p)), np.empty((len(ratios), n))
-    rows = max(1, min(n, _BLOCK_ELEMS // m))
+    rows = max(1, min(n, max(_ROWS, _BLOCK_ELEMS // m // _ROWS * _ROWS)))
     # Column-major for small supports: the row max and the shift sweep contiguous columns.
-    buf = np.empty((rows, m), order="F" if m**2 < _BLOCK_ELEMS else "C")
-    width = m if ratios[0] is None else max(1, min(m, _TILE_ELEMS // rows))
+    buf = np.empty((rows, m), order="F" if m < 1024 else "C")
+    # Tile widths follow the rows of a 2^20-weight block, not this block's, so the grouping of
+    # the tile sums, and so the k-bandwidth outputs, do not change with the block size.
+    width = m if ratios[0] is None else max(1, min(m, _TILE_ELEMS // max(rows, min(n, (1 << 20) // m))))
     work = None if ratios[0] is None else np.empty_like(buf[:, :width])  # the tile, in buf's order
     for lo in range(0, n, rows):
         g = np.matmul(q[lo : lo + rows], keys.T, out=buf[: min(rows, n - lo)])

@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .kernels import SupportSet, _smooth
+from .kernels import _EXP_FLOOR, SupportSet, _smooth
 from .schedule import PathSchedule
 
 __all__ = [
@@ -30,14 +30,15 @@ _SLAB = 8
 _HEURISTIC_CAP = 2000
 
 
-def _gauss_sum(q: np.ndarray, k: np.ndarray, buf: np.ndarray, self_pairs: bool) -> float:
+def _gauss_sum(q: np.ndarray, k: np.ndarray, buf: np.ndarray, self_pairs: bool, clamp: bool) -> float:
     """Sum of exp(q_i . k_j) over pairs, one _BLOCK x _BLOCK tile of `buf` at a time.
 
     With self_pairs (q and k must then lift the same sample), only the
     upper-triangle tiles are visited and the sum runs over pairs i != j: a
     diagonal tile drops its diagonal, and an off-diagonal tile stands for
     itself and its transpose.  Without it, the sum runs over the full
-    len(q) x len(k) rectangle, even when both lift the same sample.
+    len(q) x len(k) rectangle, even when both lift the same sample.  With clamp, exponents
+    below _EXP_FLOOR are raised to it first, off numpy's slow subnormal exp path.
     """
     total = 0.0
     for lo in range(0, q.shape[0], _BLOCK):
@@ -45,7 +46,9 @@ def _gauss_sum(q: np.ndarray, k: np.ndarray, buf: np.ndarray, self_pairs: bool) 
         for lo2 in range(lo if self_pairs else 0, k.shape[0], _BLOCK):
             b = k[lo2 : lo2 + _BLOCK]
             tile = np.matmul(a, b.T, out=buf[: a.shape[0] * b.shape[0]].reshape(a.shape[0], b.shape[0]))
-            if self_pairs and lo2 == lo:
+            if clamp:
+                np.maximum(tile, _EXP_FLOOR, out=tile)
+            if self_pairs and lo2 == lo:  # after the clamp, so self pairs still add 0
                 np.fill_diagonal(tile, -np.inf)
             np.exp(tile, out=tile)
             total += (2.0 if self_pairs and lo2 != lo else 1.0) * float(tile.sum())
@@ -75,7 +78,8 @@ def mmd2_unbiased(X: np.ndarray, Y: np.ndarray, bandwidth: float) -> float:
     is inv ||x - y||^2: each kernel tile is one GEMM into one reused buffer, so
     memory stays O(_BLOCK^2) whatever the sample sizes.  The pair is first put
     in a canonical order, by (rows, bytes), so swapping the arguments sums the
-    same tiles in the same order and returns the bitwise-identical value.
+    same tiles in the same order and returns the bitwise-identical value.  Where ||x - y|| <=
+    2 max ||x - c|| lets an exponent fall below _EXP_FLOOR, tiles are clamped at it (< 1e-304 each).
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
@@ -93,10 +97,10 @@ def mmd2_unbiased(X: np.ndarray, Y: np.ndarray, bandwidth: float) -> float:
     z -= z.mean(axis=0)
     r2, one, p = np.einsum("ij,ij->i", z, z), np.ones(n + np_), len(P)
     q, k = np.column_stack([(-2.0 * inv) * z, inv * r2, inv * one]), np.column_stack([z, one, r2])
-    buf = np.empty(_BLOCK * _BLOCK)
-    a = _gauss_sum(q[:p], k[:p], buf, True) / (p * (p - 1))
-    b = _gauss_sum(q[p:], k[p:], buf, True) / (len(Q) * (len(Q) - 1))
-    return a + b - 2.0 * _gauss_sum(q[:p], k[p:], buf, False) / (n * np_)
+    buf, clamp = np.empty(_BLOCK * _BLOCK), 4.0 * inv * float(r2.max()) < _EXP_FLOOR
+    a = _gauss_sum(q[:p], k[:p], buf, True, clamp) / (p * (p - 1))
+    b = _gauss_sum(q[p:], k[p:], buf, True, clamp) / (len(Q) * (len(Q) - 1))
+    return a + b - 2.0 * _gauss_sum(q[:p], k[p:], buf, False, clamp) / (n * np_)
 
 
 def median_heuristic(X: np.ndarray, Y: np.ndarray) -> float:
@@ -118,7 +122,10 @@ def median_heuristic(X: np.ndarray, Y: np.ndarray) -> float:
         for r, row in enumerate(_sqdist(rows, pt[:, lo + 1 :], np.empty((len(rows), n - 1 - lo)))):
             dist[pos : pos + row.size - r] = row[r:]
             pos += row.size - r
-    med = float(np.median(np.sqrt(dist, out=dist), overwrite_input=True))
+    # np.median's partition and mean, with sqrt (monotone, correctly rounded) on the middle only.
+    mid = ((len(dist) - 1) // 2, len(dist) // 2)
+    dist.partition([*mid, -1])  # the largest goes last, where a NaN would sort
+    med = np.nan if np.isnan(dist[-1]) else float(np.mean(np.sqrt(dist[mid[0] : mid[1] + 1])))
     if med == 0.0:
         raise ConfigError("all pooled points identical; no pairwise scale")
     return med / np.sqrt(2.0)

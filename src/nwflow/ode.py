@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .kernels import _BLOCK_ELEMS, SupportSet
+from .kernels import SupportSet
 from .velocity import PluginField, VelocityField
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
 # would change with --jobs.
 _CHUNK = 256
 _GROUP = 8  # most chunks that `integrate` advances in lockstep
+_GROUP_ELEMS = 1 << 20  # most weights (rows x m) in one group's field call, if over one chunk
 _RTOL_MIN = 100 * np.finfo(np.float64).eps  # scipy solve_ivp's floor; rounding dominates below it
 
 
@@ -88,10 +89,10 @@ _FACTOR_MAX = 5.0
 
 
 def _groups(fieldfn: VelocityField, x0: np.ndarray) -> list[np.ndarray]:
-    """Runs of up to _GROUP chunks, fewer where a weight block (rows x m) would pass _BLOCK_ELEMS;
+    """Runs of up to _GROUP chunks, fewer where a field call's rows x m weights would pass _GROUP_ELEMS;
     OpenBLAS rounds a GEMM row differently in other batch shapes, so only n and m decide them."""
     m = getattr(getattr(fieldfn, "support", None), "m", 1)
-    rows = _CHUNK * max(1, min(_GROUP, _BLOCK_ELEMS // (_CHUNK * m)))
+    rows = _CHUNK * max(1, min(_GROUP, _GROUP_ELEMS // (_CHUNK * m)))
     return [x0[lo : lo + rows] for lo in range(0, len(x0), rows)]
 
 

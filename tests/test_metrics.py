@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist, pdist
 
+from nwflow import metrics
 from nwflow.errors import ConfigError, NumericalError
 from nwflow.kernels import SupportSet, nw_local_means
 from nwflow.metrics import (
@@ -91,6 +92,27 @@ def test_mmd2_same_array_for_both_samples(n):
     assert abs(same - _dense_mmd2(x, x, 0.9)) <= 1e-14
     dup = np.array([[1.0, 2.0], [1.0, 2.0]])
     assert mmd2_unbiased(dup, dup, 1.0) == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("bw", [0.05, 0.01])
+def test_mmd2_small_bandwidth_matches_dense_formula(bw, monkeypatch):
+    # Most exponents lie far below -708, so the tiles are clamped at kernels._EXP_FLOOR; the
+    # dense reference exponentiates scipy's distances with no floor.
+    rng = np.random.default_rng(17)
+    x, y = rng.normal(size=(700, 2)), 1.1 * rng.normal(size=(600, 2))
+    pooled = np.vstack([x, y])
+    r2 = np.max(np.sum((pooled - pooled.mean(axis=0)) ** 2, axis=1))
+    assert 4.0 * r2 / (2.0 * bw * bw) > 700.0  # the clamp's bound fires
+    k = lambda u, v: np.exp(-cdist(u, v, "sqeuclidean") / (2.0 * bw * bw))  # noqa: E731
+    pos = 2.0 * k(x, y).mean() + sum((k(u, u).sum() - len(u)) / (len(u) * (len(u) - 1)) for u in (x, y))
+    # The lifted GEMM sums each exponent from terms up to 4 max ||x - c||^2 / (2 bw^2), so it
+    # is off by a few eps times that, and each kernel value by that much relative.
+    tol = 16 * np.finfo(float).eps * 2.0 * r2 / (bw * bw)
+    got = mmd2_unbiased(x, y, bw)
+    assert abs(got - _dense_mmd2(x, y, bw)) <= tol * pos
+    with monkeypatch.context() as patch:
+        patch.setattr(metrics, "_EXP_FLOOR", -np.inf)  # no clamp
+        assert mmd2_unbiased(x, y, bw) == got  # the clamped values, < 1e-304 each, add nothing
 
 
 def test_mmd2_memory_is_bounded_by_one_tile():
@@ -190,6 +212,8 @@ def test_median_heuristic_degenerate():
     x = np.ones((10, 2))
     with pytest.raises(ConfigError, match="all pooled points identical"):
         median_heuristic(x, x.copy())
+    x[3, 1] = np.nan  # NaN, as from np.median, not a middle distance
+    assert np.isnan(median_heuristic(x[:5], x[5:]))
 
 
 def test_median_heuristic_monte_carlo():
@@ -226,7 +250,9 @@ def test_exact_distances_are_bitwise_scipy(d):
         b[: min(n, m) // 2] = a[: min(n, m) // 2]
         got = _sqdist(a, np.ascontiguousarray(b.T), np.empty((n, m)))
         assert np.array_equal(got, cdist(a, b, "sqeuclidean"))
-    for n in (2, 3, 50, 700, 2500):
+    # Pools of 3, 4, 6, 51, 701 and 2000 points: 3, 6, 15, 1275, 245350 and 1999000 pairs,
+    # so the median is one middle distance or the mean of two.
+    for n in (2, 3, 5, 50, 700, 2500):
         x = _with_duplicates(rng, n, d)
         pool = np.vstack([x[: n // 2 + 1], x[n // 2 :]])
         if len(pool) > 2000:

@@ -221,6 +221,24 @@ def test_generate_deterministic_and_jobs_invariant():
     assert integrate(fld, np.empty((0, 2)), rk).shape == (0, 2)  # no chunk, no group
 
 
+def test_generate_memory_is_two_blocks_on_two_threads():
+    import tracemalloc
+
+    rng = np.random.default_rng(19)
+    fld = PluginField(SupportSet(rng.normal(size=(8192, 16))), PathSchedule(0.01))
+    want = generate(fld, 512, seed=0, method=Euler(2))  # also builds the support's keys and values
+    tracemalloc.start()
+    try:
+        got = generate(fld, 512, seed=0, method=Euler(2), jobs=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    # Two one-chunk groups in flight, each with one 32 x 8192 weight block (2 MiB), and the
+    # (512, 16) draws and states.
+    assert peak < 6 * 2**20
+
+
 def test_generate_single_point_endpoint_law():
     s = np.array([[1.0, -2.0, 0.5]])
     fld = PluginField(SupportSet(s), PathSchedule(0.01))

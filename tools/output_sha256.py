@@ -3,8 +3,9 @@
     python3 tools/output_sha256.py [--out DIR]
 
 Runs, each into its own directory under DIR (default: a temporary directory
-that is removed afterwards): the nine experiments at their defaults, three
-`generate` runs, two `diag-neff` runs, and `whiten`/`ingest` on an 80 x 3 CSV
+that is removed afterwards): the nine experiments at their defaults, four
+`generate` runs (one over an 8192-row support, whose field calls span several
+weight blocks), two `diag-neff` runs, and `whiten`/`ingest` on an 80 x 3 CSV
 table with a header that the script writes from a fixed seed.  The checkout's
 `src` goes first on the path, so running the script from two checkouts and
 diffing the two outputs compares their bytes.  It prints a markdown table
@@ -39,6 +40,8 @@ RUNS = {
     **{f"exp-{name}": ["experiment", name] for name in sorted(EXPERIMENTS)},
     "gen-euler": ["generate", "--task", "gmm2d", "--m", "50", "--n", "300", "--seed", "3"],
     "gen-rk45": ["generate", "--task", "gmm2d", "--m", "50", "--n", "300", "--seed", "3", "--rk45"],
+    "gen-large": ["generate", "--task", "gmm16d", "--m", "8192", "--n", "512", "--euler", "20",
+                  "--jobs", "2", "--seed", "0"],
     "gen-flags": ["generate", "--task", "shell3d", "--m", "30", "--n", "100", "--euler", "7",
                   "--sigma-min", "0.1", "--task-seed", "4"],
     "diag": ["diag-neff", "--task", "gmm2d", "--m", "40", "--n", "64", "--seed", "2"],
