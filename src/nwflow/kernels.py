@@ -44,6 +44,8 @@ _BLOCK_ELEMS = 1 << 18
 # panel ends, so rows round as in a call on the chunk alone; and at m > 2^14 one panel still
 # spans enough queries that the logit GEMM does not re-pack the keys every few rows.
 _ROWS = 16
+# Below this support size blocks are column-major: a few long columns, swept by the row max and shift.
+_COLUMN_MAJOR_M = 1024
 
 # Weights per column tile at several bandwidths: 0.8 MB of float64, inside a 2 MB L2.
 _TILE_ELEMS = 100_000
@@ -331,11 +333,8 @@ def _smooth(
     q = np.concatenate([xc * scale, np.full((n, 1), -0.5) * t * scale], axis=1)
     means, n_eff = np.empty((len(ratios), n, p)), np.empty((len(ratios), n))
     rows = max(1, min(n, max(_ROWS, _BLOCK_ELEMS // m // _ROWS * _ROWS)))
-    # Column-major for small supports: the row max and the shift sweep contiguous columns.
-    buf = np.empty((rows, m), order="F" if m < 1024 else "C")
-    # Tile widths follow the rows of a 2^20-weight block, not this block's, so the grouping of
-    # the tile sums, and so the k-bandwidth outputs, do not change with the block size.
-    width = m if ratios[0] is None else max(1, min(m, _TILE_ELEMS // max(rows, min(n, (1 << 20) // m))))
+    buf = np.empty((rows, m), order="F" if m < _COLUMN_MAJOR_M else "C")
+    width = m if ratios[0] is None else max(1, min(m, _TILE_ELEMS // rows))
     work = None if ratios[0] is None else np.empty_like(buf[:, :width])  # the tile, in buf's order
     for lo in range(0, n, rows):
         g = np.matmul(q[lo : lo + rows], keys.T, out=buf[: min(rows, n - lo)])

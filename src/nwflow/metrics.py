@@ -30,15 +30,15 @@ _SLAB = 8
 _HEURISTIC_CAP = 2000
 
 
-def _gauss_sum(q: np.ndarray, k: np.ndarray, buf: np.ndarray, self_pairs: bool, clamp: bool) -> float:
+def _gauss_sum(q: np.ndarray, k: np.ndarray, buf: np.ndarray, self_pairs: bool, floor: bool) -> float:
     """Sum of exp(q_i . k_j) over pairs, one _BLOCK x _BLOCK tile of `buf` at a time.
 
     With self_pairs (q and k must then lift the same sample), only the
     upper-triangle tiles are visited and the sum runs over pairs i != j: a
     diagonal tile drops its diagonal, and an off-diagonal tile stands for
     itself and its transpose.  Without it, the sum runs over the full
-    len(q) x len(k) rectangle, even when both lift the same sample.  With clamp, exponents
-    below _EXP_FLOOR are raised to it first, off numpy's slow subnormal exp path.
+    len(q) x len(k) rectangle, even when both lift the same sample.  With floor, a tile holding
+    exponents below _EXP_FLOOR is raised to it (off numpy's slow exp path), and those pairs add 0.
     """
     total = 0.0
     for lo in range(0, q.shape[0], _BLOCK):
@@ -46,11 +46,14 @@ def _gauss_sum(q: np.ndarray, k: np.ndarray, buf: np.ndarray, self_pairs: bool, 
         for lo2 in range(lo if self_pairs else 0, k.shape[0], _BLOCK):
             b = k[lo2 : lo2 + _BLOCK]
             tile = np.matmul(a, b.T, out=buf[: a.shape[0] * b.shape[0]].reshape(a.shape[0], b.shape[0]))
-            if clamp:
+            kept = tile >= _EXP_FLOOR if floor and tile.min() < _EXP_FLOOR else None
+            if kept is not None:
                 np.maximum(tile, _EXP_FLOOR, out=tile)
-            if self_pairs and lo2 == lo:  # after the clamp, so self pairs still add 0
+            if self_pairs and lo2 == lo:
                 np.fill_diagonal(tile, -np.inf)
             np.exp(tile, out=tile)
+            if kept is not None:
+                tile *= kept
             total += (2.0 if self_pairs and lo2 != lo else 1.0) * float(tile.sum())
     return total
 
@@ -79,7 +82,7 @@ def mmd2_unbiased(X: np.ndarray, Y: np.ndarray, bandwidth: float) -> float:
     memory stays O(_BLOCK^2) whatever the sample sizes.  The pair is first put
     in a canonical order, by (rows, bytes), so swapping the arguments sums the
     same tiles in the same order and returns the bitwise-identical value.  Where ||x - y|| <=
-    2 max ||x - c|| lets an exponent fall below _EXP_FLOOR, tiles are clamped at it (< 1e-304 each).
+    2 max ||x - c|| lets an exponent fall below _EXP_FLOOR, pairs below it add 0 (each < 1e-304).
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
@@ -97,10 +100,10 @@ def mmd2_unbiased(X: np.ndarray, Y: np.ndarray, bandwidth: float) -> float:
     z -= z.mean(axis=0)
     r2, one, p = np.einsum("ij,ij->i", z, z), np.ones(n + np_), len(P)
     q, k = np.column_stack([(-2.0 * inv) * z, inv * r2, inv * one]), np.column_stack([z, one, r2])
-    buf, clamp = np.empty(_BLOCK * _BLOCK), 4.0 * inv * float(r2.max()) < _EXP_FLOOR
-    a = _gauss_sum(q[:p], k[:p], buf, True, clamp) / (p * (p - 1))
-    b = _gauss_sum(q[p:], k[p:], buf, True, clamp) / (len(Q) * (len(Q) - 1))
-    return a + b - 2.0 * _gauss_sum(q[:p], k[p:], buf, False, clamp) / (n * np_)
+    buf, floor = np.empty(_BLOCK * _BLOCK), 4.0 * inv * float(r2.max()) < _EXP_FLOOR
+    a = _gauss_sum(q[:p], k[:p], buf, True, floor) / (p * (p - 1))
+    b = _gauss_sum(q[p:], k[p:], buf, True, floor) / (len(Q) * (len(Q) - 1))
+    return a + b - 2.0 * _gauss_sum(q[:p], k[p:], buf, False, floor) / (n * np_)
 
 
 def median_heuristic(X: np.ndarray, Y: np.ndarray) -> float:

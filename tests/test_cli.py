@@ -560,6 +560,21 @@ def test_degenerate_endpoint_kernel_is_numerical_error(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solver-control", "--m", "10", "--n", "200", "--seeds", "0"], "Euler MMD^2 is exactly 0"),
+        (["endpoint-check", "--n", "200", "--n-seeds", "1"], "null MMD^2 IQR is exactly 0"),
+    ],
+)
+def test_vanishing_mmd_kernel_is_numerical_error(tmp_path, capsys, argv, message):
+    # At bandwidth 1e-8 every pair's kernel value is 0, so is every MMD^2, and a verdict
+    # would compare nothing.
+    assert main(["experiment", *argv, "--mmd-bandwidth", "1e-8", "--out", str(tmp_path)]) == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_whitening_control_holds_out_what_a_small_table_has(tmp_path):
     rng = np.random.default_rng(7)
     rows = rng.standard_normal((200, 3)) @ np.diag([3.0, 1.0, 0.2])

@@ -96,13 +96,13 @@ def test_mmd2_same_array_for_both_samples(n):
 
 @pytest.mark.parametrize("bw", [0.05, 0.01])
 def test_mmd2_small_bandwidth_matches_dense_formula(bw, monkeypatch):
-    # Most exponents lie far below -708, so the tiles are clamped at kernels._EXP_FLOOR; the
-    # dense reference exponentiates scipy's distances with no floor.
+    # Most exponents lie far below -708, so pairs below kernels._EXP_FLOOR add 0 in every
+    # tile that holds one; the dense reference exponentiates scipy's distances with no floor.
     rng = np.random.default_rng(17)
     x, y = rng.normal(size=(700, 2)), 1.1 * rng.normal(size=(600, 2))
     pooled = np.vstack([x, y])
     r2 = np.max(np.sum((pooled - pooled.mean(axis=0)) ** 2, axis=1))
-    assert 4.0 * r2 / (2.0 * bw * bw) > 700.0  # the clamp's bound fires
+    assert 4.0 * r2 / (2.0 * bw * bw) > 700.0  # the floor's bound fires
     k = lambda u, v: np.exp(-cdist(u, v, "sqeuclidean") / (2.0 * bw * bw))  # noqa: E731
     pos = 2.0 * k(x, y).mean() + sum((k(u, u).sum() - len(u)) / (len(u) * (len(u) - 1)) for u in (x, y))
     # The lifted GEMM sums each exponent from terms up to 4 max ||x - c||^2 / (2 bw^2), so it
@@ -111,8 +111,17 @@ def test_mmd2_small_bandwidth_matches_dense_formula(bw, monkeypatch):
     got = mmd2_unbiased(x, y, bw)
     assert abs(got - _dense_mmd2(x, y, bw)) <= tol * pos
     with monkeypatch.context() as patch:
-        patch.setattr(metrics, "_EXP_FLOOR", -np.inf)  # no clamp
-        assert mmd2_unbiased(x, y, bw) == got  # the clamped values, < 1e-304 each, add nothing
+        patch.setattr(metrics, "_EXP_FLOOR", -np.inf)  # no floor
+        assert mmd2_unbiased(x, y, bw) == got  # the zeroed values, < 1e-304 each, added nothing
+
+
+@pytest.mark.parametrize("n, m", [(40, 40), (200, 200), (513, 700)])
+def test_mmd2_vanishing_kernel_is_exactly_zero(n, m):
+    # At bandwidth 1e-8 every pair's exponent lies below -1e9, so every kernel value is 0, as
+    # exp gives without the floor; floored pairs must add 0, not e^-700 each, or the three sums
+    # differ by rounding and the callers' exactly-0 checks cannot fire.
+    rng = np.random.default_rng(n)
+    assert mmd2_unbiased(rng.normal(size=(n, 2)), rng.normal(size=(m, 2)), 1e-8) == 0.0
 
 
 def test_mmd2_memory_is_bounded_by_one_tile():
