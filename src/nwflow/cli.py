@@ -9,8 +9,8 @@ or host-dependent is written (wall clock goes to stderr).
 A flag takes precedence over the --config file, which takes precedence over
 the parser's defaults; an unset seed comes from NWFLOW_SEED, else 0.  Library
 parameters are passed on only when their flag is set, so their defaults live
-in the library signatures alone.  A flag (or config key) that the command
-does not read is a configuration error rather than silently ignored.
+in the library signatures alone.  Each command and each experiment parses
+only its own flags: an unread or abbreviated flag (or config key) exits 2.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import json
 import os
 import sys
 import time
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import __version__, experiments
 from .errors import ConfigError, NumericalError, NwflowError
@@ -31,15 +31,9 @@ from .ode import AdaptiveRK45, Euler, generate
 from .schedule import PathSchedule
 from .tasks import (
     FeatureTable,
-    FourierDensity,
-    Gmm,
-    Moons,
-    Rings,
-    Shell,
-    Spirals,
-    TaskSpec,
     load_feature_table,
     make_support_and_eval,
+    parse_task,
     save_feature_table,
     split_table,
     whiten,
@@ -50,29 +44,6 @@ from .velocity import PluginField
 
 EXIT_OK = 0
 EXIT_FAIL = 1
-
-
-_PLANAR_TASKS = {"moons": Moons, "rings": Rings, "spirals": Spirals}
-
-
-def parse_task(name: str, seed: int) -> TaskSpec:
-    """Task names: gmm<d>d, shell<d>d, fourier<d>d, moons, rings, spirals."""
-    low = name.strip().lower()
-    if low in _PLANAR_TASKS:
-        return _PLANAR_TASKS[low](seed=seed)
-    for prefix, cls in (("gmm", Gmm), ("shell", Shell), ("fourier", FourierDensity)):
-        if low.startswith(prefix):
-            tail = low[len(prefix):]
-            if tail.endswith("d"):
-                tail = tail[:-1]
-            try:
-                d = int(tail)
-            except ValueError:
-                raise ConfigError(f"cannot parse dimension from task name {name!r}")
-            return cls(d=d, seed=seed)
-    raise ConfigError(
-        f"unknown task {name!r}; expected moons, rings, spirals, gmm<d>d, shell<d>d or fourier<d>d"
-    )
 
 
 def _given(args: argparse.Namespace, **keywords: str) -> dict:
@@ -170,7 +141,7 @@ def cmd_diag_neff(args: argparse.Namespace) -> int:
 
 def cmd_whiten(args: argparse.Namespace) -> int:
     table = _load_table(args)
-    whitened, record = whiten(table, args.strength, **_given(args, ridge="ridge"))
+    whitened, record = whiten(table, **_given(args, strength="strength", ridge="ridge"))
     fmt = _table_format(args)
     save_feature_table(
         whitened.rows, os.path.join(args.out, f"whitened.{fmt}"), fmt=fmt, names=table.names
@@ -212,58 +183,32 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-class _Experiment(NamedTuple):
-    """How `nwflow experiment <name>` calls `experiments.exp_<name>` (dashes as underscores)."""
-
-    # exp_* keyword -> flag dest; passed on only when the flag is set
-    flags: dict[str, str]
-    # length of the default seed list; 0 for an experiment that takes one `seed`
-    seeds: int = 0
-    # further keywords that depend on several flags
-    extra: Callable[[argparse.Namespace], dict] = lambda args: {}
-    # the flag dests that `extra` reads
-    extra_flags: tuple[str, ...] = ()
-
-    @property
-    def reads(self) -> set[str]:
-        """Every flag dest the experiment reads, beyond --seed, --out, --jobs and --config."""
-        seed_flags = ("seeds", "n_seeds") if self.seeds else ()
-        return {*self.flags.values(), *self.extra_flags, *seed_flags}
-
-
-def _whitening_table(args: argparse.Namespace) -> dict:
-    if args.features is None:
-        _reject_set(args, ["format"], "a run without --features")
-        return {}
-    return {"table": _load_table(args)}
-
-
+# How `nwflow experiment <name>` calls `experiments.exp_<name>` (dashes as underscores):
+# name -> (exp_* keyword -> flag dest, passed on only when the flag is set; length of the
+# default seed list, 0 for an experiment that takes one `seed`).  `table` gets the table
+# that --features names.
 EXPERIMENTS = {
-    "realization-fuzz": _Experiment({"n_configs": "configs"}),
-    "kde-identity": _Experiment({"n_configs": "configs"}),
-    "neff-collapse": _Experiment({"m": "m"}, seeds=8),
-    "variance-scaling": _Experiment({"family": "family", "d": "d", "m_ref": "m_ref"}, seeds=4),
-    "endpoint-check": _Experiment(
-        {"m": "m", "n": "n", "bandwidth_factor": "bandwidth_factor",
-         "mmd_bandwidth": "mmd_bandwidth"},
-        seeds=4,
+    "realization-fuzz": ({"n_configs": "configs"}, 0),
+    "kde-identity": ({"n_configs": "configs"}, 0),
+    "neff-collapse": ({"m": "m"}, 8),
+    "variance-scaling": ({"family": "family", "d": "d", "m_ref": "m_ref"}, 4),
+    "endpoint-check": (
+        {"m": "m", "n": "n", "bandwidth_factor": "bandwidth_factor", "mmd_bandwidth": "mmd_bandwidth"},
+        4,
     ),
-    "solver-control": _Experiment(
-        {"m": "m", "n": "n", "rtol": "rtol", "atol": "atol", "mmd_bandwidth": "mmd_bandwidth"},
-        seeds=4,
+    "solver-control": (
+        {"m": "m", "n": "n", "rtol": "rtol", "atol": "atol", "mmd_bandwidth": "mmd_bandwidth"}, 4
     ),
-    "sphere-rate": _Experiment({"d_k": "d"}, seeds=3),
-    "whitening-control": _Experiment(
-        {"m": "m"}, seeds=4, extra=_whitening_table, extra_flags=("features", "format")
-    ),
-    "anisotropic-shells": _Experiment({"d": "d", "m": "m"}, seeds=3),
+    "sphere-rate": ({"d_k": "d"}, 3),
+    "whitening-control": ({"table": "features", "m": "m"}, 4),
+    "anisotropic-shells": ({"d": "d", "m": "m"}, 3),
 }
-_EXPERIMENT_FLAGS = set().union(*(spec.reads for spec in EXPERIMENTS.values()))
 
 
 def _seed_list(args: argparse.Namespace, count: int) -> list[int]:
     """--seeds as given, else --n-seeds (or `count`) consecutive seeds from the seed."""
     if args.seeds is not None:
+        _reject_set(args, ["n_seeds"], "--seeds")
         return args.seeds
     if args.n_seeds is not None:
         count = args.n_seeds
@@ -273,11 +218,14 @@ def _seed_list(args: argparse.Namespace, count: int) -> list[int]:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    spec = EXPERIMENTS[args.name]
-    _reject_set(args, _EXPERIMENT_FLAGS - spec.reads, f"experiment {args.name}")
-    kwargs = {**_given(args, **spec.flags), **spec.extra(args)}
-    if spec.seeds:
-        kwargs["seeds"] = _seed_list(args, spec.seeds)
+    flags, seeds = EXPERIMENTS[args.name]
+    kwargs = _given(args, **flags)
+    if "table" in kwargs:
+        kwargs["table"] = _load_table(args)
+    elif "table" in flags:
+        _reject_set(args, ["format"], "a run without --features")
+    if seeds:
+        kwargs["seeds"] = _seed_list(args, seeds)
     else:
         kwargs["seed"] = args.seed
     # Looked up on the module at each call, so perfbench's tracer, which rebinds
@@ -305,7 +253,8 @@ def _comma_list(kind: type) -> Callable[[str], list]:
 
 
 # Every flag except --seed, --out, --jobs and --config, keyed by dest.  Each
-# subcommand takes only the flags it reads, so argparse rejects the others.
+# command, and each experiment, takes only the flags it reads, so argparse
+# rejects the others, abbreviations included.
 _FLAGS = {
     "task": {"help": "task name, e.g. gmm2d, shell16d, fourier8d, moons"},
     "task_seed": {"type": int, "help": "task instance seed (default: the seed)"},
@@ -327,7 +276,7 @@ _FLAGS = {
     "bandwidth_factor": {"type": float, "help": "endpoint-check reference bandwidth multiplier"},
     "mmd_bandwidth": {"type": float, "help": "override the median-heuristic MMD kernel bandwidth"},
     "t_grid": {"type": _comma_list(float), "help": "comma list of flow times in (0,1]"},
-    "strength": {"type": float, "default": 1.0, "help": "lambda in [0,1]"},
+    "strength": {"type": float, "help": "lambda in [0,1]"},
     "ridge": {"type": float, "help": "covariance ridge"},
     "to": {"choices": ["csv", "bin"], "help": "output format"},
 }
@@ -335,7 +284,10 @@ _FLAGS = {
 _FIELD_FLAGS = ("task", "task_seed", "features", "format", "m", "n", "sigma_min")
 
 
-def _add_flags(p: argparse.ArgumentParser, dests) -> None:
+def _add_command(sub, name: str, func: Callable, dests, help: Optional[str] = None, **defaults) -> None:
+    """Subcommand `name`: --seed, --out, --jobs, --config and the flags named by `dests`."""
+    p = sub.add_parser(name, help=help, allow_abbrev=False)
+    p.set_defaults(func=func, **defaults)
     p.add_argument("--seed", type=int, help="root seed (default: env NWFLOW_SEED, else 0)")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--jobs", type=int, default=os.cpu_count(),
@@ -350,30 +302,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nwflow",
         description="Support-conditioned flow-matching fields, sampling, and diagnostics",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"nwflow {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_gen = sub.add_parser("generate", help="integrate the plug-in field from base noise")
-    _add_flags(p_gen, _FIELD_FLAGS + ("euler", "rk45", "rtol", "atol"))
-    p_gen.set_defaults(func=cmd_generate, m=50, n=1000)
-
-    p_exp = sub.add_parser("experiment", help="run one named experiment")
-    p_exp.add_argument("name", choices=EXPERIMENTS)
-    _add_flags(p_exp, sorted(_EXPERIMENT_FLAGS))
-    p_exp.set_defaults(func=cmd_experiment)
-
-    p_diag = sub.add_parser("diag-neff", help="effective-sample-size profile along the flow")
-    _add_flags(p_diag, _FIELD_FLAGS + ("t_grid",))
-    p_diag.set_defaults(func=cmd_diag_neff, m=50)
-
-    p_whiten = sub.add_parser("whiten", help="whiten a feature table")
-    _add_flags(p_whiten, ("features", "format", "strength", "ridge"))
-    p_whiten.set_defaults(func=cmd_whiten)
-
-    p_ingest = sub.add_parser("ingest", help="validate and convert a feature table")
-    _add_flags(p_ingest, ("features", "format", "to"))
-    p_ingest.set_defaults(func=cmd_ingest)
+    _add_command(sub, "generate", cmd_generate, _FIELD_FLAGS + ("euler", "rk45", "rtol", "atol"),
+                 "integrate the plug-in field from base noise", m=50, n=1000)
+    p_exp = sub.add_parser("experiment", help="run one named experiment", allow_abbrev=False)
+    names = p_exp.add_subparsers(dest="name", required=True)
+    for name, (flags, seeds) in EXPERIMENTS.items():
+        dests = list(flags.values())
+        if "table" in flags:
+            dests.append("format")
+        if seeds:
+            dests += ["seeds", "n_seeds"]
+        _add_command(names, name, cmd_experiment, dests)
+    _add_command(sub, "diag-neff", cmd_diag_neff, _FIELD_FLAGS + ("t_grid",),
+                 "effective-sample-size profile along the flow", m=50)
+    _add_command(sub, "whiten", cmd_whiten, ("features", "format", "strength", "ridge"),
+                 "whiten a feature table")
+    _add_command(sub, "ingest", cmd_ingest, ("features", "format", "to"),
+                 "validate and convert a feature table")
     return parser
 
 
@@ -412,7 +361,8 @@ def _parse(argv: Optional[Sequence[str]]) -> argparse.Namespace:
     args = build_parser().parse_args(argv)
     if args.config is not None:
         flags = set(vars(args)) - {"command", "func", "name"}
-        args = build_parser().parse_args(argv[:1] + _config_argv(args.config, flags) + argv[1:])
+        at = 2 if args.command == "experiment" else 1  # after the command and experiment name
+        args = build_parser().parse_args(argv[:at] + _config_argv(args.config, flags) + argv[at:])
     if args.seed is None:
         env = os.environ.get("NWFLOW_SEED", "0")
         try:

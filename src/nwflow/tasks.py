@@ -28,6 +28,7 @@ __all__ = [
     "TaskSpec",
     "FeatureTable",
     "WhitenTransform",
+    "parse_task",
     "sample_task",
     "make_support_and_eval",
     "split_table",
@@ -298,15 +299,34 @@ def _sample_fourier(
     return out, proposed, filled
 
 
-# spec class -> (SeedSequence tag, sampler); the tags key every family's streams, so they stay fixed
+# spec class -> (SeedSequence tag, task name, sampler); the tags key every family's streams,
+# so they stay fixed.  parse_task reads the names.
 _FAMILIES = {
-    Gmm: (1, _sample_gmm),
-    Shell: (2, _sample_shell),
-    Moons: (3, _sample_moons),
-    Rings: (4, _sample_rings),
-    Spirals: (5, _sample_spirals),
-    FourierDensity: (6, lambda spec, n, rng: _sample_fourier(spec, n, rng)[0]),
+    Gmm: (1, "gmm", _sample_gmm),
+    Shell: (2, "shell", _sample_shell),
+    Moons: (3, "moons", _sample_moons),
+    Rings: (4, "rings", _sample_rings),
+    Spirals: (5, "spirals", _sample_spirals),
+    FourierDensity: (6, "fourier", lambda spec, n, rng: _sample_fourier(spec, n, rng)[0]),
 }
+
+
+def parse_task(name: str, seed: int) -> TaskSpec:
+    """Task names: gmm<d>d, shell<d>d, fourier<d>d, moons, rings, spirals."""
+    low = name.strip().lower()
+    for cls, (_, family, _) in _FAMILIES.items():
+        if "d" not in cls.__dataclass_fields__:
+            if low == family:
+                return cls(seed=seed)
+        elif low.startswith(family):
+            try:
+                d = int(low[len(family):].removesuffix("d"))
+            except ValueError:
+                raise ConfigError(f"cannot parse dimension from task name {name!r}")
+            return cls(d=d, seed=seed)
+    raise ConfigError(
+        f"unknown task {name!r}; expected moons, rings, spirals, gmm<d>d, shell<d>d or fourier<d>d"
+    )
 
 
 def sample_task(spec: TaskSpec, n: int, seed: int) -> np.ndarray:
@@ -315,7 +335,7 @@ def sample_task(spec: TaskSpec, n: int, seed: int) -> np.ndarray:
         raise ValueError(f"need n >= 1, got {n}")
     if type(spec) not in _FAMILIES:
         raise TypeError(f"unknown task spec {spec!r}")
-    return _FAMILIES[type(spec)][1](spec, n, _rng(spec, seed))
+    return _FAMILIES[type(spec)][2](spec, n, _rng(spec, seed))
 
 
 def make_support_and_eval(
@@ -360,7 +380,7 @@ class WhitenTransform:
 
 
 def whiten(
-    table: FeatureTable, strength: float, ridge: float = 0.0
+    table: FeatureTable, strength: float = 1.0, ridge: float = 0.0
 ) -> tuple[FeatureTable, WhitenTransform]:
     """Map rows by C^(-strength/2) about their mean, C = covariance + ridge.
 

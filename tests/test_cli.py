@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from nwflow import __version__
-from nwflow.cli import EXPERIMENTS, main, parse_task
+from nwflow.cli import EXPERIMENTS, build_parser, main, parse_task
 from nwflow.errors import ConfigError, NumericalError, NwflowError
 from nwflow.kernels import SupportSet, Vmf, logits
 from nwflow.tasks import FourierDensity, Gmm, Moons, Shell
@@ -18,6 +18,12 @@ from nwflow.tasks import FourierDensity, Gmm, Moons, Shell
 def read(path: str) -> bytes:
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def experiment_flags(name: str) -> set[str]:
+    """The flag dests `experiment <name>` accepts beyond --seed, --out, --jobs and --config."""
+    args = build_parser().parse_args(["experiment", name])
+    return set(vars(args)) - {"command", "func", "name", "seed", "out", "jobs", "config"}
 
 
 def test_generate_bytes_independent_of_blas_threads_and_jobs(tmp_path):
@@ -73,8 +79,13 @@ def test_parse_task_names():
     assert isinstance(parse_task("shell8d", 1), Shell)
     assert isinstance(parse_task("fourier8d", 0), FourierDensity)
     assert isinstance(parse_task("moons", 0), Moons)
+    assert parse_task(" GMM3 ", 0).d == 3  # case, spaces and the trailing d are optional
     with pytest.raises(ConfigError, match="unknown task 'blob3d'"):
         parse_task("blob3d", 0)
+    with pytest.raises(ConfigError, match="unknown task 'moons2d'"):
+        parse_task("moons2d", 0)
+    with pytest.raises(ConfigError, match="cannot parse dimension from task name 'shell'"):
+        parse_task("shell", 0)
 
 
 def test_generate_writes_files_and_is_deterministic(tmp_path):
@@ -203,6 +214,13 @@ def test_whiten_and_ingest_roundtrip(tmp_path):
     assert np.max(np.abs(cov - np.eye(3))) < 1e-6
     record = json.loads(read(os.path.join(wout, "transform.json")))
     assert record["strength"] == 1.0
+    # a null strength leaves the flag unset, and the library default whitens fully
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"strength": None}))
+    wnull = str(tmp_path / "wnull")
+    assert main(["whiten", "--features", str(src), "--config", str(cfg), "--out", wnull]) == 0
+    for name in ("whitened.csv", "transform.json"):
+        assert read(os.path.join(wnull, name)) == read(os.path.join(wout, name))
 
     iout = str(tmp_path / "i")
     assert main(["ingest", "--features", str(src), "--out", iout]) == 0
@@ -424,6 +442,30 @@ def test_unread_flag_exits_2(tmp_path, monkeypatch, argv, config):
     assert main(argv + ["--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--task", "gmm2d", "--m", "5", "--n", "8", "--eul", "3"],  # --euler abbreviated
+        ["experiment", "neff-collapse", "--n", "1"],  # not --n-seeds: neff-collapse reads no --n
+        ["experiment", "neff-collapse", "--m", "8", "--seeds", "0", "--n-seeds", "3"],  # two seed lists
+        ["experiment", "--m", "8", "neff-collapse"],  # experiment flags follow the name
+        ["experiment", "--seed", "3", "kde-identity", "--configs", "1"],
+    ],
+)
+def test_abbreviated_or_misplaced_flag_exits_2(tmp_path, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert not any(tmp_path.iterdir())
+
+
+def test_experiment_config_keys_follow_the_name(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"configs": 20, "seed": 3}))
+    out_cfg, out_flag = str(tmp_path / "cfg"), str(tmp_path / "flag")
+    assert main(["experiment", "kde-identity", "--config", str(cfg), "--out", out_cfg]) == 0
+    assert main(["experiment", "kde-identity", "--configs", "20", "--seed", "3", "--out", out_flag]) == 0
+    assert read(os.path.join(out_cfg, "report.json")) == read(os.path.join(out_flag, "report.json"))
+
+
 def test_os_and_memory_errors_exit_codes(tmp_path, monkeypatch, capsys):
     import nwflow.cli as cli
 
@@ -524,7 +566,7 @@ _INT_FLAGS = ("configs", "m", "n", "d", "m_ref", "n_seeds")
 @pytest.mark.parametrize("value", ["0", "-1"])
 @pytest.mark.parametrize(
     "name, dest",
-    [(name, dest) for name, spec in EXPERIMENTS.items() for dest in _INT_FLAGS if dest in spec.reads],
+    [(name, dest) for name in EXPERIMENTS for dest in _INT_FLAGS if dest in experiment_flags(name)],
 )
 def test_nonpositive_experiment_int_flag_exits_2(tmp_path, name, dest, value):
     argv = ["experiment", name, "--" + dest.replace("_", "-"), value]

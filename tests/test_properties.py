@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nwflow.cli import _FLAGS, EXPERIMENTS, main
+from nwflow.cli import _FLAGS, EXPERIMENTS, build_parser, main
 from nwflow.kernels import _EXP_FLOOR, IsotropicGaussian, SupportSet, _may_underflow, logits
 from nwflow.schedule import PathSchedule
 from nwflow.velocity import PluginField
@@ -104,7 +104,8 @@ _VALUES = {"format": "csv", "to": "csv", "task": "gmm2d", "features": "t.csv", "
 @st.composite
 def _unread_flag(draw):
     name = draw(st.sampled_from(sorted(EXPERIMENTS)))
-    dest = draw(st.sampled_from(sorted(_FLAGS.keys() - EXPERIMENTS[name].reads)))
+    accepted = vars(build_parser().parse_args(["experiment", name]))
+    dest = draw(st.sampled_from(sorted(_FLAGS.keys() - accepted.keys())))
     value = _VALUES.get(dest, "1")
     return ["experiment", name, "--" + dest.replace("_", "-")] + ([] if value is None else [value])
 

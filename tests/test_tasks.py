@@ -15,6 +15,7 @@ from nwflow.tasks import (
     anisotropic_gaussian_features,
     load_feature_table,
     make_support_and_eval,
+    parse_task,
     sample_task,
     save_feature_table,
     split_table,
@@ -125,9 +126,16 @@ def test_family_stream_tags_cover_taskspec_and_are_distinct():
     from nwflow.tasks import _FAMILIES, _TABLE_TAG, TaskSpec
 
     assert set(_FAMILIES) == set(get_args(TaskSpec))
-    tags = [tag for tag, _ in _FAMILIES.values()]
+    tags = [tag for tag, _, _ in _FAMILIES.values()]
     assert len(set(tags)) == len(tags)
     assert _TABLE_TAG not in tags
+    names = [name for _, name, _ in _FAMILIES.values()]
+    assert len(set(names)) == len(names)
+    # every row's name parses back to its family
+    for cls, (_, name, _) in _FAMILIES.items():
+        planar = "d" not in cls.__dataclass_fields__
+        spec = parse_task(name if planar else f"{name}3d", seed=5)
+        assert type(spec) is cls and spec.seed == 5 and spec.d == (2 if planar else 3)
     with pytest.raises(TypeError, match="unknown task spec"):
         sample_task(object(), 3, 0)
 

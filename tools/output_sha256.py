@@ -3,7 +3,8 @@
     python3 tools/output_sha256.py [--out DIR]
 
 Runs, each into its own directory under DIR (default: a temporary directory
-that is removed afterwards): the nine experiments at their defaults, four
+that is removed afterwards): the nine experiments at their defaults, two with
+flags (sphere-rate at d = 2, whitening-control on the table below), four
 `generate` runs (one over an 8192-row support, whose field calls span several
 weight blocks), two `diag-neff` runs, and `whiten`/`ingest` on an 80 x 3 CSV
 table with a header that the script writes from a fixed seed.  The checkout's
@@ -38,6 +39,8 @@ TABLE = "table.csv"
 # run directory -> argv (without --out)
 RUNS = {
     **{f"exp-{name}": ["experiment", name] for name in sorted(EXPERIMENTS)},
+    "exp-sphere-rate-d2": ["experiment", "sphere-rate", "--d", "2", "--n-seeds", "1"],
+    "exp-whitening-table": ["experiment", "whitening-control", "--features", TABLE, "--seeds", "0"],
     "gen-euler": ["generate", "--task", "gmm2d", "--m", "50", "--n", "300", "--seed", "3"],
     "gen-rk45": ["generate", "--task", "gmm2d", "--m", "50", "--n", "300", "--seed", "3", "--rk45"],
     "gen-large": ["generate", "--task", "gmm16d", "--m", "8192", "--n", "512", "--euler", "20",
