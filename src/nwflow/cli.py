@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -128,9 +129,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_diag_neff(args: argparse.Namespace) -> int:
     support = _support(args)
     sched = PathSchedule(**_given(args, sigma_min="sigma_min"))
-    prof = neff_profile(
-        support, sched, seed=args.seed, **_given(args, t_grid="t_grid", n_queries="n")
-    )
+    prof = neff_profile(support, sched, seed=args.seed, **_given(args, t_grid="t_grid", n_queries="n"))
     write_csv(
         os.path.join(args.out, "neff.csv"),
         list(zip(prof.t, prof.h, prof.median, prof.q25, prof.q75)),
@@ -143,9 +142,7 @@ def cmd_whiten(args: argparse.Namespace) -> int:
     table = _load_table(args)
     whitened, record = whiten(table, **_given(args, strength="strength", ridge="ridge"))
     fmt = _table_format(args)
-    save_feature_table(
-        whitened.rows, os.path.join(args.out, f"whitened.{fmt}"), fmt=fmt, names=table.names
-    )
+    save_feature_table(whitened.rows, os.path.join(args.out, f"whitened.{fmt}"), fmt=fmt, names=table.names)
     write_json(
         os.path.join(args.out, "transform.json"),
         {
@@ -297,8 +294,9 @@ def _add_command(sub, name: str, func: Callable, dests, help: Optional[str] = No
         p.add_argument("--" + dest.replace("_", "-"), **_FLAGS[dest])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The `nwflow` parser."""
+    """The `nwflow` parser, built once: a parse leaves it unchanged and no default is mutable."""
     parser = argparse.ArgumentParser(
         prog="nwflow",
         description="Support-conditioned flow-matching fields, sampling, and diagnostics",

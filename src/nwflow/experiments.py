@@ -110,12 +110,7 @@ def save_report(report: RunReport, outdir: str) -> tuple[str, str]:
 
 
 def _base_config(experiment: str, seed_list: Sequence[int] | None = None, **params) -> dict:
-    cfg = {
-        "experiment": experiment,
-        "library_version": __version__,
-        "rng": _RNG_NOTE,
-        **params,
-    }
+    cfg = {"experiment": experiment, "library_version": __version__, "rng": _RNG_NOTE, **params}
     if seed_list is not None:
         cfg["seeds"] = list(int(s) for s in seed_list)
     return cfg
@@ -383,15 +378,7 @@ def exp_endpoint_check(
         mmd_ok = abs(mmd - null_median) <= _NULL_IQR_FACTOR * null_iqr
         c2st_ok = _C2ST_BAND[0] <= acc <= _C2ST_BAND[1]
         all_ok = all_ok and mmd_ok and c2st_ok
-        rows.append(
-            {
-                "seed": seed,
-                "mmd2": mmd,
-                "c2st_1nn": acc,
-                "mmd_ok": mmd_ok,
-                "c2st_ok": c2st_ok,
-            }
-        )
+        rows.append({"seed": seed, "mmd2": mmd, "c2st_1nn": acc, "mmd_ok": mmd_ok, "c2st_ok": c2st_ok})
     return RunReport(
         config=_base_config(
             "endpoint-check",
@@ -598,9 +585,7 @@ def exp_whitening_control(
             mmd = mmd2_unbiased(gen, eval_rows, mmd_bw)
             per_neff.append(float(prof.median[0]))
             per_mmd.append(mmd)
-            rows.append(
-                {"strength": lam, "seed": seed, "median_neff": per_neff[-1], "mmd2": mmd}
-            )
+            rows.append({"strength": lam, "seed": seed, "median_neff": per_neff[-1], "mmd2": mmd})
         neff_by_lam[lam] = float(np.median(per_neff))
         mmd_by_lam[lam] = float(np.median(per_mmd))
     lam_lo, lam_hi = strengths[0], strengths[-1]
@@ -694,8 +679,6 @@ def exp_anisotropic_shells(
             note="exploratory; no hard pass criterion",
         ),
         rows=rows,
-        aggregates={
-            "median_ratio_by_metric": {k: float(np.median(v)) for k, v in ratios.items()}
-        },
+        aggregates={"median_ratio_by_metric": {k: float(np.median(v)) for k, v in ratios.items()}},
         passed=None,
     )

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -11,23 +12,19 @@ from .errors import ConfigError, NumericalError
 from .kernels import _EXP_FLOOR, SupportSet, _smooth
 from .schedule import PathSchedule
 
-__all__ = [
-    "RateFit",
-    "NeffProfile",
-    "mmd2_unbiased",
-    "median_heuristic",
-    "c2st_1nn",
-    "neff_profile",
-    "fit_power_law",
-]
+__all__ = ["RateFit", "NeffProfile", "mmd2_unbiased", "median_heuristic", "c2st_1nn", "neff_profile",
+           "fit_power_law"]
 
-# Rows per side of one kernel tile (a 512 x 512 float64 tile is 2 MiB), shared
-# by the MMD^2 sums and the 1-NN distance blocks.
+# Rows per side of one MMD^2 kernel tile.  Its 512 x 512 float64 values (2 MiB) are also the
+# budget of a 1-NN distance block and of a median-heuristic slab with its two histograms.
 _BLOCK = 512
+_TILE = _BLOCK * _BLOCK
 # Rows per slab of the exact distance pass, which stays in cache against a few thousand points.
 _SLAB = 8
 # Pooled points above which median_heuristic thins the pool.
 _HEURISTIC_CAP = 2000
+# Radix-selection buckets per pass, and +inf's float64 bit pattern.
+_BUCKETS, _INF_BITS = 1 << 16, 0x7FF0_0000_0000_0000
 
 
 def _gauss_sum(q: np.ndarray, k: np.ndarray, buf: np.ndarray, self_pairs: bool, floor: bool) -> float:
@@ -100,17 +97,70 @@ def mmd2_unbiased(X: np.ndarray, Y: np.ndarray, bandwidth: float) -> float:
     z -= z.mean(axis=0)
     r2, one, p = np.einsum("ij,ij->i", z, z), np.ones(n + np_), len(P)
     q, k = np.column_stack([(-2.0 * inv) * z, inv * r2, inv * one]), np.column_stack([z, one, r2])
-    buf, floor = np.empty(_BLOCK * _BLOCK), 4.0 * inv * float(r2.max()) < _EXP_FLOOR
+    buf, floor = np.empty(_TILE), 4.0 * inv * float(r2.max()) < _EXP_FLOOR
     a = _gauss_sum(q[:p], k[:p], buf, True, floor) / (p * (p - 1))
     b = _gauss_sum(q[p:], k[p:], buf, True, floor) / (len(Q) * (len(Q) - 1))
     return a + b - 2.0 * _gauss_sum(q[:p], k[p:], buf, False, floor) / (n * np_)
+
+
+def _pair_slabs(pt: np.ndarray, buf: np.ndarray):
+    """The squared distances of the pairs i < j of pt's columns as uint64 patterns, in row slabs that
+    fill at most `buf`, each with the count of its rectangle's pairs j <= i, which read 0."""
+    n, lo = pt.shape[1], 0
+    while lo < n - 1:
+        w = n - 1 - lo
+        rows = min(w, max(1, buf.size // w))
+        dist = _sqdist(pt[:, lo : lo + rows].T, pt[:, lo + 1 :], buf[: rows * w].reshape(rows, w))
+        dist[:, :rows][np.tri(rows, k=-1, dtype=bool)] = 0.0
+        yield dist.view(np.uint64).ravel(), rows * (rows - 1) // 2
+        lo += rows
+
+
+def _middle_sqdists(pt: np.ndarray, ranks: Optional[tuple[int, int]] = None) -> np.ndarray:
+    """The squared distances at the middle ranks (or `ranks`) of the pairs of pt's columns, or NaNs.
+
+    Radix selection on the float64 bit patterns, which order as non-negative doubles do, a NaN's
+    above +inf's.  Each pass recomputes the slabs, whose padding zeros sort first, and counts in
+    2^16 buckets the patterns in [lo, lo + 2^shift) that hold the ranks, until that range is one
+    pattern or holds at most 2^16 pairs, which are gathered and partitioned.  Ranks that part into
+    two buckets are selected one at a time.  Memory: a slab of _TILE / 2 values and two counts.
+    """
+    count = pt.shape[1] * (pt.shape[1] - 1) // 2
+    ranks = ranks or ((count - 1) // 2, count // 2)
+    (r0, r1), lo, shift, buf = ranks, 0, 63, np.empty(_TILE // 2)  # [0, 2^63): the patterns >= 0
+    while shift:
+        sub, gather, pad, nan = max(shift - 16, 0), count <= _BUCKETS, 0, False
+        hist, parts = np.zeros(_BUCKETS + 1, np.int64), []
+        for bits, zeros in _pair_slabs(pt, buf):
+            nan, pad = nan or shift == 63 and bits.max() > _INF_BITS, pad + zeros
+            np.subtract(bits, np.uint64(lo), out=bits)  # patterns below lo wrap past 2^63
+            if gather:
+                parts.append(bits[bits <= np.uint64((1 << shift) - 1)])
+            else:  # bucket (pattern - lo) >> sub; patterns outside the range count after those in it
+                np.minimum(np.right_shift(bits, np.uint64(sub), out=bits), _BUCKETS, out=bits)
+                hist += np.bincount(bits.view(np.int64), minlength=_BUCKETS + 1)
+        if nan:
+            return np.full(2, np.nan)
+        r0, r1 = (r0 + pad, r1 + pad) if shift == 63 else (r0, r1)
+        if gather:
+            (cand := np.concatenate(parts)).partition([r0, r1])
+            return (lo + cand[[r0, r1]]).view(np.float64)
+        cum = np.cumsum(hist[:_BUCKETS])
+        b0, b1 = (int(b) for b in np.searchsorted(cum, [r0, r1], side="right"))
+        if b1 != b0:
+            return np.array([_middle_sqdists(pt, (r, r))[0] for r in ranks])
+        skip = int(cum[b0] - hist[b0])
+        r0, r1, lo, shift, count = r0 - skip, r1 - skip, lo + (b0 << sub), sub, int(hist[b0])
+    return np.full(2, lo, dtype=np.uint64).view(np.float64)
 
 
 def median_heuristic(X: np.ndarray, Y: np.ndarray) -> float:
     """Median pairwise distance of the pooled sample divided by sqrt(2).
 
     Pools above _HEURISTIC_CAP points are thinned on a deterministic stride so
-    the O(n^2) distance pass stays bounded.
+    the O(n^2) distance passes stay bounded.  The middle squared distances are
+    selected exactly, unstored, and take np.median's mean after the sqrt
+    (monotone, correctly rounded), so the result has its bits.
     """
     pooled = np.vstack([np.atleast_2d(X), np.atleast_2d(Y)]).astype(np.float64, copy=False)
     if pooled.shape[0] < 2:
@@ -118,17 +168,9 @@ def median_heuristic(X: np.ndarray, Y: np.ndarray) -> float:
     if pooled.shape[0] > _HEURISTIC_CAP:
         idx = np.unique(np.linspace(0, pooled.shape[0] - 1, _HEURISTIC_CAP).round().astype(int))
         pooled = pooled[idx]
-    n, pt = pooled.shape[0], np.ascontiguousarray(pooled.T)
-    dist, pos = np.empty(n * (n - 1) // 2), 0  # the pairs i < j, row by row
-    for lo in range(0, n - 1, _SLAB):
-        rows = pooled[lo : lo + _SLAB]
-        for r, row in enumerate(_sqdist(rows, pt[:, lo + 1 :], np.empty((len(rows), n - 1 - lo)))):
-            dist[pos : pos + row.size - r] = row[r:]
-            pos += row.size - r
-    # np.median's partition and mean, with sqrt (monotone, correctly rounded) on the middle only.
-    mid = ((len(dist) - 1) // 2, len(dist) // 2)
-    dist.partition([*mid, -1])  # the largest goes last, where a NaN would sort
-    med = np.nan if np.isnan(dist[-1]) else float(np.mean(np.sqrt(dist[mid[0] : mid[1] + 1])))
+    pt = np.ascontiguousarray(pooled.T)
+    del pooled  # the distances read only the transpose
+    med = float(np.mean(np.sqrt(_middle_sqdists(pt))))  # NaN on a NaN distance, as np.median
     if med == 0.0:
         raise ConfigError("all pooled points identical; no pairwise scale")
     return med / np.sqrt(2.0)
@@ -140,6 +182,8 @@ def c2st_1nn(X: np.ndarray, Y: np.ndarray) -> float:
     Distance ties (exact duplicates) are scored fractionally by the label
     balance of the tied set, so identical samples come out near 0.5 instead
     of flapping on index order.  Near 0.5 under the null, 1.0 when separable.
+    Rows go in blocks of _TILE distances and score on the minima of their X and Y
+    halves; wins add as an integer and tie scores by fsum, whatever the block size.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
@@ -149,17 +193,21 @@ def c2st_1nn(X: np.ndarray, Y: np.ndarray) -> float:
     if n < 10:
         raise ConfigError("need at least 10 points per sample")
     pooled = np.vstack([X, Y])
-    pt = np.ascontiguousarray(pooled.T)
-    buf = np.empty((min(_BLOCK, 2 * n), 2 * n))  # reused: fresh pages would fault on every block
-    total = 0.0
-    for lo in range(0, 2 * n, _BLOCK):
-        hi = min(lo + _BLOCK, 2 * n)
-        dist = _sqdist(pooled[lo:hi], pt, buf[: hi - lo])
-        dist[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
-        ties = dist == dist.min(axis=1, keepdims=True)
-        in_x, in_y = np.count_nonzero(ties[:, :n], axis=1), np.count_nonzero(ties[:, n:], axis=1)
-        total += float(np.sum(np.where(np.arange(lo, hi) < n, in_x, in_y) / (in_x + in_y)))
-    return total / (2 * n)
+    pt, step = np.ascontiguousarray(pooled.T), max(1, _TILE // (2 * n))
+    buf = np.empty((min(step, 2 * n), 2 * n))  # reused: fresh pages would fault on every block
+    wins, scores = 0, []
+    for lo in range(0, 2 * n, step):
+        rows = np.arange(lo, min(lo + step, 2 * n))
+        dist = _sqdist(pooled[lo : lo + step], pt, buf[: len(rows)])
+        dist[np.arange(len(rows)), rows] = np.inf
+        mx, my = dist[:, :n].min(axis=1), dist[:, n:].min(axis=1)
+        own, other = np.where(rows < n, mx, my), np.where(rows < n, my, mx)
+        wins += int(np.count_nonzero(own < other))
+        tied = ~((own < other) | (own > other))  # equal minima, or a NaN (no ties: scores NaN)
+        ties = dist[tied] == np.minimum(mx, my)[tied, None]
+        cx, cy = np.count_nonzero(ties[:, :n], axis=1), np.count_nonzero(ties[:, n:], axis=1)
+        scores += (np.where(rows[tied] < n, cx, cy) / (cx + cy)).tolist()
+    return math.fsum([wins, *scores]) / (2 * n)
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -266,6 +267,24 @@ def test_config_file_precedence(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"no-such-flag": 1}))
     assert main(["generate", "--config", str(bad), "--out", out]) == 2
+
+
+def test_repeated_main_calls_keep_memory_flat(tmp_path):
+    # An argparse parser is a reference cycle that only a full collection frees, so a
+    # parser built per call piles up (over 1 MB in these 50 calls); one parser serves all.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"strength": 0.5}))
+    argv = ["whiten", "--config", str(cfg), "--out", str(tmp_path)]
+    assert main(argv) == 2  # parsed twice (flags, then the config), then --features is missing
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(50):
+            main(argv)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 100_000
 
 
 def test_env_seed_fallback(tmp_path, monkeypatch):
