@@ -386,7 +386,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code
     except NwflowError as exc:
         return _fail(exc, exc.exit_code)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:  # OverflowError: an int flag past C sizes
         return _fail(exc, ConfigError.exit_code)
     except MemoryError as exc:
         return _fail(exc, NumericalError.exit_code)

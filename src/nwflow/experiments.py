@@ -15,7 +15,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 from .kernels import SupportSet, _logsumexp, _smooth, kde_descaled_log_density, nw_local_means
 from .metrics import c2st_1nn, fit_power_law, median_heuristic, mmd2_unbiased, neff_profile
 from .ode import AdaptiveRK45, Euler, generate, kde_direct_sample
@@ -109,11 +109,16 @@ def save_report(report: RunReport, outdir: str) -> tuple[str, str]:
     return jpath, cpath
 
 
-def _base_config(experiment: str, seed_list: Sequence[int] | None = None, **params) -> dict:
-    cfg = {"experiment": experiment, "library_version": __version__, "rng": _RNG_NOTE, **params}
-    if seed_list is not None:
-        cfg["seeds"] = list(int(s) for s in seed_list)
-    return cfg
+def _base_config(experiment: str, **params) -> dict:
+    return {"experiment": experiment, "library_version": __version__, "rng": _RNG_NOTE, **params}
+
+
+def _seed_list(seeds: Sequence[int]) -> list[int]:
+    """The seeds as ints; an experiment calls this before any work, so no seed is no verdict."""
+    seeds = [int(s) for s in seeds]
+    if not seeds:
+        raise ConfigError("need at least one seed, got none")
+    return seeds
 
 
 def _spec_echo(spec: TaskSpec) -> dict:
@@ -226,6 +231,7 @@ def exp_neff_collapse(
     collapse (about 9 at d=2 down to about 1 at d=16), and the config echoes
     them in full.
     """
+    seeds = _seed_list(seeds)
     rows = []
     medians: dict[int, float] = {}
     for d in dims:
@@ -244,7 +250,7 @@ def exp_neff_collapse(
     return RunReport(
         config=_base_config(
             "neff-collapse",
-            seed_list=seeds,
+            seeds=seeds,
             dims=list(dims),
             m=m,
             t_star=_T_STAR,
@@ -282,6 +288,7 @@ def exp_variance_scaling(
     family's documented dimension; only the documented (family, d) pairs
     have acceptance bands.
     """
+    seeds = _seed_list(seeds)
     if family not in _VARIANCE_DIMS:
         raise ValueError(f"unknown family {family!r}; expected 'fourier' or 'gmm'")
     if d is None:
@@ -312,7 +319,7 @@ def exp_variance_scaling(
     return RunReport(
         config=_base_config(
             "variance-scaling",
-            seed_list=seeds,
+            seeds=seeds,
             family=family,
             d=d,
             m_grid=[int(m) for m in m_grid],
@@ -350,6 +357,7 @@ def exp_endpoint_check(
     share a comparable kernel; the null MMD distribution comes from pairs of
     independent reference draws.
     """
+    seeds = _seed_list(seeds)
     ref_bandwidth = _SCHED.sigma_min * bandwidth_factor
     rows = []
     mmd_bw: Optional[float] = mmd_bandwidth
@@ -382,7 +390,7 @@ def exp_endpoint_check(
     return RunReport(
         config=_base_config(
             "endpoint-check",
-            seed_list=seeds,
+            seeds=seeds,
             task={**_spec_echo(Gmm(d=2)), "seed": "per-run-seed"},
             m=m,
             n=n,
@@ -419,6 +427,7 @@ def exp_solver_control(
 
     Each is scored by MMD^2 against held-out draws of the same task.
     """
+    seeds = _seed_list(seeds)
     rk = AdaptiveRK45(rtol=rtol, atol=atol)
     rows = []
     mmd_bw: Optional[float] = mmd_bandwidth
@@ -439,7 +448,7 @@ def exp_solver_control(
     return RunReport(
         config=_base_config(
             "solver-control",
-            seed_list=seeds,
+            seeds=seeds,
             task={**_spec_echo(Gmm(d=2)), "seed": "per-run-seed"},
             m=m,
             n=n,
@@ -475,6 +484,7 @@ def exp_sphere_rate(
     control reuses the smallest-m concentration everywhere and must fit a
     strictly smaller exponent (its bias no longer shrinks).
     """
+    seeds = _seed_list(seeds)
     if d_k < 1:
         raise ValueError(f"need d_k >= 1, got {d_k}")
     target_exp = 4.0 / (d_k + 3)
@@ -525,7 +535,7 @@ def exp_sphere_rate(
     return RunReport(
         config=_base_config(
             "sphere-rate",
-            seed_list=seeds,
+            seeds=seeds,
             d_k=d_k,
             m_grid=[int(m) for m in m_grid],
             c_grid=[float(c) for c in c_grid],
@@ -564,6 +574,7 @@ def exp_whitening_control(
     strength grid.  Defaults to a synthetic anisotropic table; at most the
     table's rows beyond the support are held out.
     """
+    seeds = _seed_list(seeds)
     if table is None:
         table = anisotropic_gaussian_features(4096, 16, seed=0)
     n_eval = max(0, min(n_eval, table.n - m))
@@ -594,7 +605,7 @@ def exp_whitening_control(
     return RunReport(
         config=_base_config(
             "whitening-control",
-            seed_list=seeds,
+            seeds=seeds,
             strengths=[float(s) for s in strengths],
             m=m,
             n=n,
@@ -641,6 +652,7 @@ def exp_anisotropic_shells(
     A fixed global metric cannot track the radial direction around the
     sphere, so no hard criterion applies; the report records MMD ratios.
     """
+    seeds = _seed_list(seeds)
     rows = []
     mmd_bw: Optional[float] = None
     ratios: dict[str, list[float]] = {name: [] for name in _SHELL_METRICS}
@@ -670,7 +682,7 @@ def exp_anisotropic_shells(
     return RunReport(
         config=_base_config(
             "anisotropic-shells",
-            seed_list=seeds,
+            seeds=seeds,
             d=d,
             m=m,
             n=n,

@@ -24,13 +24,9 @@ __all__ = [
     "Mahalanobis",
     "BilinearLogit",
     "Vmf",
-    "KernelSpec",
-    "WeightVector",
     "logits",
-    "softmax_weights",
     "nw_weights",
     "local_mean",
-    "nw_local_means",
     "kde_descaled_log_density",
     "kde_descaled_score",
 ]

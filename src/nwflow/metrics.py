@@ -12,7 +12,7 @@ from .errors import ConfigError, NumericalError
 from .kernels import _EXP_FLOOR, SupportSet, _smooth
 from .schedule import PathSchedule
 
-__all__ = ["RateFit", "NeffProfile", "mmd2_unbiased", "median_heuristic", "c2st_1nn", "neff_profile",
+__all__ = ["mmd2_unbiased", "median_heuristic", "c2st_1nn", "neff_profile",
            "fit_power_law"]
 
 # Rows per side of one MMD^2 kernel tile.  Its 512 x 512 float64 values (2 MiB) are also the

@@ -25,19 +25,12 @@ __all__ = [
     "Rings",
     "Spirals",
     "FourierDensity",
-    "TaskSpec",
     "FeatureTable",
-    "WhitenTransform",
-    "parse_task",
     "sample_task",
     "make_support_and_eval",
     "split_table",
     "whiten",
     "load_feature_table",
-    "save_feature_table",
-    "write_csv",
-    "write_json",
-    "anisotropic_gaussian_features",
 ]
 
 _FOURIER_BOX = 3.0

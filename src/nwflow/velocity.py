@@ -36,7 +36,6 @@ from .kernels import (
 from .schedule import PathSchedule
 
 __all__ = [
-    "VelocityField",
     "PluginField",
     "MultiHeadParams",
     "velocity_from_score",

@@ -592,6 +592,13 @@ def test_nonpositive_experiment_int_flag_exits_2(tmp_path, name, dest, value):
     assert main(argv + ["--out", str(tmp_path)]) == 2
 
 
+def test_huge_n_seeds_exits_2(tmp_path, capsys):
+    # range() of this many seeds cannot become a list: an OverflowError, which exited 1
+    argv = ["experiment", "endpoint-check", "--n-seeds", str(10**20)]
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_nan_t_grid_exits_2(tmp_path, capsys):
     argv = ["diag-neff", "--task", "gmm2d", "--m", "5", "--t-grid", "0.5,nan"]
     assert main(argv + ["--out", str(tmp_path)]) == 2

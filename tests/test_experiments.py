@@ -4,11 +4,14 @@ import os
 import numpy as np
 import pytest
 
+from nwflow.errors import ConfigError
 from nwflow.experiments import (
     exp_anisotropic_shells,
+    exp_endpoint_check,
     exp_kde_identity,
     exp_neff_collapse,
     exp_realization_fuzz,
+    exp_solver_control,
     exp_sphere_rate,
     exp_variance_scaling,
     exp_whitening_control,
@@ -150,3 +153,22 @@ def test_report_bytes_stable_across_runs(tmp_path):
     assert open(os.path.join(p1, "rows.csv"), "rb").read() == open(
         os.path.join(p2, "rows.csv"), "rb"
     ).read()
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        exp_neff_collapse,
+        exp_variance_scaling,
+        exp_endpoint_check,
+        exp_solver_control,
+        exp_sphere_rate,
+        exp_whitening_control,
+        exp_anisotropic_shells,
+    ],
+)
+def test_empty_seed_list_is_config_error(run):
+    # Without a seed there is nothing to aggregate: this gave a PASS with NaN
+    # medians, a KeyError, or NaN aggregates after RuntimeWarnings.
+    with pytest.raises(ConfigError, match="at least one seed"):
+        run(seeds=())
