@@ -299,10 +299,11 @@ def exp_variance_scaling(
     vals: dict[int, list[float]] = {int(m): [] for m in m_grid}
     for seed in seeds:
         spec = family_cls(d=d, seed=seed)
-        ref = sample_task(spec, m_ref, 50_000 + seed)
         queries = sample_task(spec, n_queries, 60_000 + seed)
         hs = [float(m) ** (-1.0 / (4 + d)) for m in m_grid]
-        for m, h, ref_means in zip(m_grid, hs, nw_local_means(queries, ref, hs)):
+        # The reference support lives for this one call, and its sampled rows only until copied.
+        ref = nw_local_means(queries, SupportSet(sample_task(spec, m_ref, 50_000 + seed)), hs)
+        for m, h, ref_means in zip(m_grid, hs, ref):
             sm = sample_task(spec, int(m), 70_000 + 1000 * seed + int(m))
             gap = nw_local_means(queries, sm, h) - ref_means
             v = float(np.mean(np.sum(gap * gap, axis=1)))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -45,6 +45,10 @@ _COLUMN_MAJOR_M = 1024
 
 # Weights per column tile at several bandwidths: 0.8 MB of float64, inside a 2 MB L2.
 _TILE_ELEMS = 100_000
+
+# Least width of a tile's logit span.  8-aligned spans this wide gave every logit the bytes of the
+# full-width GEMM for d from 1 to 33 and m from 16,391 to 100,001; narrower or unaligned ones did not.
+_SPAN = 256
 
 # Floor for the smoother's max-shifted logits.  numpy's SIMD exp leaves its
 # fast path between -708 and -700, where its result stops being a normal
@@ -86,6 +90,9 @@ class SupportSet:
     @property
     def m(self) -> int:
         return self.points.shape[0]
+
+    def __len__(self) -> int:
+        return self.m
 
     @property
     def d(self) -> int:
@@ -274,17 +281,20 @@ def local_mean(
     return w @ values
 
 
-def nw_local_means(queries: np.ndarray, points: np.ndarray, h: Union[float, Sequence[float]]) -> np.ndarray:
+def nw_local_means(queries: np.ndarray, points: np.ndarray | SupportSet, h: float | Sequence[float]) -> np.ndarray:
     """Isotropic local means over a (possibly huge) support: (n, d) at a float h, (k, n, d) at k bandwidths.
 
     Used by the variance-scaling experiment, whose reference support runs to tens of thousands
-    of rows; memory stays O(block * m), and k bandwidths share one logit GEMM.  A negative or
-    NaN bandwidth, or an empty sequence, is a ValueError.
+    of rows.  `points` is an (m, d) array or a SupportSet, which keeps its keys and values between
+    calls.  At k >= 2 bandwidths, which share each logit GEMM, memory is the support's arrays,
+    O(m (d + 1)), plus O(tile); a float h holds one weight block, 16 m floats above m = 2^14.
+    A negative or NaN bandwidth, or an empty sequence, is a ValueError.
     """
     hs = np.asarray(h, dtype=np.float64)
     if hs.ndim > 1 or hs.size == 0 or not np.all(hs >= 0.0):
         raise ValueError(f"bandwidth must be non-negative (a float or a nonempty 1-D sequence), got {h!r}")
-    return _smooth(np.atleast_2d(np.asarray(queries, dtype=np.float64)), SupportSet(points), 1.0, hs)
+    support = points if isinstance(points, SupportSet) else SupportSet(points)
+    return _smooth(np.atleast_2d(np.asarray(queries, dtype=np.float64)), support, 1.0, hs)
 
 
 def _smooth(
@@ -309,7 +319,10 @@ def _smooth(
     n_eff = z^2 / sum(e^2).  Blocks of whole _ROWS-row panels, about _BLOCK_ELEMS weights, share
     one buffer per call (calls may run on several threads).  One bandwidth's block is one tile,
     used in place; with k bandwidths each block goes through a reused tile of at most _TILE_ELEMS
-    weights, kept in cache.
+    weights, kept in cache.  Where a _ROWS-row block would pass _BLOCK_ELEMS, k bandwidths take each
+    tile's logits from a GEMM over an aligned span, once for the row max and again to shift (two-pass
+    safe softmax, Milakov and Gimelshein, arXiv:1805.02867): memory beyond the support's arrays,
+    O(m (d + 1)), is then O(tile) at any m, with the bytes of the full-width block.
     A bandwidth so small that t / sigma^2 or a block's row max is not finite raises NumericalError.
     """
     c, keys, own_values, radius = support._kv
@@ -327,23 +340,38 @@ def _smooth(
     q = np.concatenate([xc * scale, np.full((n, 1), -0.5) * t * scale], axis=1)
     means, n_eff = np.empty((len(ratios), n, p)), np.empty((len(ratios), n))
     rows = max(1, min(n, max(_ROWS, _BLOCK_ELEMS // m // _ROWS * _ROWS)))
-    buf = np.empty((rows, m), order="F" if m < _COLUMN_MAJOR_M else "C")
     width = m if ratios[0] is None else max(1, min(m, _TILE_ELEMS // rows))
+    # k bandwidths where a _ROWS-row block would pass _BLOCK_ELEMS: the logits of each column tile
+    # [c0, c0 + width) come from one GEMM over the span [s0, s1), s0 a multiple of 8, s1 one too or m,
+    # at least _SPAN wide, in two passes (row max, then shift), not from a rows x m block.
+    tiled = ratios[0] is not None and m * _ROWS > _BLOCK_ELEMS
+    ends = [(c0, min(m, -(-(c0 + width) // 8) * 8)) for c0 in range(0, m, width)]
+    spans = [(max(0, min(c0, s1 - _SPAN)) // 8 * 8, s1) if tiled else (0, m) for c0, s1 in ends]
+    buf = np.empty((rows, max(s1 - s0 for s0, s1 in spans)), order="F" if m < _COLUMN_MAJOR_M else "C")
     work = None if ratios[0] is None else np.empty_like(buf[:, :width])  # the tile, in buf's order
+    block = lambda xq, s0, s1: np.matmul(xq, keys[s0:s1].T, out=buf[: len(xq), : s1 - s0])  # noqa: E731
     for lo in range(0, n, rows):
-        g = np.matmul(q[lo : lo + rows], keys.T, out=buf[: min(rows, n - lo)])
-        top = np.max(g, axis=1, keepdims=True)
+        xq = q[lo : lo + rows]
+        # Pass 1 takes the row max over exactly the spans pass 2 shifts, the first one last: buf keeps it.
+        rest = [np.max(block(xq, *span), axis=1, keepdims=True) for span in spans[:0:-1]] if tiled else []
+        g = block(xq, *spans[0])
+        top = reduce(np.maximum, rest, np.max(g, axis=1, keepdims=True))
         if not np.all(np.isfinite(top)):
             raise NumericalError(f"kernel logits are not finite at t={np.max(t):g}, sigma={np.min(sigma):g}")
         g -= top
-        for j, ratio in enumerate(ratios):
-            for c0 in range(0, m, width):
-                e = g if ratio is None else np.multiply(g[:, c0 : c0 + width], ratio, out=work[: len(g), : m - c0])
+        acc = [None] * len(ratios)
+        for c0, (s0, s1) in zip(range(0, m, width), spans):
+            if tiled and c0:  # the tile's span again, shifted; the k bandwidths read it while it is in L2
+                g = block(xq, s0, s1)
+                g -= top
+            for j, ratio in enumerate(ratios):
+                e = g if ratio is None else np.multiply(g[:, c0 - s0 : c0 - s0 + width], ratio, out=work[: len(g), : m - c0])
                 if clamp:
                     np.maximum(e, _EXP_FLOOR, out=e)
                 np.exp(e, out=e)
                 part = (e @ vals[c0 : c0 + width], np.einsum("ij,ij->i", e, e) if neff else 0.0)
-                r, ss = part if c0 == 0 else (r + part[0], ss + part[1])
+                acc[j] = part if c0 == 0 else (acc[j][0] + part[0], acc[j][1] + part[1])
+        for j, (r, ss) in enumerate(acc):
             means[j, lo : lo + rows] = r[:, :p] / r[:, p:]
             if neff:
                 n_eff[j, lo : lo + rows] = r[:, p] ** 2 / ss

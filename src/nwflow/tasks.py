@@ -8,6 +8,8 @@ distribution while the draw seed only controls the sample.
 
 from __future__ import annotations
 
+import copy
+import functools
 import json
 import struct
 from dataclasses import dataclass
@@ -227,10 +229,14 @@ def _sample_spirals(spec: Spirals, n: int, rng: np.random.Generator) -> np.ndarr
 
 
 _FOURIER_MARGIN = 0.5  # log-space headroom above the scanned maximum
+_FOURIER_CHUNK = 8192  # proposals drawn and scored at a time
 
 
-def _fourier_modes(spec: FourierDensity) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Frequency matrix (n_modes, d) in radians plus cosine/sine coefficients."""
+@functools.lru_cache(maxsize=64)
+def _fourier_law(spec: FourierDensity) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Read-only frequency matrix (n_modes, d) in radians and cosine/sine coefficients, and an upper
+    bound on the log-density: the box scan's maximum plus a margin for the gap to the true maximum
+    of the smooth low-mode series.  Cached, as every sample of a task draws from the same law."""
     inst = _rng(spec)
     waves = np.zeros((spec.n_modes, spec.d), dtype=np.int64)
     for k in range(spec.n_modes):
@@ -242,7 +248,11 @@ def _fourier_modes(spec: FourierDensity) -> tuple[np.ndarray, np.ndarray, np.nda
     norms = np.linalg.norm(waves, axis=1)
     a = spec.amplitude * inst.standard_normal(spec.n_modes) / np.sqrt(norms)
     b = spec.amplitude * inst.standard_normal(spec.n_modes) / np.sqrt(norms)
-    return waves * (np.pi / _FOURIER_BOX), a, b
+    waves = waves * (np.pi / _FOURIER_BOX)
+    for arr in (waves, a, b):
+        arr.setflags(write=False)
+    bound = float(np.max(_fourier_logdens(_fourier_scan_mesh(spec), waves, a, b))) + _FOURIER_MARGIN
+    return waves, a, b, bound
 
 
 def _fourier_logdens(x: np.ndarray, waves: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -259,36 +269,33 @@ def _fourier_scan_mesh(spec: FourierDensity) -> np.ndarray:
     return scan_rng.uniform(-_FOURIER_BOX, _FOURIER_BOX, (8192, spec.d))
 
 
-def _fourier_bound(spec: FourierDensity, waves, a, b) -> float:
-    """Upper bound on the log-density from the box scan.
+def _sample_fourier(spec: FourierDensity, n: int, rng: np.random.Generator) -> tuple[np.ndarray, int, int]:
+    """Joint rejection against Uniform[-3, 3]^d; returns (samples, proposed, accepted).
 
-    The fixed margin covers the gap between the scanned and true maximum of
-    the smooth low-mode series.
+    A batch's stream is its batch x d proposals, then its batch accept coins.  The coins come from
+    a copy of the generator advanced past the proposals, so both stream in _FOURIER_CHUNK rows;
+    the generator then takes the copy's state.  Once n rows are accepted nothing else is drawn.
     """
-    return float(np.max(_fourier_logdens(_fourier_scan_mesh(spec), waves, a, b))) + _FOURIER_MARGIN
-
-
-def _sample_fourier(
-    spec: FourierDensity, n: int, rng: np.random.Generator
-) -> tuple[np.ndarray, int, int]:
-    """Joint rejection against Uniform[-3, 3]^d; returns (samples, proposed, accepted)."""
-    waves, a, b = _fourier_modes(spec)
-    bound = _fourier_bound(spec, waves, a, b)
+    waves, a, b, bound = _fourier_law(spec)
     out = np.empty((n, spec.d))
     filled = 0
     proposed = 0
     while filled < n:
         batch = max(1024, 2 * (n - filled))
-        u = rng.uniform(-_FOURIER_BOX, _FOURIER_BOX, (batch, spec.d))
-        accept = rng.uniform(0.0, 1.0, batch) < np.exp(_fourier_logdens(u, waves, a, b) - bound)
+        coins = copy.deepcopy(rng)
+        coins.bit_generator.advance(batch * spec.d)
+        for c0 in range(0, batch, _FOURIER_CHUNK):
+            if filled == n:
+                break
+            k = min(_FOURIER_CHUNK, batch - c0)
+            u = rng.uniform(-_FOURIER_BOX, _FOURIER_BOX, (k, spec.d))
+            got = u[coins.uniform(0.0, 1.0, k) < np.exp(_fourier_logdens(u, waves, a, b) - bound)][: n - filled]
+            out[filled : filled + got.shape[0]] = got
+            filled += got.shape[0]
         proposed += batch
-        got = u[accept][: n - filled]
-        out[filled : filled + got.shape[0]] = got
-        filled += got.shape[0]
+        rng.bit_generator.state = coins.bit_generator.state
         if proposed >= _STALL_MIN_PROPOSALS and filled / proposed < _STALL_FLOOR:
-            raise NumericalError(
-                f"rejection acceptance {filled / proposed:.2e} below {_STALL_FLOOR:.0e}"
-            )
+            raise NumericalError(f"rejection acceptance {filled / proposed:.2e} below {_STALL_FLOOR:.0e}")
     return out, proposed, filled
 
 

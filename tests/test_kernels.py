@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,8 +13,10 @@ from nwflow.kernels import (
     Mahalanobis,
     SupportSet,
     Vmf,
+    _EXP_FLOOR,
     _TILE_ELEMS,
     _logsumexp,
+    _may_underflow,
     _smooth,
     kde_descaled_log_density,
     kde_descaled_score,
@@ -217,6 +224,63 @@ def test_nw_local_means_one_bandwidth_sequence_is_the_float_call():
         got = nw_local_means(queries, pts, [h])
         assert got.shape == (1, 30, 4)
         assert got[0].tobytes() == nw_local_means(queries, pts, h).tobytes()
+
+
+def _untiled_smooth(x, support, sigmas):
+    """The k-bandwidth smoother at t = 1 with untiled logits: one full-width GEMM per 16-row block,
+    shifted by its row max, then per bandwidth the same value tiles of _TILE_ELEMS // 16 columns."""
+    c, keys, vals, radius = support._kv
+    t, sq = np.asarray(1.0), np.square(sigmas, dtype=np.float64)
+    sq0 = np.min(sq)
+    scale = t / sq0
+    n, m, p = x.shape[0], support.m, support.d
+    xc = x - t * c
+    clamp = _may_underflow(xc, t, sq, radius)
+    q = np.concatenate([xc * scale, np.full((n, 1), -0.5) * t * scale], axis=1)
+    width = _TILE_ELEMS // 16
+    work = np.empty((16, width))
+    means, neff = np.empty((len(sq), n, p)), np.empty((len(sq), n))
+    for lo in range(0, n, 16):
+        g = q[lo : lo + 16] @ keys.T
+        g -= np.max(g, axis=1, keepdims=True)
+        for j, ratio in enumerate(np.where(sq == sq0, 1.0, sq0 / sq)):
+            for c0 in range(0, m, width):
+                e = np.multiply(g[:, c0 : c0 + width], ratio, out=work[: len(g), : m - c0])
+                if clamp:
+                    np.maximum(e, _EXP_FLOOR, out=e)
+                np.exp(e, out=e)
+                part, sq_part = e @ vals[c0 : c0 + width], np.einsum("ij,ij->i", e, e)
+                r, ss = (part, sq_part) if c0 == 0 else (r + part, ss + sq_part)
+            means[j, lo : lo + 16] = r[:, :p] / r[:, p:]
+            neff[j, lo : lo + 16] = r[:, p] ** 2 / ss
+    return means, neff
+
+
+def _check_tiled_bytes(m):
+    rng = np.random.default_rng(m)
+    for d in (1, 3, 8, 33):
+        support = SupportSet(rng.normal(size=(m, d)))
+        x = 1.2 * rng.normal(size=(40, d))  # blocks of 16, 16 and 8 rows
+        hs = [float(k) ** (-1.0 / (4 + d)) for k in (10, 25, 50, 100, 250, 500, 1000)]
+        for k in (2, 7):
+            got = _smooth(x, support, 1.0, hs[:k], neff=True)
+            want = _untiled_smooth(x, support, hs[:k])
+            assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes(), (d, k)
+
+
+# 16,391 and 25,007 leave spans ending 7 columns past a multiple of 8, 18,753 one column, and
+# 25,007 a last value tile of 7 columns.
+@pytest.mark.parametrize("m", [16_391, 18_753, 25_007, 50_000])
+def test_tiled_logits_give_the_bytes_of_one_full_width_block(m):
+    # In a fresh process at one BLAS thread, as perfbench and tools/output_sha256.py run: OpenBLAS
+    # reads its thread count at import, and its threaded GEMM splits a full-width block and a span
+    # at different columns, so their bytes may differ at other thread counts (ROADMAP item 12).
+    tests, src = Path(__file__).resolve().parent, Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(p for p in (str(tests), str(src), os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+    script = f"from test_kernels import _check_tiled_bytes; _check_tiled_bytes({m})"
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 @pytest.mark.parametrize("m", [1, 7, 300])

@@ -164,23 +164,49 @@ def test_mmd2_bytes_independent_of_blas_threads():
     assert len(outs) == 1
 
 
+_VARSCALE_HS = [float(m) ** (-1.0 / 12) for m in (10, 25, 50, 100, 250, 500, 1000)]
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_nw_local_means_memory_is_bounded_by_one_block():
     rng = np.random.default_rng(4)
     queries = rng.normal(size=(512, 8))
     points = rng.normal(size=(50_000, 8))
-    tracemalloc.start()
-    try:
-        peaks = []
-        # One bandwidth, then variance-scaling's seven in one call (one block plus a tile).
-        for h in (0.3, [float(m) ** (-1.0 / 12) for m in (10, 25, 50, 100, 250, 500, 1000)]):
-            tracemalloc.reset_peak()
-            nw_local_means(queries, points, h)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-    finally:
-        tracemalloc.stop()
-    # One 8 MiB weight block, plus the support's copy, keys and values (3.2 to 3.6 MiB each):
-    # 16.1 and 17.1 MiB measured.  Copying the keys and values to freeze them read 19.8 MiB.
-    assert max(peaks) < 18 * 2**20
+    # Both calls hold the support's copy, keys and values (3.1, 3.4 and 3.4 MiB).  One bandwidth
+    # adds one 6.1 MiB block of 16 x 50,000 weights: 16.1 MiB measured.  Variance-scaling's seven
+    # bandwidths add a tile and its logit span (0.8 MB each): 11.8 MiB measured, 17.1 MiB when the
+    # logits came in 16 x m blocks.
+    assert _peak_bytes(nw_local_means, queries, points, 0.3) < 17 * 2**20
+    assert _peak_bytes(nw_local_means, queries, points, _VARSCALE_HS) < 12.5 * 2**20
+
+
+def test_nw_local_means_memory_beyond_the_support_does_not_grow_with_m():
+    # At k bandwidths, memory beyond the support's copy, keys and values (m (3 d + 2) floats) is
+    # O(tile): 1.6 MiB measured at both sizes.  A 16 x m logit block added 6.1 and 24.4 MiB.
+    rng = np.random.default_rng(6)
+    queries = rng.normal(size=(64, 8))
+    beyond = []
+    for m in (50_000, 200_000):
+        points = rng.normal(size=(m, 8))
+        beyond.append(_peak_bytes(nw_local_means, queries, points, _VARSCALE_HS) - 8 * m * (3 * 8 + 2))
+    assert max(beyond) < 2.5 * 2**20
+    assert beyond[1] - beyond[0] < 0.25 * 2**20
+
+
+def test_fourier_sampler_memory_is_bounded_by_its_output_and_one_chunk():
+    from nwflow.tasks import FourierDensity
+
+    # The 50,000 x 8 output is 3.1 MiB; 4.2 MiB measured, 16.0 MiB when a batch of 2 (n - filled)
+    # proposals was drawn and scored at once.
+    assert _peak_bytes(sample_task, FourierDensity(d=8, seed=1), 50_000, 3) < 6 * 2**20
 
 
 def test_mmd2_matches_naive_double_loop():

@@ -79,24 +79,66 @@ def test_fourier_within_box_and_deterministic():
 
 def test_fourier_acceptance_matches_prediction():
     # envelope guard: the scan mesh predicts the rejection sampler's acceptance rate
-    from nwflow.tasks import (
-        _fourier_bound,
-        _fourier_logdens,
-        _fourier_modes,
-        _fourier_scan_mesh,
-        _rng,
-        _sample_fourier,
-    )
+    from nwflow.tasks import _fourier_law, _fourier_logdens, _fourier_scan_mesh, _rng, _sample_fourier
 
     for d, seed in ((1, 0), (2, 1), (8, 2)):
         spec = FourierDensity(d=d, seed=seed)
-        waves, a, b = _fourier_modes(spec)
-        bound = _fourier_bound(spec, waves, a, b)
+        waves, a, b, bound = _fourier_law(spec)
         logdens = _fourier_logdens(_fourier_scan_mesh(spec), waves, a, b)
         predicted = float(np.mean(np.exp(logdens - bound)))
         _, proposed, accepted = _sample_fourier(spec, 4000, _rng(spec, 9))
         ratio = accepted / proposed / predicted
         assert 0.5 <= ratio <= 2.0, (d, predicted, accepted / proposed)
+
+
+def _one_shot_fourier(spec, n, rng):
+    """The rejection loop drawing each batch's proposals, then its accept coins, in one call each."""
+    from nwflow.tasks import _fourier_law, _fourier_logdens
+
+    waves, a, b, bound = _fourier_law(spec)
+    out, filled, proposed = np.empty((n, spec.d)), 0, 0
+    while filled < n:
+        batch = max(1024, 2 * (n - filled))
+        u = rng.uniform(-3.0, 3.0, (batch, spec.d))
+        accept = rng.uniform(0.0, 1.0, batch) < np.exp(_fourier_logdens(u, waves, a, b) - bound)
+        proposed += batch
+        got = u[accept][: n - filled]
+        out[filled : filled + len(got)] = got
+        filled += len(got)
+    return out, proposed, filled
+
+
+@pytest.mark.parametrize("d", [1, 8])
+def test_streamed_fourier_sampler_matches_one_shot_batches(d):
+    from nwflow.tasks import _rng, _sample_fourier
+
+    for seed in (0, 5):
+        spec = FourierDensity(d=d, seed=seed)
+        for n in (10, 4000, 50_000):  # one batch of 1024; batches over several 8192-row chunks
+            got, proposed, accepted = _sample_fourier(spec, n, _rng(spec, 11))
+            want = _one_shot_fourier(spec, n, _rng(spec, 11))
+            assert got.tobytes() == want[0].tobytes() and (proposed, accepted) == want[1:], (seed, n)
+
+
+def test_fourier_sampler_stalls_with_numerical_error(monkeypatch):
+    from nwflow import tasks
+
+    spec = FourierDensity(d=2, seed=0)
+    waves, a, b, bound = tasks._fourier_law(spec)
+    # An envelope e^40 above the density: acceptance near 4e-18, far below the stall floor.
+    monkeypatch.setattr(tasks, "_fourier_law", lambda s: (waves, a, b, bound + 40.0))
+    with pytest.raises(NumericalError, match="rejection acceptance 0.00e\\+00 below 1e-04"):
+        sample_task(spec, 10, 0)
+
+
+def test_fourier_law_is_computed_once_per_spec_and_read_only():
+    from nwflow.tasks import _fourier_law
+
+    law = _fourier_law(FourierDensity(d=3, seed=4))
+    assert _fourier_law(FourierDensity(d=3, seed=4)) is law
+    for arr in law[:3]:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
 
 
 def test_fourier_nonuniform():
