@@ -26,6 +26,7 @@ from .tasks import (
     Gmm,
     Shell,
     TaskSpec,
+    _sample_shell,
     anisotropic_gaussian_features,
     make_support_and_eval,
     sample_task,
@@ -465,11 +466,6 @@ def exp_solver_control(
     )
 
 
-def _uniform_sphere(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
-    z = rng.standard_normal((n, d))
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
-
-
 def exp_sphere_rate(
     d_k: int = 3,
     m_grid: Sequence[int] = (128, 256, 512, 1024, 2048, 4096),
@@ -490,14 +486,15 @@ def exp_sphere_rate(
         raise ValueError(f"need d_k >= 1, got {d_k}")
     target_exp = 4.0 / (d_k + 3)
     kappa_pow = 2.0 / (d_k + 3)
+    sphere = Shell(d=d_k, radius_std=0.0)  # uniform on the unit sphere
 
     def sphere_mse(tag: int, seed: int, kappas: Callable[[int], list[float]]) -> list[list[float]]:
         """Per m of m_grid, the vMF smoother's MSE at each of kappas(m), on the (tag, seed) draw."""
         rng = np.random.default_rng(np.random.SeedSequence([tag, seed]))
-        queries = _uniform_sphere(rng, n_queries, d_k)
+        queries = _sample_shell(sphere, n_queries, rng)
         out = []
         for m in map(int, m_grid):
-            design = _uniform_sphere(rng, m, d_k)
+            design = _sample_shell(sphere, m, rng)
             y = design[:, 0] + _SPHERE_NOISE * rng.standard_normal(m)
             support, values = SupportSet(design), np.column_stack([y, np.ones(m)])
             # On the unit sphere kappa cos = kappa - kappa ||x - s||^2 / 2: the vMF smoother

@@ -43,7 +43,7 @@ _ROWS = 16
 # Below this support size blocks are column-major: a few long columns, swept by the row max and shift.
 _COLUMN_MAJOR_M = 1024
 
-# Weights per column tile at several bandwidths: 0.8 MB of float64, inside a 2 MB L2.
+# Weights per column tile of every multi-tile call: 0.8 MB of float64, inside a 2 MB L2.
 _TILE_ELEMS = 100_000
 
 # Least width of a tile's logit span.  8-aligned spans this wide gave every logit the bytes of the
@@ -286,8 +286,8 @@ def nw_local_means(queries: np.ndarray, points: np.ndarray | SupportSet, h: floa
 
     Used by the variance-scaling experiment, whose reference support runs to tens of thousands
     of rows.  `points` is an (m, d) array or a SupportSet, which keeps its keys and values between
-    calls.  At k >= 2 bandwidths, which share each logit GEMM, memory is the support's arrays,
-    O(m (d + 1)), plus O(tile); a float h holds one weight block, 16 m floats above m = 2^14.
+    calls.  Memory is the support's arrays, O(m (d + 1)), plus O(tile) at any number of bandwidths;
+    above m = 2^14 a k-bandwidth call (one logit GEMM shared) gives its least h the float call's bytes.
     A negative or NaN bandwidth, or an empty sequence, is a ValueError.
     """
     hs = np.asarray(h, dtype=np.float64)
@@ -317,12 +317,14 @@ def _smooth(
     s0^2 / sigma^2 (the row max stays 0, so z >= 1), clamped at _EXP_FLOOR where `_may_underflow`
     says so, then one GEMM against the values gives the sums and z; means = sums / z and
     n_eff = z^2 / sum(e^2).  Blocks of whole _ROWS-row panels, about _BLOCK_ELEMS weights, share
-    one buffer per call (calls may run on several threads).  One bandwidth's block is one tile,
-    used in place; with k bandwidths each block goes through a reused tile of at most _TILE_ELEMS
-    weights, kept in cache.  Where a _ROWS-row block would pass _BLOCK_ELEMS, k bandwidths take each
-    tile's logits from a GEMM over an aligned span, once for the row max and again to shift (two-pass
-    safe softmax, Milakov and Gimelshein, arXiv:1805.02867): memory beyond the support's arrays,
-    O(m (d + 1)), is then O(tile) at any m, with the bytes of the full-width block.
+    one buffer per call (calls may run on several threads).  One rule tiles a block: a single
+    bandwidth whose _ROWS-row block fits _BLOCK_ELEMS (m <= 2^14) is one tile, the whole block, used
+    in place.  Every other call walks column tiles of _TILE_ELEMS // rows columns and takes each
+    tile's logits from a GEMM over its aligned span, once for the row max and again to shift
+    (two-pass safe softmax, Milakov and Gimelshein, arXiv:1805.02867); k bandwidths each copy the
+    shifted tile into one reused tile, kept in cache.  Memory beyond the support's arrays,
+    O(m (d + 1)), is then O(tile) at any m and any number of bandwidths, and at one BLAS thread a
+    span's logits have the bytes of the full-width GEMM.
     A bandwidth so small that t / sigma^2 or a block's row max is not finite raises NumericalError.
     """
     c, keys, own_values, radius = support._kv
@@ -340,20 +342,17 @@ def _smooth(
     q = np.concatenate([xc * scale, np.full((n, 1), -0.5) * t * scale], axis=1)
     means, n_eff = np.empty((len(ratios), n, p)), np.empty((len(ratios), n))
     rows = max(1, min(n, max(_ROWS, _BLOCK_ELEMS // m // _ROWS * _ROWS)))
-    width = m if ratios[0] is None else max(1, min(m, _TILE_ELEMS // rows))
-    # k bandwidths where a _ROWS-row block would pass _BLOCK_ELEMS: the logits of each column tile
-    # [c0, c0 + width) come from one GEMM over the span [s0, s1), s0 a multiple of 8, s1 one too or m,
-    # at least _SPAN wide, in two passes (row max, then shift), not from a rows x m block.
-    tiled = ratios[0] is not None and m * _ROWS > _BLOCK_ELEMS
+    # Tile [c0, c0 + width) takes its logits from its span [s0, s1): 8-aligned (or s1 = m), >= _SPAN wide.
+    width = m if ratios[0] is None and m * _ROWS <= _BLOCK_ELEMS else max(1, min(m, _TILE_ELEMS // rows))
     ends = [(c0, min(m, -(-(c0 + width) // 8) * 8)) for c0 in range(0, m, width)]
-    spans = [(max(0, min(c0, s1 - _SPAN)) // 8 * 8, s1) if tiled else (0, m) for c0, s1 in ends]
+    spans = [(max(0, min(c0, s1 - _SPAN)) // 8 * 8, s1) for c0, s1 in ends]
     buf = np.empty((rows, max(s1 - s0 for s0, s1 in spans)), order="F" if m < _COLUMN_MAJOR_M else "C")
     work = None if ratios[0] is None else np.empty_like(buf[:, :width])  # the tile, in buf's order
     block = lambda xq, s0, s1: np.matmul(xq, keys[s0:s1].T, out=buf[: len(xq), : s1 - s0])  # noqa: E731
     for lo in range(0, n, rows):
         xq = q[lo : lo + rows]
         # Pass 1 takes the row max over exactly the spans pass 2 shifts, the first one last: buf keeps it.
-        rest = [np.max(block(xq, *span), axis=1, keepdims=True) for span in spans[:0:-1]] if tiled else []
+        rest = [np.max(block(xq, *span), axis=1, keepdims=True) for span in spans[:0:-1]]
         g = block(xq, *spans[0])
         top = reduce(np.maximum, rest, np.max(g, axis=1, keepdims=True))
         if not np.all(np.isfinite(top)):
@@ -361,11 +360,12 @@ def _smooth(
         g -= top
         acc = [None] * len(ratios)
         for c0, (s0, s1) in zip(range(0, m, width), spans):
-            if tiled and c0:  # the tile's span again, shifted; the k bandwidths read it while it is in L2
+            if c0:  # the tile's span again, shifted; every bandwidth reads it while it is in L2
                 g = block(xq, s0, s1)
                 g -= top
             for j, ratio in enumerate(ratios):
-                e = g if ratio is None else np.multiply(g[:, c0 - s0 : c0 - s0 + width], ratio, out=work[: len(g), : m - c0])
+                e = g[:, c0 - s0 : c0 - s0 + width]
+                e = e if ratio is None else np.multiply(e, ratio, out=work[: len(g), : m - c0])
                 if clamp:
                     np.maximum(e, _EXP_FLOOR, out=e)
                 np.exp(e, out=e)

@@ -9,16 +9,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .kernels import _EXP_FLOOR, SupportSet, _smooth
+from .kernels import _BLOCK_ELEMS as _TILE, _EXP_FLOOR, SupportSet, _smooth
 from .schedule import PathSchedule
 
 __all__ = ["mmd2_unbiased", "median_heuristic", "c2st_1nn", "neff_profile",
            "fit_power_law"]
 
-# Rows per side of one MMD^2 kernel tile.  Its 512 x 512 float64 values (2 MiB) are also the
-# budget of a 1-NN distance block and of a median-heuristic slab with its two histograms.
-_BLOCK = 512
-_TILE = _BLOCK * _BLOCK
+# _TILE is the smoother's 2 MiB weight block: one MMD^2 kernel tile of 512 x 512 float64, _BLOCK rows
+# per side, and the budget of a 1-NN distance block and of a median-heuristic slab with its two
+# histograms.
+_BLOCK = math.isqrt(_TILE)
 # Rows per slab of the exact distance pass, which stays in cache against a few thousand points.
 _SLAB = 8
 # Pooled points above which median_heuristic thins the pool.

@@ -303,8 +303,8 @@ def kde_direct_sample(support: SupportSet, bandwidth: float, n: int, seed: int) 
     plug-in field follows the same distribution at bandwidth sigma_min.  Row i
     comes from the stream default_rng(SeedSequence([seed, i])).
     """
-    if not bandwidth > 0.0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth!r}")
+    if not 0.0 < bandwidth < np.inf:
+        raise ValueError(f"bandwidth must be positive and finite, got {bandwidth!r}")
     if n < 1:
         raise ConfigError(f"need n >= 1 samples, got {n}")
     idx, z = _stream_draws(seed, n, support.d, support.m)

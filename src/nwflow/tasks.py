@@ -391,8 +391,8 @@ def whiten(
     eps = float(ridge)
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"strength must lie in [0, 1], got {strength!r}")
-    if eps < 0.0:
-        raise ValueError("regularization must be >= 0")
+    if not 0.0 <= eps < np.inf:
+        raise ValueError(f"regularization must be >= 0 and finite, got {ridge!r}")
     rows = table.rows
     mean = rows.mean(axis=0)
     if lam == 0.0:

@@ -347,6 +347,12 @@ def test_failed_experiment_exit_code(tmp_path):
     assert payload["pass"] is False
 
 
+def test_infinite_bandwidth_factor_is_config_error(tmp_path, capsys):
+    argv = ["experiment", "endpoint-check", "--n", "50", "--seeds", "0", "--bandwidth-factor", "inf"]
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert "bandwidth must be positive and finite" in capsys.readouterr().err
+
+
 def test_numerical_failure_exit_code(tmp_path, monkeypatch):
     import nwflow.cli as cli
 
@@ -508,6 +514,17 @@ def test_whiten_one_row_is_size_error(tmp_path, capsys):
     argv = ["whiten", "--features", str(table), "--ridge", "0.1", "--out", str(tmp_path / "w")]
     assert main(argv) == 2
     assert "at least 2 rows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("strength", ["0", "0.5"])
+@pytest.mark.parametrize("ridge", ["nan", "inf", "-1"])
+def test_whiten_non_finite_or_negative_ridge_exits_2(tmp_path, capsys, strength, ridge):
+    table = tmp_path / "t.csv"
+    table.write_text("1.0,2.0\n2.0,1.0\n3.0,5.0\n")
+    argv = ["whiten", "--features", str(table), "--strength", strength, "--ridge", ridge]
+    assert main(argv + ["--out", str(tmp_path / "w")]) == 2
+    assert "regularization must be >= 0 and finite" in capsys.readouterr().err
+    assert not (tmp_path / "w" / "transform.json").exists()
 
 
 @pytest.mark.filterwarnings("error")

@@ -226,6 +226,20 @@ def test_nw_local_means_one_bandwidth_sequence_is_the_float_call():
         assert got[0].tobytes() == nw_local_means(queries, pts, h).tobytes()
 
 
+@pytest.mark.parametrize("m", [16_391, 50_000])
+def test_one_bandwidth_above_one_block_is_the_least_row_of_a_k_call(m):
+    # Above m = 2^14 one bandwidth takes the k-bandwidth tiles and spans, so the two calls run the
+    # same operations on the least bandwidth's row (times 1.0, which is exact).
+    rng = np.random.default_rng(m)
+    support = SupportSet(rng.normal(size=(m, 4)))
+    queries = 1.2 * rng.normal(size=(24, 4))  # blocks of 16 and 8 rows
+    h = 0.3
+    one = nw_local_means(queries, support, h)
+    assert one.tobytes() == nw_local_means(queries, support, [h, 2 * h, 4 * h])[0].tobytes()
+    want = np.stack([local_mean(q, support, IsotropicGaussian(h)) for q in queries])
+    assert np.max(np.abs(one - want)) / np.max(np.abs(want)) <= 1e-12
+
+
 def _untiled_smooth(x, support, sigmas):
     """The k-bandwidth smoother at t = 1 with untiled logits: one full-width GEMM per 16-row block,
     shifted by its row max, then per bandwidth the same value tiles of _TILE_ELEMS // 16 columns."""

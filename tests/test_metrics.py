@@ -181,10 +181,10 @@ def test_nw_local_means_memory_is_bounded_by_one_block():
     queries = rng.normal(size=(512, 8))
     points = rng.normal(size=(50_000, 8))
     # Both calls hold the support's copy, keys and values (3.1, 3.4 and 3.4 MiB).  One bandwidth
-    # adds one 6.1 MiB block of 16 x 50,000 weights: 16.1 MiB measured.  Variance-scaling's seven
-    # bandwidths add a tile and its logit span (0.8 MB each): 11.8 MiB measured, 17.1 MiB when the
-    # logits came in 16 x m blocks.
-    assert _peak_bytes(nw_local_means, queries, points, 0.3) < 17 * 2**20
+    # adds one logit span of about 16 x 6,250 floats: 10.8 MiB measured, 16.1 MiB when it held a
+    # 16 x 50,000 block.  Variance-scaling's seven bandwidths add a tile and its logit span (0.8 MB
+    # each): 11.8 MiB measured, 17.1 MiB when the logits came in 16 x m blocks.
+    assert _peak_bytes(nw_local_means, queries, points, 0.3) < 11.5 * 2**20
     assert _peak_bytes(nw_local_means, queries, points, _VARSCALE_HS) < 12.5 * 2**20
 
 
@@ -199,6 +199,17 @@ def test_nw_local_means_memory_beyond_the_support_does_not_grow_with_m():
         beyond.append(_peak_bytes(nw_local_means, queries, points, _VARSCALE_HS) - 8 * m * (3 * 8 + 2))
     assert max(beyond) < 2.5 * 2**20
     assert beyond[1] - beyond[0] < 0.25 * 2**20
+
+
+def test_single_bandwidth_memory_beyond_the_support_is_one_tile():
+    # Above m = 2^14 one bandwidth walks the O(tile) spans, as k bandwidths do.  With the support's
+    # keys and values built before tracing, the calls hold 0.9 MiB; a 16 x m weight block held 6.0.
+    rng = np.random.default_rng(7)
+    support = SupportSet(rng.normal(size=(3 * 2**14, 8)))
+    support._kv
+    queries = rng.normal(size=(512, 8))
+    assert _peak_bytes(nw_local_means, queries, support, 0.3) < 2 * 2**20
+    assert _peak_bytes(neff_profile, support, PathSchedule(0.01), (0.3, 1.0), 512) < 2 * 2**20
 
 
 def test_fourier_sampler_memory_is_bounded_by_its_output_and_one_chunk():

@@ -302,8 +302,11 @@ def test_kde_direct_sample_properties():
 
     wide = kde_direct_sample(SupportSet(np.zeros((1, 1))), 1.0, 10_000, seed=2)
     assert np.var(wide) == pytest.approx(1.0, rel=0.05)
-    with pytest.raises(NumericalError, match="non-finite"):
-        kde_direct_sample(support, float("inf"), 4, seed=0)
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
+            kde_direct_sample(support, bad, 4, seed=0)
+    with np.errstate(over="ignore"), pytest.raises(NumericalError, match="non-finite"):  # rows overflow
+        kde_direct_sample(SupportSet(np.full((1, 1), 1e308)), 1e308, 64, seed=0)
 
 
 def test_kde_direct_sample_deterministic():

@@ -260,8 +260,10 @@ def test_whiten_config_validation():
     for strength in (1.5, -0.1, float("nan")):
         with pytest.raises(ValueError, match="strength must lie in"):
             whiten(table, strength)
-    with pytest.raises(ValueError, match="regularization must be >= 0"):
-        whiten(table, 0.5, ridge=-1.0)
+    for strength in (0.0, 0.5):
+        for ridge in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="regularization must be >= 0 and finite"):
+                whiten(table, strength, ridge=ridge)
 
 
 def test_csv_roundtrip(tmp_path):

@@ -6,12 +6,14 @@ Runs, each into its own directory under DIR (default: a temporary directory
 that is removed afterwards): the nine experiments at their defaults, two with
 flags (sphere-rate at d = 2, whitening-control on the table below), four
 `generate` runs (one over an 8192-row support, whose field calls span several
-weight blocks), two `diag-neff` runs, and `whiten`/`ingest` on an 80 x 3 CSV
-table with a header that the script writes from a fixed seed.  The checkout's
-`src` goes first on the path, so running the script from two checkouts and
-diffing the two outputs compares their bytes.  It prints a markdown table
-`| output | sha256 |`, then one `| run | exit code |` table.  DIR also gets
-`exit_codes.json`, so `tools/output_diff.py` can compare two such trees.
+weight blocks), three `diag-neff` runs (one over a 20,000-row support, whose
+smoother calls walk the logit spans of several column tiles), and
+`whiten`/`ingest` on an 80 x 3 CSV table with a header that the script writes
+from a fixed seed.  The checkout's `src` goes first on the path, so running
+the script from two checkouts and diffing the two outputs compares their
+bytes.  It prints a markdown table `| output | sha256 |`, then one
+`| run | exit code |` table.  DIR also gets `exit_codes.json`, so
+`tools/output_diff.py` can compare two such trees.
 OpenBLAS, OpenMP and MKL are pinned to one thread for every run.
 """
 
@@ -50,6 +52,7 @@ RUNS = {
     "diag": ["diag-neff", "--task", "gmm2d", "--m", "40", "--n", "64", "--seed", "2"],
     "diag-grid": ["diag-neff", "--task", "moons", "--m", "30", "--n", "40",
                   "--t-grid", "0.2,0.56,1.0", "--sigma-min", "0.05"],
+    "diag-large": ["diag-neff", "--task", "gmm8d", "--m", "20000", "--n", "64"],
     "whiten": ["whiten", "--features", TABLE, "--strength", "0.5", "--ridge", "0.01"],
     "whiten0": ["whiten", "--features", TABLE, "--strength", "0.0"],
     "whiten-bin": ["whiten", "--features", TABLE, "--format", "bin"],  # a CSV read as binary
