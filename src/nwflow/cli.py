@@ -240,7 +240,14 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _comma_list(kind: type) -> Callable[[str], list]:
+def _seed(text: str) -> int:
+    """argparse type: a non-negative integer, as numpy's SeedSequence takes."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer seed, got {text!r}")
+    return int(text)
+
+
+def _comma_list(kind: Callable[[str], object]) -> Callable[[str], list]:
     """argparse type: a comma list of `kind` values, such as 0,1,2."""
 
     def comma_list(text: str) -> list:
@@ -254,13 +261,13 @@ def _comma_list(kind: type) -> Callable[[str], list]:
 # rejects the others, abbreviations included.
 _FLAGS = {
     "task": {"help": "task name, e.g. gmm2d, shell16d, fourier8d, moons"},
-    "task_seed": {"type": int, "help": "task instance seed (default: the seed)"},
+    "task_seed": {"type": _seed, "help": "task instance seed (default: the seed)"},
     "features": {"help": "path to a feature table (csv or NWF1 binary)"},
     "format": {"choices": ["csv", "bin"], "help": "feature table format"},
     "m": {"type": int, "help": "support size"},
     "n": {"type": int, "help": "sample / query count"},
     "d": {"type": int, "help": "dimension"},
-    "seeds": {"type": _comma_list(int), "help": "explicit comma list of seeds"},
+    "seeds": {"type": _comma_list(_seed), "help": "explicit comma list of seeds"},
     "n_seeds": {"type": int, "help": "use this many consecutive seeds from the seed"},
     "sigma_min": {"type": float, "help": "terminal noise scale"},
     "euler": {"type": int, "metavar": "N", "help": "fixed-step Euler steps"},
@@ -285,7 +292,7 @@ def _add_command(sub, name: str, func: Callable, dests, help: Optional[str] = No
     """Subcommand `name`: --seed, --out, --jobs, --config and the flags named by `dests`."""
     p = sub.add_parser(name, help=help, allow_abbrev=False)
     p.set_defaults(func=func, **defaults)
-    p.add_argument("--seed", type=int, help="root seed (default: env NWFLOW_SEED, else 0)")
+    p.add_argument("--seed", type=_seed, help="root seed (default: env NWFLOW_SEED, else 0)")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--jobs", type=int, default=os.cpu_count(),
                    help="generate's worker threads (default: the CPU count); other commands ignore it")
@@ -362,11 +369,10 @@ def _parse(argv: Optional[Sequence[str]]) -> argparse.Namespace:
         at = 2 if args.command == "experiment" else 1  # after the command and experiment name
         args = build_parser().parse_args(argv[:at] + _config_argv(args.config, flags) + argv[at:])
     if args.seed is None:
-        env = os.environ.get("NWFLOW_SEED", "0")
         try:
-            args.seed = int(env)
-        except ValueError:
-            raise ConfigError(f"NWFLOW_SEED must be an integer, got {env!r}")
+            args.seed = _seed(os.environ.get("NWFLOW_SEED", "0"))
+        except argparse.ArgumentTypeError as exc:
+            raise ConfigError(f"NWFLOW_SEED: {exc}")
     return args
 
 

@@ -5,8 +5,8 @@ field, and returns the endpoint batch.  Reproducibility is anchored in
 per-sample RNG streams keyed by (seed, sample index), and `integrate` cuts the
 batch into groups of chunks by its size and the support size alone, so the
 result is bit-identical no matter how many workers integrate the groups.
-The streams are seeded, and a KDE row index drawn, by array arithmetic over
-all rows; only numpy's ziggurat normal runs per row (`_stream_draws`).
+The streams' seed words and KDE row indices come from array arithmetic over all
+rows; per row, numpy seeds a PCG64 from the words and draws the normal (`_stream_draws`).
 """
 
 from __future__ import annotations
@@ -167,17 +167,14 @@ def _lockstep(fieldfn: VelocityField, x0: np.ndarray, method: Euler | AdaptiveRK
     raise NumericalError(f"exceeded {method.max_steps} steps before reaching t = 1")
 
 
-# SeedSequence's entropy hash (numpy/random/bit_generator.pyx), PCG64's seeding, step and
-# XSL-RR output (pcg64.h) and Generator.integers' Lemire index (distributions.c), restated as
-# array arithmetic so that the per-sample streams are seeded and indexed in one vectorised
-# pass.  The tests compare the results bit for bit with default_rng(SeedSequence([seed, i])).
+# SeedSequence's entropy hash (numpy/random/bit_generator.pyx) and Generator.integers' Lemire
+# index (distributions.c) as array arithmetic over all per-sample streams; numpy seeds each row's
+# PCG64.  The tests compare the results bit for bit with default_rng(SeedSequence([seed, i])).
 _MASK32 = 0xFFFFFFFF
 _MIX_HASH = (0x43B0D7E5, 0x931E8875)  # mix_entropy: initial constant, multiplier
 _STATE_HASH = (0x8B51F9DD, 0x58F38DED)  # generate_state: initial constant, multiplier
 _MIX_L = np.uint32(0xCA01F9DD)
 _MIX_R = np.uint32(0x4973F715)
-_PCG_MULT = (np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645))  # (hi, lo)
-_U32, _LOW32 = np.uint64(32), np.uint64(_MASK32)
 
 
 def _uint32_words(value: int) -> list[int]:
@@ -206,30 +203,24 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return r ^ (r >> np.uint32(16))
 
 
-def _add128(a: tuple, b: tuple) -> tuple:
-    """a + b mod 2**128 on (hi, lo) uint64 halves."""
-    lo = a[1] + b[1]
-    return a[0] + b[0] + (lo < b[1]), lo
+@dataclass
+class _Words(np.random.bit_generator.ISeedSequence):
+    """Given seed words: PCG64 reads generate_state(4, uint64)'s raw buffer, so C-ordered uint64."""
 
+    words: np.ndarray
 
-def _lcg(state: tuple, inc: tuple) -> tuple:
-    """PCG64's step state * mult + inc mod 2**128 on (hi, lo) uint64 halves; the high half
-    of lo * mult_lo (64 x 64 -> 128 bits) is summed from 32-bit halves."""
-    (hi, lo), (m_hi, m_lo) = state, _PCG_MULT
-    a0, a1, b0, b1 = lo & _LOW32, lo >> _U32, m_lo & _LOW32, m_lo >> _U32
-    mid = ((a0 * b0) >> _U32) + ((a1 * b0) & _LOW32) + a0 * b1  # at most 2**64 - 1
-    carry = a1 * b1 + ((a1 * b0) >> _U32) + (mid >> _U32)
-    return _add128((carry + lo * m_hi + hi * m_lo, lo * m_lo), inc)
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.words
 
 
 def _stream_draws(seed: int, n: int, d: int, m: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Row indices in [0, m) and (n, d) N(0, I) rows: row i is rng.integers(m), then
     rng.standard_normal(d), on rng = default_rng(SeedSequence([seed, i])); m = 1 draws no index.
 
-    Vectorised over the rows: the SeedSequence hash, PCG64's seeding and, for m > 1, its first
-    step, XSL-RR output word and Lemire's multiply-shift index.  Per row, one Generator is set
-    to the row's state and draws numpy's ziggurat normal.  A row whose first word Lemire
-    rejects (probability below m / 2**32) is redrawn on the literal stream.
+    Vectorised over the rows: the SeedSequence hash and, for m > 1, Lemire's multiply-shift
+    index.  Per row, numpy seeds a PCG64 from the row's hashed words, which gives the first word
+    for m > 1 and then the ziggurat normal.  A row whose first word Lemire rejects (probability
+    below m / 2**32) is redrawn on the literal stream.
     """
     if n > 1 << 32:
         raise ConfigError(f"at most 2**32 samples per seed, got {n}")
@@ -244,27 +235,17 @@ def _stream_draws(seed: int, n: int, d: int, m: int = 1) -> tuple[np.ndarray, np
         for dst in range(4):
             pool[dst] = _mix(pool[dst], hashmix(word))
     hashmix = _hasher(*_STATE_HASH)
-    out = [hashmix(pool[k % 4]).astype(np.uint64) for k in range(8)]
-    # generate_state(4, uint64): little-endian pairs of the 8 uint32 words.
-    s_hi, s_lo, i_hi, i_lo = (out[2 * k] | (out[2 * k + 1] << _U32) for k in range(4))
-    # pcg64_set_seed: inc = 2 initseq + 1; state = (inc + initstate) * mult + inc.
-    inc = ((i_hi << np.uint64(1)) | (i_lo >> np.uint64(63)), (i_lo << np.uint64(1)) | np.uint64(1))
-    state = _lcg(_add128(inc, (s_hi, s_lo)), inc)
-    idx, redo = np.zeros(n, dtype=np.intp), []
-    if m > 1:  # integers(m): Lemire on the first word's low half; m > 2**32 redraws every row
-        state = (hi, lo) = _lcg(state, inc)
-        rot = hi >> np.uint64(58)  # XSL-RR: rotate hi ^ lo right by the top 6 bits
-        word = ((hi ^ lo) >> rot) | ((hi ^ lo) << ((np.uint64(64) - rot) & np.uint64(63)))
-        prod = (word & _LOW32) * np.uint64(m)
-        idx[:] = prod >> _U32
-        redo = np.flatnonzero(((prod & _LOW32) < (2**32 - m) % m) | (m > 1 << 32)).tolist()
-    z, bitgen = np.empty((n, d)), np.random.PCG64(0)
-    rng, pcg = np.random.Generator(bitgen), {"state": 0, "inc": 0}
-    full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}  # reused; rows refill pcg
-    states, incs = (((hi.astype(object) << 64) | lo.astype(object)).tolist() for hi, lo in (state, inc))
-    for row, pcg["state"], pcg["inc"] in zip(z, states, incs):
-        bitgen.state = full
-        rng.standard_normal(out=row)
+    # generate_state(4, uint64): numpy views the 8 uint32 words, little-endian, as 4 uint64.
+    words = np.stack([hashmix(pool[k % 4]) for k in range(8)], axis=1).astype("<u4").view(np.uint64)
+    z, first = np.empty((n, d)), np.empty(n, dtype=np.uint64)
+    for i, row in enumerate(z):
+        bitgen = np.random.PCG64(_Words(words[i]))
+        first[i] = bitgen.random_raw() if m > 1 else 0  # the word integers(m) reads
+        np.random.Generator(bitgen).standard_normal(out=row)
+    # integers(m): Lemire on the first word's low half; m > 2**32 redraws every row
+    prod = (first & _MASK32) * np.uint64(m)
+    idx = (prod >> 32).astype(np.intp)
+    redo = np.flatnonzero(((prod & _MASK32) < (2**32 - m) % m) | (m > 1 << 32)).tolist()
     for i in redo:
         rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
         idx[i] = rng.integers(m)
@@ -308,7 +289,8 @@ def kde_direct_sample(support: SupportSet, bandwidth: float, n: int, seed: int) 
     if n < 1:
         raise ConfigError(f"need n >= 1 samples, got {n}")
     idx, z = _stream_draws(seed, n, support.d, support.m)
-    rows = support.points[idx] + bandwidth * z
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the NumericalError below
+        rows = support.points[idx] + bandwidth * z
     if not np.all(np.isfinite(rows)):
         raise NumericalError("sample batch contains non-finite values")
     return rows

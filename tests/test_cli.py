@@ -384,6 +384,25 @@ def test_env_seed_reaches_experiment_seed_lists(tmp_path, monkeypatch):
     assert report == read(os.path.join(out_count, "report.json"))
 
 
+@pytest.mark.parametrize(
+    "argv, env, message",
+    [
+        (["generate", "--task", "gmm2d", "--m", "5", "--n", "3", "--seed", "-1"], None,
+         "argument --seed: expected a non-negative integer seed, got '-1'"),
+        (["diag-neff", "--task", "gmm2d", "--m", "5", "--task-seed", "-4"], None,
+         "argument --task-seed: expected a non-negative integer seed, got '-4'"),
+        (["experiment", "neff-collapse", "--seeds", "0,-1"], None,
+         "argument --seeds: expected a non-negative integer seed, got '-1'"),
+        (["experiment", "kde-identity"], "-2", "NWFLOW_SEED: expected a non-negative integer seed, got '-2'"),
+    ],
+)
+def test_negative_seed_names_its_flag(tmp_path, monkeypatch, capsys, argv, env, message):
+    if env is not None:
+        monkeypatch.setenv("NWFLOW_SEED", env)
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_config_file_sets_jobs(tmp_path, monkeypatch):
     import nwflow.cli as cli
 
