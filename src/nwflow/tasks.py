@@ -460,8 +460,8 @@ def _load_bin(path: str) -> FeatureTable:
     if len(blob) < 12:
         raise ConfigError(f"{path}: truncated header")
     n, d = struct.unpack("<II", blob[4:12])
-    if n == 0:
-        raise ConfigError(f"{path} declares zero rows")
+    if n == 0 or d == 0:
+        raise ConfigError(f"{path} declares {n} rows and {d} columns; a table needs at least one of each")
     expected = 12 + 8 * n * d
     if len(blob) != expected:
         raise ConfigError(f"{path}: expected {expected} bytes for {n}x{d}, got {len(blob)}")

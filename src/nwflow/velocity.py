@@ -27,7 +27,6 @@ from .errors import ConfigError, NumericalError
 from .kernels import (
     IsotropicGaussian,
     SupportSet,
-    _readonly,
     _smooth,
     _spd_metric,
     local_mean,
@@ -37,13 +36,11 @@ from .schedule import PathSchedule
 
 __all__ = [
     "PluginField",
-    "MultiHeadParams",
     "velocity_from_score",
     "affine_postmap",
     "attention_realized_velocity",
     "dot_product_lift",
     "multihead_forward",
-    "logit_rank",
 ]
 
 # Evaluation contract shared by every concrete field: (x, t) -> v, where x is a single point
@@ -164,93 +161,34 @@ def dot_product_lift(
     return q, k, float(q @ k)
 
 
-@dataclass(frozen=True, eq=False)
-class MultiHeadParams:
-    """Projection stacks for H-head cross-attention.
-
-    w_q, w_k, w_v: (H, d_k, d_model); w_o: (H, d_model, d_k).  The usual
-    convention H * d_k = d_model is available through `random` but not
-    enforced on direct construction.
-    """
-
-    w_q: np.ndarray
-    w_k: np.ndarray
-    w_v: np.ndarray
-    w_o: np.ndarray
-
-    def __post_init__(self) -> None:
-        w_q = np.asarray(self.w_q, dtype=np.float64)
-        w_k = np.asarray(self.w_k, dtype=np.float64)
-        w_v = np.asarray(self.w_v, dtype=np.float64)
-        w_o = np.asarray(self.w_o, dtype=np.float64)
-        if w_q.ndim != 3:
-            raise ConfigError("projections must be stacked as (H, d_k, d_model)")
-        h, d_k, d_model = w_q.shape
-        if w_k.shape != (h, d_k, d_model) or w_v.shape != (h, d_k, d_model):
-            raise ConfigError("w_k / w_v shapes must match w_q")
-        if w_o.shape != (h, d_model, d_k):
-            raise ConfigError("w_o must be stacked as (H, d_model, d_k)")
-        for name, arr in (("w_q", w_q), ("w_k", w_k), ("w_v", w_v), ("w_o", w_o)):
-            object.__setattr__(self, name, _readonly(arr))
-
-    @property
-    def n_heads(self) -> int:
-        return self.w_q.shape[0]
-
-    @property
-    def d_k(self) -> int:
-        return self.w_q.shape[1]
-
-    @property
-    def d_model(self) -> int:
-        return self.w_q.shape[2]
-
-    @classmethod
-    def random(cls, d_model: int, n_heads: int, rng: np.random.Generator) -> "MultiHeadParams":
-        if d_model % n_heads != 0:
-            raise ConfigError(f"d_model={d_model} not divisible by n_heads={n_heads}")
-        d_k = d_model // n_heads
-        scale = 1.0 / np.sqrt(d_model)
-        return cls(
-            w_q=rng.standard_normal((n_heads, d_k, d_model)) * scale,
-            w_k=rng.standard_normal((n_heads, d_k, d_model)) * scale,
-            w_v=rng.standard_normal((n_heads, d_k, d_model)) * scale,
-            w_o=rng.standard_normal((n_heads, d_model, d_k)) * scale,
-        )
-
-
-def multihead_forward(params: MultiHeadParams, q: np.ndarray, keys: np.ndarray) -> np.ndarray:
+def multihead_forward(
+    w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray, w_o: np.ndarray, q: np.ndarray, keys: np.ndarray
+) -> np.ndarray:
     """Standard multi-head cross-attention of one query against m key rows.
 
-    Equivalent to summing H generalized kernel smoothers: head h reweights
-    the value rows W_v z_i under the bilinear kernel
-    exp((W_q q).(W_k z_i)/sqrt(d_k)) and W_o maps the readout back.
+    w_q, w_k, w_v: (H, d_k, d_model); w_o: (H, d_model, d_k).  Equivalent to
+    summing H generalized kernel smoothers: head h reweights the value rows
+    W_v z_i under the bilinear kernel exp((W_q q).(W_k z_i)/sqrt(d_k)) and
+    W_o maps the readout back.
     """
+    w_q, w_k, w_v, w_o = (np.asarray(w, dtype=np.float64) for w in (w_q, w_k, w_v, w_o))
+    if w_q.ndim != 3:
+        raise ConfigError("projections must be stacked as (H, d_k, d_model)")
+    n_heads, d_k, d_model = w_q.shape
+    if w_k.shape != w_q.shape or w_v.shape != w_q.shape:
+        raise ConfigError("w_k / w_v shapes must match w_q")
+    if w_o.shape != (n_heads, d_model, d_k):
+        raise ConfigError("w_o must be stacked as (H, d_model, d_k)")
     q = np.asarray(q, dtype=np.float64)
-    keys = np.atleast_2d(np.asarray(keys, dtype=np.float64))
-    if q.shape != (params.d_model,):
-        raise ConfigError(f"query shape {q.shape} != (d_model,) = ({params.d_model},)")
-    if keys.shape[1] != params.d_model:
-        raise ConfigError(f"key width {keys.shape[1]} != d_model {params.d_model}")
-    out = np.zeros(params.d_model)
-    root = np.sqrt(params.d_k)
-    for h in range(params.n_heads):
-        lg = (keys @ params.w_k[h].T) @ (params.w_q[h] @ q) / root
+    keys = np.asarray(keys, dtype=np.float64)
+    if q.shape != (d_model,):
+        raise ConfigError(f"query shape {q.shape} != (d_model,) = ({d_model},)")
+    if keys.ndim != 2 or keys.shape[0] == 0 or keys.shape[1] != d_model:
+        raise ConfigError(f"keys shape {keys.shape} is not a nonempty (m, d_model) = (m, {d_model}) matrix")
+    out = np.zeros(d_model)
+    root = np.sqrt(d_k)
+    for h in range(n_heads):
+        lg = (keys @ w_k[h].T) @ (w_q[h] @ q) / root
         alpha = softmax_weights(lg)
-        out += params.w_o[h] @ (alpha @ (keys @ params.w_v[h].T))
+        out += w_o[h] @ (alpha @ (keys @ w_v[h].T))
     return out
-
-
-# logit_rank: singular values above this fraction of the largest count toward the rank
-_RANK_REL_TOL = 1e-10
-
-
-def logit_rank(params: MultiHeadParams, head: int) -> int:
-    """Numerical rank of the head's bilinear logit matrix W_q' W_k / sqrt(d_k)."""
-    if not 0 <= head < params.n_heads:
-        raise IndexError(f"head {head} out of range for {params.n_heads} heads")
-    a = params.w_q[head].T @ params.w_k[head] / np.sqrt(params.d_k)
-    sv = np.linalg.svd(a, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > _RANK_REL_TOL * sv[0]))

@@ -28,12 +28,11 @@ from nwflow.kernels import (
 )
 from nwflow.schedule import PathSchedule
 from nwflow.velocity import (
-    MultiHeadParams,
     PluginField,
-    logit_rank,
     multihead_forward,
     velocity_from_score,
 )
+from test_velocity import random_heads
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str, elapsed: float, limit: float) -> None:
@@ -214,21 +213,20 @@ def test_criterion_9_multihead_decomposition():
         d_model = int(rng.choice([4, 8, 16]))
         n_heads = int(rng.choice([1, 2, 4]))
         m = int(rng.integers(1, 12))
-        params = MultiHeadParams.random(d_model, n_heads, rng)
+        w_q, w_k, w_v, w_o = random_heads(d_model, n_heads, rng)
+        d_k = w_q.shape[1]
         q = rng.normal(size=d_model)
         keys = rng.normal(size=(m, d_model))
-        direct = multihead_forward(params, q, keys)
+        direct = multihead_forward(w_q, w_k, w_v, w_o, q, keys)
         support = SupportSet(keys)
         total = np.zeros(d_model)
         for head in range(n_heads):
-            bilinear = BilinearLogit(
-                params.w_q[head].T @ params.w_k[head], np.sqrt(params.d_k)
-            )
-            vals = keys @ params.w_v[head].T
-            total += params.w_o[head] @ local_mean(q, support, bilinear, values=vals)
+            bilinear = BilinearLogit(w_q[head].T @ w_k[head], np.sqrt(d_k))
+            vals = keys @ w_v[head].T
+            total += w_o[head] @ local_mean(q, support, bilinear, values=vals)
         worst_mha = max(worst_mha, float(np.max(np.abs(direct - total))))
         for head in range(n_heads):
-            assert logit_rank(params, head) <= params.d_k
+            assert np.linalg.matrix_rank(w_q[head].T @ w_k[head] / np.sqrt(d_k)) <= d_k
 
     worst_mah = 0.0
     for _ in range(50):

@@ -9,15 +9,15 @@ import pytest
 
 import nwflow
 
-# The package's public names: 42 exports and the 7 submodules that `import nwflow` loads.
+# The package's public names: 40 exports and the 7 submodules that `import nwflow` loads.
 # A name added here, or dropped, is a change to the public API.
 PUBLIC = [
     "AdaptiveRK45", "BilinearLogit", "Euler", "FeatureTable", "FourierDensity", "Gmm",
-    "IsotropicGaussian", "Mahalanobis", "Moons", "MultiHeadParams", "NwflowError", "PathSchedule",
+    "IsotropicGaussian", "Mahalanobis", "Moons", "NwflowError", "PathSchedule",
     "PluginField", "Rings", "Shell", "Spirals", "SupportSet", "Vmf", "affine_postmap",
     "attention_realized_velocity", "c2st_1nn", "dot_product_lift", "errors", "fit_power_law",
     "generate", "integrate", "kde_descaled_log_density", "kde_descaled_score", "kde_direct_sample",
-    "kernels", "load_feature_table", "local_mean", "logit_rank", "logits", "make_support_and_eval",
+    "kernels", "load_feature_table", "local_mean", "logits", "make_support_and_eval",
     "median_heuristic", "metrics", "mmd2_unbiased", "multihead_forward", "neff_profile", "nw_weights",
     "ode", "sample_task", "schedule", "split_table", "tasks", "velocity", "velocity_from_score",
     "whiten",

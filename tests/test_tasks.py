@@ -343,6 +343,12 @@ def test_binary_errors(tmp_path):
     with pytest.raises(ConfigError, match="expected 44 bytes for 2x2, got 20"):
         load_feature_table(truncated, "bin")
 
+    no_columns = os.path.join(tmp_path, "empty.bin")
+    with open(no_columns, "wb") as fh:
+        fh.write(b"NWF1" + (5).to_bytes(4, "little") + (0).to_bytes(4, "little"))
+    with pytest.raises(ConfigError, match="5 rows and 0 columns"):
+        load_feature_table(no_columns, "bin")
+
 
 def test_feature_table_validation():
     with pytest.raises(ConfigError, match="feature table contains non-finite entries"):

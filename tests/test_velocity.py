@@ -15,12 +15,10 @@ from nwflow.kernels import (
 )
 from nwflow.schedule import PathSchedule
 from nwflow.velocity import (
-    MultiHeadParams,
     PluginField,
     affine_postmap,
     attention_realized_velocity,
     dot_product_lift,
-    logit_rank,
     multihead_forward,
     velocity_from_score,
 )
@@ -267,51 +265,48 @@ def test_dot_product_lift():
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want) * 10)
 
 
+def random_heads(d_model: int, n_heads: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """Stacks w_q, w_k, w_v (H, d_k, d_model) and w_o (H, d_model, d_k), drawn in that order."""
+    d_k, scale = d_model // n_heads, 1.0 / np.sqrt(d_model)
+    shapes = [(n_heads, d_k, d_model)] * 3 + [(n_heads, d_model, d_k)]
+    return [rng.standard_normal(shape) * scale for shape in shapes]
+
+
 def test_multihead_equals_nw_ensemble():
     rng = np.random.default_rng(6)
     for _ in range(30):
-        params = MultiHeadParams.random(8, 4, rng)
+        w_q, w_k, w_v, w_o = random_heads(8, 4, rng)
         q = rng.normal(size=8)
         keys = rng.normal(size=(5, 8))
-        direct = multihead_forward(params, q, keys)
+        direct = multihead_forward(w_q, w_k, w_v, w_o, q, keys)
         total = np.zeros(8)
         support = SupportSet(keys)
         for h in range(4):
-            a = params.w_q[h].T @ params.w_k[h]
-            vals = keys @ params.w_v[h].T
-            readout = local_mean(q, support, BilinearLogit(a, np.sqrt(params.d_k)), values=vals)
-            total += params.w_o[h] @ readout
+            a = w_q[h].T @ w_k[h]
+            vals = keys @ w_v[h].T
+            readout = local_mean(q, support, BilinearLogit(a, np.sqrt(w_q.shape[1])), values=vals)
+            total += w_o[h] @ readout
         assert np.max(np.abs(direct - total)) <= 1e-12
 
 
 def test_multihead_degenerate_cases():
     eye = np.eye(3)[None]
-    params = MultiHeadParams(w_q=eye, w_k=eye, w_v=eye, w_o=eye)
     z = np.array([[0.3, -0.7, 1.1]])
-    assert np.allclose(multihead_forward(params, np.ones(3), z), z[0])
-    zero_v = MultiHeadParams(w_q=eye, w_k=eye, w_v=0 * eye, w_o=eye)
-    assert np.allclose(multihead_forward(zero_v, np.ones(3), np.random.default_rng(1).normal(size=(4, 3))), 0.0)
+    assert np.allclose(multihead_forward(eye, eye, eye, eye, np.ones(3), z), z[0])
+    keys = np.random.default_rng(1).normal(size=(4, 3))
+    assert np.allclose(multihead_forward(eye, eye, 0 * eye, eye, np.ones(3), keys), 0.0)
     with pytest.raises(ConfigError, match="query shape"):
-        multihead_forward(params, np.ones(2), z)
-
-
-def test_logit_rank():
-    rng = np.random.default_rng(7)
-    d_model, d_k = 16, 4
-    embed = np.zeros((d_k, d_model))
-    embed[:, :d_k] = np.eye(d_k)
-    params = MultiHeadParams(
-        w_q=embed[None], w_k=embed[None], w_v=embed[None], w_o=embed.T[None]
-    )
-    assert logit_rank(params, 0) == d_k
-    zero_k = MultiHeadParams(
-        w_q=embed[None], w_k=0 * embed[None], w_v=embed[None], w_o=embed.T[None]
-    )
-    assert logit_rank(zero_k, 0) == 0
-    for _ in range(10):
-        p = MultiHeadParams.random(16, 4, rng)
-        for h in range(4):
-            assert logit_rank(p, h) == 4  # random full rank, bounded by d_k
+        multihead_forward(eye, eye, eye, eye, np.ones(2), z)
+    with pytest.raises(ConfigError, match="keys shape"):
+        multihead_forward(eye, eye, eye, eye, np.ones(3), np.zeros((0, 3)))
+    with pytest.raises(ConfigError, match="keys shape"):
+        multihead_forward(eye, eye, eye, eye, np.ones(3), z[None])
+    with pytest.raises(ConfigError, match="stacked as"):
+        multihead_forward(eye[0], eye[0], eye[0], eye[0], np.ones(3), z)
+    with pytest.raises(ConfigError, match="must match w_q"):
+        multihead_forward(eye, eye[:, :2], eye, eye, np.ones(3), z)
+    with pytest.raises(ConfigError, match="w_o must be stacked"):
+        multihead_forward(eye, eye, eye, eye[:, :2], np.ones(3), z)
 
 
 def test_anisotropic_identity_reduces_to_plugin():
@@ -427,7 +422,6 @@ def test_array_records_compare_and_hash_by_identity():
         lambda: Mahalanobis(1.0, metric),
         lambda: BilinearLogit(metric, 1.0),
         lambda: WeightVector(np.array([0.5, 0.5]), 2.0),
-        lambda: MultiHeadParams.random(2, 1, np.random.default_rng(0)),
     ]
     for make in makers:
         a, b = make(), make()
