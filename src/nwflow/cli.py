@@ -9,8 +9,9 @@ or host-dependent is written (wall clock goes to stderr).
 A flag takes precedence over the --config file, which takes precedence over
 the parser's defaults; an unset seed comes from NWFLOW_SEED, else 0.  Library
 parameters are passed on only when their flag is set, so their defaults live
-in the library signatures alone.  Each command and each experiment parses
-only its own flags: an unread or abbreviated flag (or config key) exits 2.
+in the library signatures alone.  Every command and experiment accepts --seed,
+--out, --jobs and --config; beyond them each accepts only the flags it reads,
+so an unread or abbreviated flag (or config key) exits 2.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import time
 from typing import Callable, Optional, Sequence
 
 from . import __version__, experiments
-from .errors import ConfigError, NumericalError, NwflowError
+from .errors import ConfigError, NumericalError, NwflowError, _count
 from .experiments import save_report
 from .metrics import neff_profile
 from .ode import AdaptiveRK45, Euler, generate
@@ -208,9 +209,7 @@ def _seed_list(args: argparse.Namespace, count: int) -> list[int]:
         _reject_set(args, ["n_seeds"], "--seeds")
         return args.seeds
     if args.n_seeds is not None:
-        count = args.n_seeds
-    if count < 1:
-        raise ConfigError(f"--n-seeds must be >= 1, got {count}")
+        count = _count(args.n_seeds, "--n-seeds")
     return list(range(args.seed, args.seed + count))
 
 
@@ -240,11 +239,18 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _seed(text: str) -> int:
-    """argparse type: a non-negative integer, as numpy's SeedSequence takes."""
-    if not text.strip().isdecimal():
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer seed, got {text!r}")
-    return int(text)
+def _at_least(least: int, what: str) -> Callable[[str], int]:
+    """argparse type: a decimal integer >= `least`, which a rejection calls `what`."""
+
+    def at_least(text: str) -> int:
+        if not text.strip().isdecimal() or int(text) < least:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return int(text)
+
+    return at_least
+
+
+_seed = _at_least(0, "a non-negative integer seed")  # as numpy's SeedSequence takes
 
 
 def _comma_list(kind: Callable[[str], object]) -> Callable[[str], list]:
@@ -294,7 +300,7 @@ def _add_command(sub, name: str, func: Callable, dests, help: Optional[str] = No
     p.set_defaults(func=func, **defaults)
     p.add_argument("--seed", type=_seed, help="root seed (default: env NWFLOW_SEED, else 0)")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--jobs", type=int, default=os.cpu_count(),
+    p.add_argument("--jobs", type=_at_least(1, "a worker count >= 1"), default=os.cpu_count(),
                    help="generate's worker threads (default: the CPU count); other commands ignore it")
     p.add_argument("--config", help="JSON config file mirroring these flags")
     for dest in dests:
@@ -398,9 +404,5 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _fail(exc, NumericalError.exit_code)
 
 
-def entrypoint() -> None:
-    raise SystemExit(main())
-
-
 if __name__ == "__main__":
-    entrypoint()
+    raise SystemExit(main())

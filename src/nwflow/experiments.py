@@ -15,7 +15,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, _count
 from .kernels import SupportSet, _logsumexp, _smooth, kde_descaled_log_density, nw_local_means
 from .metrics import c2st_1nn, fit_power_law, median_heuristic, mmd2_unbiased, neff_profile
 from .ode import AdaptiveRK45, Euler, generate, kde_direct_sample
@@ -115,8 +115,8 @@ def _base_config(experiment: str, **params) -> dict:
 
 
 def _seed_list(seeds: Sequence[int]) -> list[int]:
-    """The seeds as ints; an experiment calls this before any work, so no seed is no verdict."""
-    seeds = [int(s) for s in seeds]
+    """The seeds as ints >= 0; an experiment calls this before any work, so no seed is no verdict."""
+    seeds = [_count(s, "seed", least=0) for s in seeds]
     if not seeds:
         raise ConfigError("need at least one seed, got none")
     return seeds
@@ -128,9 +128,7 @@ def _spec_echo(spec: TaskSpec) -> dict:
 
 def _fuzz_cases(rng: np.random.Generator, n_configs: int) -> Iterator[tuple[int, int, float, SupportSet]]:
     """n_configs fuzz cases (d, m, t, an m x d N(0, 2^2) support), drawn in this order from rng."""
-    if n_configs < 1:
-        raise ValueError(f"need n_configs >= 1, got {n_configs}")
-    for _ in range(n_configs):
+    for _ in range(_count(n_configs, "n_configs")):
         d = int(rng.choice(_FUZZ_DIMS))
         m = int(rng.integers(1, 65))
         t = float(rng.uniform(1e-3, 1.0))
@@ -291,7 +289,7 @@ def exp_variance_scaling(
     """
     seeds = _seed_list(seeds)
     if family not in _VARIANCE_DIMS:
-        raise ValueError(f"unknown family {family!r}; expected 'fourier' or 'gmm'")
+        raise ConfigError(f"unknown family {family!r}; expected 'fourier' or 'gmm'")
     if d is None:
         d = _VARIANCE_DIMS[family]
     family_cls = FourierDensity if family == "fourier" else Gmm
@@ -482,8 +480,7 @@ def exp_sphere_rate(
     strictly smaller exponent (its bias no longer shrinks).
     """
     seeds = _seed_list(seeds)
-    if d_k < 1:
-        raise ValueError(f"need d_k >= 1, got {d_k}")
+    d_k = _count(d_k, "d_k")
     target_exp = 4.0 / (d_k + 3)
     kappa_pow = 2.0 / (d_k + 3)
     sphere = Shell(d=d_k, radius_std=0.0)  # uniform on the unit sphere
@@ -636,7 +633,7 @@ def _shell_metric(name: str, d: int) -> np.ndarray:
         rng = np.random.default_rng(np.random.SeedSequence([303, d]))
         a = rng.standard_normal((d, d))
         return a @ a.T / d + 0.5 * np.eye(d)
-    raise ValueError(f"unknown metric variant {name!r}")
+    raise ConfigError(f"unknown metric variant {name!r}")
 
 
 def exp_anisotropic_shells(

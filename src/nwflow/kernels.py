@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, _scale
 
 __all__ = [
     "SupportSet",
@@ -124,9 +124,7 @@ class IsotropicGaussian:
     h: float
 
     def __post_init__(self) -> None:
-        if not float(self.h) > 0.0:
-            raise ValueError(f"bandwidth must be positive, got {self.h!r}")
-        object.__setattr__(self, "h", float(self.h))
+        object.__setattr__(self, "h", _scale(self.h, "bandwidth"))
 
 
 def _spd_metric(metric: np.ndarray, d: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
@@ -157,9 +155,7 @@ class Mahalanobis:
     metric: np.ndarray
 
     def __post_init__(self) -> None:
-        if not float(self.h) > 0.0:
-            raise ValueError(f"bandwidth must be positive, got {self.h!r}")
-        object.__setattr__(self, "h", float(self.h))
+        object.__setattr__(self, "h", _scale(self.h, "bandwidth"))
         object.__setattr__(self, "metric", _spd_metric(self.metric)[0])
 
 
@@ -174,10 +170,8 @@ class BilinearLogit:
         a = np.asarray(self.matrix, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ConfigError(f"logit matrix must be square, got shape {a.shape}")
-        if not float(self.scale) > 0.0:
-            raise ValueError(f"scale must be positive, got {self.scale!r}")
         object.__setattr__(self, "matrix", _readonly(a))
-        object.__setattr__(self, "scale", float(self.scale))
+        object.__setattr__(self, "scale", _scale(self.scale, "scale"))
 
 
 @dataclass(frozen=True)
@@ -187,9 +181,7 @@ class Vmf:
     kappa: float
 
     def __post_init__(self) -> None:
-        if not float(self.kappa) > 0.0:
-            raise ValueError(f"kappa must be positive, got {self.kappa!r}")
-        object.__setattr__(self, "kappa", float(self.kappa))
+        object.__setattr__(self, "kappa", _scale(self.kappa, "kappa"))
 
 
 KernelSpec = Union[IsotropicGaussian, Mahalanobis, BilinearLogit, Vmf]
@@ -288,13 +280,16 @@ def nw_local_means(queries: np.ndarray, points: np.ndarray | SupportSet, h: floa
     of rows.  `points` is an (m, d) array or a SupportSet, which keeps its keys and values between
     calls.  Memory is the support's arrays, O(m (d + 1)), plus O(tile) at any number of bandwidths;
     above m = 2^14 a k-bandwidth call (one logit GEMM shared) gives its least h the float call's bytes.
-    A negative or NaN bandwidth, or an empty sequence, is a ValueError.
+    A negative or NaN bandwidth, an empty sequence, or queries of another width is a ConfigError.
     """
     hs = np.asarray(h, dtype=np.float64)
     if hs.ndim > 1 or hs.size == 0 or not np.all(hs >= 0.0):
-        raise ValueError(f"bandwidth must be non-negative (a float or a nonempty 1-D sequence), got {h!r}")
+        raise ConfigError(f"bandwidth must be non-negative (a float or a nonempty 1-D sequence), got {h!r}")
     support = points if isinstance(points, SupportSet) else SupportSet(points)
-    return _smooth(np.atleast_2d(np.asarray(queries, dtype=np.float64)), support, 1.0, hs)
+    x = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    if x.ndim != 2 or x.shape[1] != support.d:
+        raise ConfigError(f"queries of shape {x.shape} do not match a support of shape {support.points.shape}")
+    return _smooth(x, support, 1.0, hs)
 
 
 def _smooth(

@@ -8,7 +8,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, _count, _scale
 from .kernels import _BLOCK_ELEMS as _TILE, _EXP_FLOOR, SupportSet, _smooth
 from .schedule import PathSchedule
 
@@ -70,6 +70,14 @@ def _sqdist(a: np.ndarray, bt: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _samples(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two samples as float64 row matrices of one width (a 1-D sample is one row), else ConfigError."""
+    X, Y = (np.atleast_2d(np.asarray(a, dtype=np.float64)) for a in (X, Y))
+    if X.ndim != 2 or X.shape[1:] != Y.shape[1:]:
+        raise ConfigError(f"samples of shapes {X.shape} and {Y.shape} are not rows of one width")
+    return X, Y
+
+
 def mmd2_unbiased(X: np.ndarray, Y: np.ndarray, bandwidth: float) -> float:
     """Unbiased Gaussian-kernel U-statistic of the squared MMD; may be negative.
 
@@ -81,14 +89,12 @@ def mmd2_unbiased(X: np.ndarray, Y: np.ndarray, bandwidth: float) -> float:
     same tiles in the same order and returns the bitwise-identical value.  Where ||x - y|| <=
     2 max ||x - c|| lets an exponent fall below _EXP_FLOOR, pairs below it add 0 (each < 1e-304).
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
+    X, Y = _samples(X, Y)
     n, np_ = X.shape[0], Y.shape[0]
     if n < 2 or np_ < 2:
         raise ConfigError("unbiased MMD^2 needs at least two points per sample")
-    if not 0.0 < bandwidth < np.inf:
-        raise ValueError(f"bandwidth must be positive and finite, got {bandwidth!r}")
-    sq = float(bandwidth) * float(bandwidth)  # Python floats: overflow gives inf, not a warning
+    bw = _scale(bandwidth, "bandwidth")
+    sq = bw * bw  # Python floats: overflow gives inf, not a warning (a power would raise OverflowError)
     inv = -0.5 / sq if sq > 0.0 else -np.inf
     if not np.isfinite(inv):
         raise NumericalError(f"kernel scale 1 / (2 bandwidth^2) overflows at bandwidth={bandwidth}")
@@ -162,7 +168,7 @@ def median_heuristic(X: np.ndarray, Y: np.ndarray) -> float:
     selected exactly, unstored, and take np.median's mean after the sqrt
     (monotone, correctly rounded), so the result has its bits.
     """
-    pooled = np.vstack([np.atleast_2d(X), np.atleast_2d(Y)]).astype(np.float64, copy=False)
+    pooled = np.vstack(_samples(X, Y))
     if pooled.shape[0] < 2:
         raise ConfigError("median heuristic needs at least two pooled points")
     if pooled.shape[0] > _HEURISTIC_CAP:
@@ -185,8 +191,7 @@ def c2st_1nn(X: np.ndarray, Y: np.ndarray) -> float:
     Rows go in blocks of _TILE distances and score on the minima of their X and Y
     halves; wins add as an integer and tie scores by fsum, whatever the block size.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
+    X, Y = _samples(X, Y)
     n = X.shape[0]
     if Y.shape[0] != n:
         raise ConfigError("the two samples must have equal size")
@@ -241,9 +246,8 @@ def neff_profile(
     """
     t_arr = np.asarray(list(t_grid), dtype=np.float64)
     if not np.all((t_arr > 0.0) & (t_arr <= 1.0)):  # also rejects NaN
-        raise ValueError("t grid must lie in (0, 1]")
-    if n_queries < 1:
-        raise ValueError(f"need n_queries >= 1, got {n_queries}")
+        raise ConfigError("t grid must lie in (0, 1]")
+    n_queries = _count(n_queries, "n_queries")
     med, q25, q75, hs = (np.empty_like(t_arr) for _ in range(4))
     rng = np.random.default_rng(np.random.SeedSequence([11, seed]))
     for i, t in enumerate(t_arr):

@@ -11,14 +11,13 @@ rows; per row, numpy seeds a PCG64 from the words and draws the normal (`_stream
 
 from __future__ import annotations
 
-import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, _count, _scale
 from .kernels import SupportSet
 from .velocity import PluginField, VelocityField
 
@@ -45,9 +44,7 @@ class Euler:
     n_steps: int = 100
 
     def __post_init__(self) -> None:
-        if int(self.n_steps) < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps!r}")
-        object.__setattr__(self, "n_steps", int(self.n_steps))
+        object.__setattr__(self, "n_steps", _count(self.n_steps, "n_steps"))
 
 
 @dataclass(frozen=True)
@@ -59,14 +56,11 @@ class AdaptiveRK45:
     max_steps: int = 100_000
 
     def __post_init__(self) -> None:
-        if not (_RTOL_MIN <= float(self.rtol) < np.inf and 0.0 < float(self.atol) < np.inf):
-            raise ValueError(f"rtol and atol must be positive and finite, and rtol >= {_RTOL_MIN:.3g} "
-                             f"(100 epsilon), got {self.rtol!r}, {self.atol!r}")
-        if int(self.max_steps) < 1:
-            raise ValueError("max_steps must be >= 1")
-        object.__setattr__(self, "rtol", float(self.rtol))
-        object.__setattr__(self, "atol", float(self.atol))
-        object.__setattr__(self, "max_steps", int(self.max_steps))
+        object.__setattr__(self, "rtol", _scale(self.rtol, "rtol"))
+        if self.rtol < _RTOL_MIN:
+            raise ConfigError(f"rtol must be positive and finite, and >= 100 eps ({_RTOL_MIN:.3g}), got {self.rtol!r}")
+        object.__setattr__(self, "atol", _scale(self.atol, "atol"))
+        object.__setattr__(self, "max_steps", _count(self.max_steps, "max_steps"))
 
 
 # Dormand-Prince 5(4) tableau.  Row 6 of A is b5, so the last stage is f at the step's result.
@@ -112,9 +106,7 @@ def integrate(
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.ndim != 2:
         raise ConfigError(f"integrate takes an (n, d) batch, got shape {x0.shape}")
-    if jobs < 1:
-        raise ConfigError(f"need jobs >= 1 worker threads, got {jobs}")
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    with ThreadPoolExecutor(max_workers=_count(jobs, "jobs")) as pool:
         done = list(pool.map(lambda g: _lockstep(fieldfn, g, method), _groups(fieldfn, x0)))
     x = np.vstack(done or [x0])  # an empty batch has no group
     if not np.all(np.isfinite(x)):  # the one check on Euler's last step
@@ -179,9 +171,7 @@ _MIX_R = np.uint32(0x4973F715)
 
 def _uint32_words(value: int) -> list[int]:
     """Little-endian 32-bit words of a non-negative int, as SeedSequence splits entropy."""
-    value = operator.index(value)
-    if value < 0:
-        raise ValueError(f"seed must be non-negative, got {value}")
+    value = _count(value, "seed", least=0)
     return [(value >> s) & _MASK32 for s in range(0, max(value.bit_length(), 1), 32)]
 
 
@@ -272,9 +262,7 @@ def generate(
     with metric M.  Base draws come from per-sample streams keyed by (seed,
     index); `integrate` advances them on `jobs` threads, which change no bit.
     """
-    if n < 1:
-        raise ConfigError(f"need n >= 1 samples, got {n}")
-    return integrate(field, _base_draws(n, field.support.d, seed, field.chol), method, jobs)
+    return integrate(field, _base_draws(_count(n, "n"), field.support.d, seed, field.chol), method, jobs)
 
 
 def kde_direct_sample(support: SupportSet, bandwidth: float, n: int, seed: int) -> np.ndarray:
@@ -284,11 +272,8 @@ def kde_direct_sample(support: SupportSet, bandwidth: float, n: int, seed: int) 
     plug-in field follows the same distribution at bandwidth sigma_min.  Row i
     comes from the stream default_rng(SeedSequence([seed, i])).
     """
-    if not 0.0 < bandwidth < np.inf:
-        raise ValueError(f"bandwidth must be positive and finite, got {bandwidth!r}")
-    if n < 1:
-        raise ConfigError(f"need n >= 1 samples, got {n}")
-    idx, z = _stream_draws(seed, n, support.d, support.m)
+    bandwidth = _scale(bandwidth, "bandwidth")
+    idx, z = _stream_draws(seed, _count(n, "n"), support.d, support.m)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the NumericalError below
         rows = support.points[idx] + bandwidth * z
     if not np.all(np.isfinite(rows)):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 
 __all__ = ["PathSchedule"]
 
@@ -24,7 +24,7 @@ class PathSchedule:
     def __post_init__(self) -> None:
         s = float(self.sigma_min)
         if not 0.0 < s <= 1.0:
-            raise ValueError(f"sigma_min must lie in (0, 1], got {self.sigma_min!r}")
+            raise ConfigError(f"sigma_min must lie in (0, 1], got {self.sigma_min!r}")
         object.__setattr__(self, "sigma_min", s)
 
     def sigma(self, t: float) -> float:

@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, _count, _scale
 from .kernels import SupportSet, _readonly
 
 __all__ = [
@@ -54,7 +54,7 @@ class FeatureTable:
         if rows.ndim != 2:
             raise ConfigError(f"feature table must be 2-d, got shape {rows.shape}")
         if not np.all(np.isfinite(rows)):
-            raise ConfigError("feature table contains non-finite entries")
+            raise ConfigError(f"{self.source or 'feature table'} contains non-finite values")
         object.__setattr__(self, "rows", _readonly(rows))
         if self.names is not None:
             object.__setattr__(self, "names", tuple(self.names))
@@ -81,10 +81,11 @@ class Gmm:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.d < 1 or self.k_components < 1:
-            raise ValueError("need d >= 1 and k_components >= 1")
-        if not 0.0 < self.std_lo <= self.std_hi:
-            raise ValueError("need 0 < std_lo <= std_hi")
+        _count(self.d, "d")
+        _count(self.k_components, "k_components")
+        _scale(self.separation_scale, "separation_scale", zero=True)
+        if not _scale(self.std_lo, "std_lo") <= _scale(self.std_hi, "std_hi"):
+            raise ConfigError(f"need std_lo <= std_hi, got {self.std_lo!r} and {self.std_hi!r}")
 
 
 @dataclass(frozen=True)
@@ -98,10 +99,9 @@ class Shell:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError("need d >= 1")
-        if not self.radius_mean > 0.0 or self.radius_std < 0.0:
-            raise ValueError("need radius_mean > 0 and radius_std >= 0")
+        _count(self.d, "d")
+        _scale(self.radius_mean, "radius_mean")
+        _scale(self.radius_std, "radius_std", zero=True)
 
 
 @dataclass(frozen=True)
@@ -111,6 +111,9 @@ class Moons:
     noise: float = 0.05
     seed: int = 0
     d = 2
+
+    def __post_init__(self) -> None:
+        _scale(self.noise, "noise", zero=True)
 
 
 @dataclass(frozen=True)
@@ -123,8 +126,8 @@ class Rings:
     d = 2
 
     def __post_init__(self) -> None:
-        if self.k_rings < 1:
-            raise ValueError("need k_rings >= 1")
+        _count(self.k_rings, "k_rings")
+        _scale(self.noise, "noise", zero=True)
 
 
 @dataclass(frozen=True)
@@ -137,8 +140,8 @@ class Spirals:
     d = 2
 
     def __post_init__(self) -> None:
-        if self.k_arms < 1:
-            raise ValueError("need k_arms >= 1")
+        _count(self.k_arms, "k_arms")
+        _scale(self.noise, "noise", zero=True)
 
 
 @dataclass(frozen=True)
@@ -159,12 +162,10 @@ class FourierDensity:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.d < 1 or self.n_modes < 1:
-            raise ValueError("need d >= 1 and n_modes >= 1")
-        if not self.amplitude > 0.0:
-            raise ValueError("amplitude must be positive")
-        if self.max_frequency < 1:
-            raise ValueError("max_frequency must be >= 1")
+        _count(self.d, "d")
+        _count(self.n_modes, "n_modes")
+        _count(self.max_frequency, "max_frequency")
+        _scale(self.amplitude, "amplitude")
 
 
 TaskSpec = Union[Gmm, Shell, Moons, Rings, Spirals, FourierDensity]
@@ -331,22 +332,18 @@ def parse_task(name: str, seed: int) -> TaskSpec:
 
 def sample_task(spec: TaskSpec, n: int, seed: int) -> np.ndarray:
     """n i.i.d. draws from the task family; deterministic in (spec, n, seed)."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
     if type(spec) not in _FAMILIES:
         raise TypeError(f"unknown task spec {spec!r}")
-    return _FAMILIES[type(spec)][2](spec, n, _rng(spec, seed))
+    return _FAMILIES[type(spec)][2](spec, _count(n, "n"), _rng(spec, seed))
 
 
 def make_support_and_eval(
     spec: TaskSpec, m: int, n_eval: int, seed: int
 ) -> tuple[SupportSet, np.ndarray]:
     """Support set and evaluation draws from disjoint RNG substreams."""
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
     sup_seed, ev_seed = (int(s) for s in np.random.SeedSequence(seed).generate_state(2, np.uint64))
-    support = SupportSet(sample_task(spec, m, sup_seed))
-    eval_rows = sample_task(spec, n_eval, ev_seed) if n_eval > 0 else np.empty((0, support.d))
+    support = SupportSet(sample_task(spec, _count(m, "m"), sup_seed))
+    eval_rows = sample_task(spec, n_eval, ev_seed) if _count(n_eval, "n_eval", 0) else np.empty((0, support.d))
     return support, eval_rows
 
 
@@ -354,12 +351,8 @@ def split_table(
     table: FeatureTable, m: int, n_eval: int, seed: int
 ) -> tuple[SupportSet, np.ndarray]:
     """Support set and held-out evaluation rows: disjoint row subsets of a seeded permutation."""
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
-    if n_eval < 0:
-        raise ValueError(f"need n_eval >= 0, got {n_eval}")
-    if m + n_eval > table.n:
-        raise ValueError(f"table has {table.n} rows, cannot split into {m} + {n_eval}")
+    if _count(m, "m") + _count(n_eval, "n_eval", 0) > table.n:
+        raise ConfigError(f"table has {table.n} rows, cannot split into {m} + {n_eval}")
     perm = np.random.default_rng(np.random.SeedSequence([_TABLE_TAG, 0, seed])).permutation(table.n)
     return SupportSet(table.rows[perm[:m]]), table.rows[perm[m : m + n_eval]].copy()
 
@@ -388,11 +381,9 @@ def whiten(
     strength 1 makes the sample covariance the identity up to the ridge.
     """
     lam = float(strength)
-    eps = float(ridge)
     if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"strength must lie in [0, 1], got {strength!r}")
-    if not 0.0 <= eps < np.inf:
-        raise ValueError(f"regularization must be >= 0 and finite, got {ridge!r}")
+        raise ConfigError(f"strength must lie in [0, 1], got {strength!r}")
+    eps = _scale(ridge, "regularization", zero=True)
     rows = table.rows
     mean = rows.mean(axis=0)
     if lam == 0.0:
@@ -447,8 +438,6 @@ def _load_csv(path: str) -> FeatureTable:
         rows = np.array([[float(c) for c in row] for row in cells], dtype=np.float64)
     except ValueError as exc:
         raise ConfigError(f"{path}: unparseable cell ({exc})") from exc
-    if not np.all(np.isfinite(rows)):
-        raise ConfigError(f"{path} contains non-finite values")
     return FeatureTable(rows=rows, names=names, source=path)
 
 
@@ -466,8 +455,6 @@ def _load_bin(path: str) -> FeatureTable:
     if len(blob) != expected:
         raise ConfigError(f"{path}: expected {expected} bytes for {n}x{d}, got {len(blob)}")
     rows = np.frombuffer(blob, dtype="<f8", offset=12).reshape(n, d)
-    if not np.all(np.isfinite(rows)):
-        raise ConfigError(f"{path} contains non-finite values")
     return FeatureTable(rows=rows.astype(np.float64), source=path)
 
 

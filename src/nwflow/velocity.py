@@ -23,7 +23,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, _count, _scale
 from .kernels import (
     IsotropicGaussian,
     SupportSet,
@@ -108,8 +108,7 @@ def velocity_from_score(
 
 def affine_postmap(x_tilde: np.ndarray, z: np.ndarray, sigma_t: float) -> np.ndarray:
     """Blend x_tilde + (z - x_tilde) / sigma_t applied after the attention readout."""
-    if not sigma_t > 0.0:
-        raise ValueError(f"sigma_t must be positive, got {sigma_t!r}")
+    sigma_t = _scale(sigma_t, "sigma_t")
     x_tilde = np.asarray(x_tilde, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
     return x_tilde + (z - x_tilde) / sigma_t
@@ -149,8 +148,7 @@ def dot_product_lift(
     unscaled, so this is a lift into d+2 dimensions, not standard scaled
     dot-product attention.
     """
-    if not h > 0.0:
-        raise ValueError(f"bandwidth must be positive, got {h!r}")
+    h = _scale(h, "bandwidth")
     x_tilde = np.atleast_1d(np.asarray(x_tilde, dtype=np.float64))
     s = np.atleast_1d(np.asarray(s, dtype=np.float64))
     if x_tilde.shape != s.shape:
@@ -186,7 +184,7 @@ def multihead_forward(
     if keys.ndim != 2 or keys.shape[0] == 0 or keys.shape[1] != d_model:
         raise ConfigError(f"keys shape {keys.shape} is not a nonempty (m, d_model) = (m, {d_model}) matrix")
     out = np.zeros(d_model)
-    root = np.sqrt(d_k)
+    root = np.sqrt(_count(d_k, "d_k"))
     for h in range(n_heads):
         lg = (keys @ w_k[h].T) @ (w_q[h] @ q) / root
         alpha = softmax_weights(lg)

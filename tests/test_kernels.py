@@ -464,7 +464,7 @@ def test_kde_density_values():
     s2 = SupportSet(np.array([[-1.0], [1.0]]))
     val = np.exp(kde_descaled_log_density(np.array([0.0]), s2, 1.0))
     assert val == pytest.approx(0.24197072451914334, abs=1e-15)
-    with pytest.raises(ValueError, match="bandwidth must be positive, got 0.0"):
+    with pytest.raises(ValueError, match="bandwidth must be positive and finite, got 0.0"):
         kde_descaled_log_density(np.array([0.0]), s1, 0.0)
 
 

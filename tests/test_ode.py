@@ -264,7 +264,7 @@ def test_generate_precision_base_contract():
         want = integrate(fld, x0, Euler(10))
         for jobs in (1, 2):
             assert np.array_equal(generate(fld, 2100, seed=0, method=Euler(10), jobs=jobs), want)
-    with pytest.raises(ConfigError, match="need n >= 1 samples"):
+    with pytest.raises(ConfigError, match="need n >= 1, got 0"):
         generate(_plugin(), 0, seed=0)
     with pytest.raises(ConfigError, match=r"\(n, d\) batch"):
         integrate(ani, np.zeros(2), Euler(10))

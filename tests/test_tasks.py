@@ -351,7 +351,7 @@ def test_binary_errors(tmp_path):
 
 
 def test_feature_table_validation():
-    with pytest.raises(ConfigError, match="feature table contains non-finite entries"):
+    with pytest.raises(ConfigError, match="feature table contains non-finite values"):
         FeatureTable(rows=np.array([[1.0, np.inf]]))
 
 

@@ -307,6 +307,9 @@ def test_multihead_degenerate_cases():
         multihead_forward(eye, eye[:, :2], eye, eye, np.ones(3), z)
     with pytest.raises(ConfigError, match="w_o must be stacked"):
         multihead_forward(eye, eye, eye, eye[:, :2], np.ones(3), z)
+    flat = np.zeros((1, 0, 3))  # d_k = 0: no logit scale 1 / sqrt(d_k)
+    with pytest.raises(ConfigError, match="need d_k >= 1, got 0"):
+        multihead_forward(flat, flat, flat, flat.transpose(0, 2, 1), np.ones(3), z)
 
 
 def test_anisotropic_identity_reduces_to_plugin():
