@@ -7,11 +7,11 @@ print through 17-significant-digit round-trip formatting and nothing time-
 or host-dependent is written (wall clock goes to stderr).
 
 A flag takes precedence over the --config file, which takes precedence over
-the parser's defaults; an unset seed comes from NWFLOW_SEED, else 0.  Library
+the parser's defaults; an unset --seed comes from NWFLOW_SEED, else 0.  Library
 parameters are passed on only when their flag is set, so their defaults live
-in the library signatures alone.  Every command and experiment accepts --seed,
---out, --jobs and --config; beyond them each accepts only the flags it reads,
-so an unread or abbreviated flag (or config key) exits 2.
+in the library signatures alone.  Every command takes --out and --config and,
+beyond them, only the flags it reads, so an unread or abbreviated flag (or
+config key) exits 2; the experiments also take --jobs, which they ignore.
 """
 
 from __future__ import annotations
@@ -262,10 +262,14 @@ def _comma_list(kind: Callable[[str], object]) -> Callable[[str], list]:
     return comma_list
 
 
-# Every flag except --seed, --out, --jobs and --config, keyed by dest.  Each
-# command, and each experiment, takes only the flags it reads, so argparse
-# rejects the others, abbreviations included.
+# Every flag, keyed by dest.  Each command takes --out, --config and the flags it
+# lists, so argparse rejects the others, abbreviations included.
 _FLAGS = {
+    "seed": {"type": _seed, "help": "root seed (default: env NWFLOW_SEED, else 0)"},
+    "out": {"default": ".", "help": "output directory"},
+    "jobs": {"type": _at_least(1, "a worker count >= 1"), "default": os.cpu_count() or 1,
+             "help": "generate's worker threads (default: the CPU count); experiments ignore it"},
+    "config": {"help": "JSON config file mirroring these flags"},
     "task": {"help": "task name, e.g. gmm2d, shell16d, fourier8d, moons"},
     "task_seed": {"type": _seed, "help": "task instance seed (default: the seed)"},
     "features": {"help": "path to a feature table (csv or NWF1 binary)"},
@@ -290,20 +294,15 @@ _FLAGS = {
     "ridge": {"type": float, "help": "covariance ridge"},
     "to": {"choices": ["csv", "bin"], "help": "output format"},
 }
-# generate and diag-neff: the support, the sample or query count and the schedule
-_FIELD_FLAGS = ("task", "task_seed", "features", "format", "m", "n", "sigma_min")
+# generate and diag-neff: the seed, the support, the sample or query count and the schedule
+_FIELD_FLAGS = ("seed", "task", "task_seed", "features", "format", "m", "n", "sigma_min")
 
 
 def _add_command(sub, name: str, func: Callable, dests, help: Optional[str] = None, **defaults) -> None:
-    """Subcommand `name`: --seed, --out, --jobs, --config and the flags named by `dests`."""
+    """Subcommand `name`: --out, --config and the flags named by `dests`."""
     p = sub.add_parser(name, help=help, allow_abbrev=False)
     p.set_defaults(func=func, **defaults)
-    p.add_argument("--seed", type=_seed, help="root seed (default: env NWFLOW_SEED, else 0)")
-    p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--jobs", type=_at_least(1, "a worker count >= 1"), default=os.cpu_count(),
-                   help="generate's worker threads (default: the CPU count); other commands ignore it")
-    p.add_argument("--config", help="JSON config file mirroring these flags")
-    for dest in dests:
+    for dest in ("out", "config", *dests):
         p.add_argument("--" + dest.replace("_", "-"), **_FLAGS[dest])
 
 
@@ -317,12 +316,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"nwflow {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_command(sub, "generate", cmd_generate, _FIELD_FLAGS + ("euler", "rk45", "rtol", "atol"),
+    _add_command(sub, "generate", cmd_generate, _FIELD_FLAGS + ("jobs", "euler", "rk45", "rtol", "atol"),
                  "integrate the plug-in field from base noise", m=50, n=1000)
     p_exp = sub.add_parser("experiment", help="run one named experiment", allow_abbrev=False)
     names = p_exp.add_subparsers(dest="name", required=True)
     for name, (flags, seeds) in EXPERIMENTS.items():
-        dests = list(flags.values())
+        dests = ["seed", "jobs", *flags.values()]  # --jobs, unread: perfbench's experiment argv pass it
         if "table" in flags:
             dests.append("format")
         if seeds:
@@ -358,7 +357,7 @@ def _config_argv(path: str, flags: set[str]) -> list[str]:
     tokens = []
     for dest, value in config.items():
         flag = "--" + dest.replace("_", "-")
-        if isinstance(value, bool) and _FLAGS.get(dest, {}).get("action") == "store_true":
+        if isinstance(value, bool) and _FLAGS[dest].get("action") == "store_true":
             tokens += [flag] * value
         elif value is not None:
             text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
@@ -367,14 +366,14 @@ def _config_argv(path: str, flags: set[str]) -> list[str]:
 
 
 def _parse(argv: Optional[Sequence[str]]) -> argparse.Namespace:
-    """Flags beat --config values, which beat the parser defaults; then NWFLOW_SEED, then 0."""
+    """Flags beat --config values, which beat the defaults; an unset --seed takes NWFLOW_SEED, else 0."""
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     if args.config is not None:
         flags = set(vars(args)) - {"command", "func", "name"}
         at = 2 if args.command == "experiment" else 1  # after the command and experiment name
         args = build_parser().parse_args(argv[:at] + _config_argv(args.config, flags) + argv[at:])
-    if args.seed is None:
+    if "seed" in args and args.seed is None:
         try:
             args.seed = _seed(os.environ.get("NWFLOW_SEED", "0"))
         except argparse.ArgumentTypeError as exc:

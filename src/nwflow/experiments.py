@@ -141,7 +141,7 @@ def exp_realization_fuzz(n_configs: int = 1000, seed: int = 0) -> RunReport:
     States are drawn from the path marginal, which is where an ODE solver
     actually evaluates the field.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([101, seed]))
+    rng = np.random.default_rng(np.random.SeedSequence([101, _count(seed, "seed", least=0)]))
     rows = []
     worst = 0.0
     for i, (d, m, t, support) in enumerate(_fuzz_cases(rng, n_configs)):
@@ -176,7 +176,7 @@ def exp_kde_identity(n_configs: int = 200, n_points: int = 16, seed: int = 0) ->
     uses means t*s_i at scale sigma_t plus the d*log(t) Jacobian, the KDE
     uses bandwidth h(t) directly.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([102, seed]))
+    rng = np.random.default_rng(np.random.SeedSequence([102, _count(seed, "seed", least=0)]))
     rows = []
     worst = 0.0
     checked = 0

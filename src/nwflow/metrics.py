@@ -249,7 +249,7 @@ def neff_profile(
         raise ConfigError("t grid must lie in (0, 1]")
     n_queries = _count(n_queries, "n_queries")
     med, q25, q75, hs = (np.empty_like(t_arr) for _ in range(4))
-    rng = np.random.default_rng(np.random.SeedSequence([11, seed]))
+    rng = np.random.default_rng(np.random.SeedSequence([11, _count(seed, "seed", least=0)]))
     for i, t in enumerate(t_arr):
         sig = sched.sigma(t)
         hs[i] = sched.bandwidth(t)

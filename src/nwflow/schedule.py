@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, _scale
 
 __all__ = ["PathSchedule"]
 
@@ -22,8 +22,8 @@ class PathSchedule:
     sigma_min: float = 0.01
 
     def __post_init__(self) -> None:
-        s = float(self.sigma_min)
-        if not 0.0 < s <= 1.0:
+        s = _scale(self.sigma_min, "sigma_min")
+        if s > 1.0:
             raise ConfigError(f"sigma_min must lie in (0, 1], got {self.sigma_min!r}")
         object.__setattr__(self, "sigma_min", s)
 

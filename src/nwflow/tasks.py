@@ -175,7 +175,8 @@ _TABLE_TAG = 7  # split_table permutes by SeedSequence([7, 0, seed]); --features
 
 def _rng(spec: TaskSpec, *draw: int) -> np.random.Generator:
     """Stream [tag, spec.seed, *draw]: the task instance's without draw, a sample's with its seed."""
-    return np.random.default_rng(np.random.SeedSequence([_FAMILIES[type(spec)][0], spec.seed, *draw]))
+    words = (_count(s, "seed", 0) for s in (spec.seed, *draw))
+    return np.random.default_rng(np.random.SeedSequence([_FAMILIES[type(spec)][0], *words]))
 
 
 def _sample_gmm(spec: Gmm, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -341,7 +342,7 @@ def make_support_and_eval(
     spec: TaskSpec, m: int, n_eval: int, seed: int
 ) -> tuple[SupportSet, np.ndarray]:
     """Support set and evaluation draws from disjoint RNG substreams."""
-    sup_seed, ev_seed = (int(s) for s in np.random.SeedSequence(seed).generate_state(2, np.uint64))
+    sup_seed, ev_seed = map(int, np.random.SeedSequence(_count(seed, "seed", 0)).generate_state(2, np.uint64))
     support = SupportSet(sample_task(spec, _count(m, "m"), sup_seed))
     eval_rows = sample_task(spec, n_eval, ev_seed) if _count(n_eval, "n_eval", 0) else np.empty((0, support.d))
     return support, eval_rows
@@ -353,7 +354,7 @@ def split_table(
     """Support set and held-out evaluation rows: disjoint row subsets of a seeded permutation."""
     if _count(m, "m") + _count(n_eval, "n_eval", 0) > table.n:
         raise ConfigError(f"table has {table.n} rows, cannot split into {m} + {n_eval}")
-    perm = np.random.default_rng(np.random.SeedSequence([_TABLE_TAG, 0, seed])).permutation(table.n)
+    perm = np.random.default_rng(np.random.SeedSequence([_TABLE_TAG, 0, _count(seed, "seed", 0)])).permutation(table.n)
     return SupportSet(table.rows[perm[:m]]), table.rows[perm[m : m + n_eval]].copy()
 
 
@@ -380,8 +381,8 @@ def whiten(
     strength 0 returns the rows untouched (full identity, mean included);
     strength 1 makes the sample covariance the identity up to the ridge.
     """
-    lam = float(strength)
-    if not 0.0 <= lam <= 1.0:
+    lam = _scale(strength, "strength", zero=True)
+    if lam > 1.0:
         raise ConfigError(f"strength must lie in [0, 1], got {strength!r}")
     eps = _scale(ridge, "regularization", zero=True)
     rows = table.rows
@@ -512,7 +513,7 @@ def anisotropic_gaussian_features(
 ) -> FeatureTable:
     """Synthetic stand-in for PCA-style features: a rotated Gaussian whose
     spectrum decays geometrically, so most variance sits in a few directions."""
-    rng = np.random.default_rng(np.random.SeedSequence([97, seed]))
+    rng = np.random.default_rng(np.random.SeedSequence([97, _count(seed, "seed", 0)]))
     stds = top_std * decay ** np.arange(d)
     q, _ = np.linalg.qr(rng.standard_normal((d, d)))
     rows = (rng.standard_normal((n, d)) * stds) @ q.T

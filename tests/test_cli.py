@@ -22,7 +22,8 @@ def read(path: str) -> bytes:
 
 
 def experiment_flags(name: str) -> set[str]:
-    """The flag dests `experiment <name>` accepts beyond --seed, --out, --jobs and --config."""
+    """The flag dests `experiment <name>` accepts beyond --out and --config, which every command takes,
+    and --seed and --jobs, which every experiment takes."""
     args = build_parser().parse_args(["experiment", name])
     return set(vars(args)) - {"command", "func", "name", "seed", "out", "jobs", "config"}
 
@@ -474,6 +475,10 @@ def test_infinite_rk45_tolerance_exits_2(tmp_path, capsys, argv):
         (["generate", "--task", "gmm2d", "--format", "csv"], None),
         (["diag-neff", "--task", "gmm2d", "--format", "csv"], None),
         (["experiment", "whitening-control", "--n-seeds", "1", "--format", "csv"], None),
+        (["whiten", "--features", "t.csv"], {"seed": 1}),
+        (["whiten", "--features", "t.csv"], {"jobs": 2}),
+        (["ingest", "--features", "t.csv"], {"seed": 1}),
+        (["ingest", "--features", "t.csv"], {"jobs": 2}),
     ],
 )
 def test_unread_flag_exits_2(tmp_path, monkeypatch, argv, config):
@@ -485,6 +490,59 @@ def test_unread_flag_exits_2(tmp_path, monkeypatch, argv, config):
         path.write_text(json.dumps(config))
         argv = argv + ["--config", str(path)]
     assert main(argv + ["--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["whiten", "--features", "t.csv", "--seed", "1"],
+        ["whiten", "--features", "t.csv", "--jobs", "2"],
+        ["ingest", "--features", "t.csv", "--seed", "1"],
+        ["ingest", "--features", "t.csv", "--jobs", "2"],
+        ["diag-neff", "--task", "gmm2d", "--m", "5", "--n", "4", "--jobs", "2"],
+    ],
+)
+def test_seed_and_jobs_only_where_read(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.csv").write_text("".join(f"{i},{i % 7}\n" for i in range(60)))
+    assert main(argv + ["--out", "o"]) == 2
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["whiten", "--features", "t.csv"], 0),
+        (["ingest", "--features", "t.csv"], 0),
+        (["generate", "--task", "gmm2d", "--m", "5", "--n", "4"], 2),
+        (["diag-neff", "--task", "gmm2d", "--m", "5", "--n", "4"], 2),
+    ],
+)
+def test_env_seed_read_only_by_commands_with_a_seed(tmp_path, monkeypatch, capsys, argv, code):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.csv").write_text("".join(f"{i},{i % 7}\n" for i in range(60)))
+    monkeypatch.setenv("NWFLOW_SEED", "abc")
+    assert main(argv + ["--out", "o"]) == code
+    assert ("NWFLOW_SEED" in capsys.readouterr().err) == (code == 2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--task", "gmm2d", "--m", "5", "--n", "4"],
+        ["diag-neff", "--task", "gmm2d", "--m", "5", "--n", "4"],
+        ["whiten", "--features", "t.csv"],
+        ["ingest", "--features", "t.csv"],
+        *(["experiment", name] for name in EXPERIMENTS),
+    ],
+)
+def test_each_command_takes_seed_and_jobs_as_it_reads_them(argv):
+    # The experiments keep an unread --jobs while perfbench's experiment command lines pass it.
+    args = build_parser().parse_args(argv)
+    assert ("seed" in args) == (argv[0] in ("generate", "diag-neff", "experiment"))
+    assert ("jobs" in args) == (argv[0] in ("generate", "experiment"))
+    assert args.out == "." and args.config is None
 
 
 @pytest.mark.parametrize(

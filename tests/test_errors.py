@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nwflow.errors import ConfigError, NwflowError, _count, _scale
-from nwflow.experiments import exp_realization_fuzz, exp_sphere_rate, exp_variance_scaling
+from nwflow.experiments import exp_kde_identity, exp_realization_fuzz, exp_sphere_rate, exp_variance_scaling
 from nwflow.kernels import BilinearLogit, IsotropicGaussian, Mahalanobis, SupportSet, Vmf, nw_local_means
 from nwflow.metrics import c2st_1nn, median_heuristic, mmd2_unbiased, neff_profile
 from nwflow.ode import AdaptiveRK45, Euler, integrate
@@ -80,12 +80,16 @@ REJECTED = {
     "Gmm separation_scale -1": lambda: Gmm(d=2, separation_scale=-1.0),
     "Gmm std_lo > std_hi": lambda: Gmm(d=2, std_lo=0.5, std_hi=0.1),
     "PathSchedule sigma_min 0": lambda: PathSchedule(0.0),
+    "PathSchedule sigma_min str": lambda: PathSchedule("0.5"),
+    "PathSchedule sigma_min True": lambda: PathSchedule(True),
     "sample_task n 0": lambda: sample_task(Moons(), 0, 0),
     "make_support_and_eval m 0": lambda: make_support_and_eval(Moons(), 0, 4, 0),
     "make_support_and_eval n_eval -1": lambda: make_support_and_eval(Moons(), 4, -1, 0),
     "split_table m 0": lambda: split_table(anisotropic_gaussian_features(10, 2), 0, 2, 0),
     "split_table too many rows": lambda: split_table(anisotropic_gaussian_features(10, 2), 8, 4, 0),
     "whiten strength 2": lambda: whiten(anisotropic_gaussian_features(10, 2), 2.0),
+    "whiten strength str": lambda: whiten(anisotropic_gaussian_features(10, 2), strength="0.5"),
+    "whiten strength True": lambda: whiten(anisotropic_gaussian_features(10, 2), strength=True),
     "neff_profile n_queries 0": lambda: neff_profile(_support(), PathSchedule(), n_queries=0),
     "neff_profile t 0": lambda: neff_profile(_support(), PathSchedule(), [0.0]),
     "integrate jobs 1.5": lambda: integrate(lambda x, t: x, np.zeros((3, 2)), Euler(2), jobs=1.5),
@@ -100,6 +104,26 @@ REJECTED = {
 def test_rejected_parameter_is_config_error(case):
     with pytest.raises(ConfigError):
         REJECTED[case]()
+
+
+# Each raised numpy's bare ValueError (TypeError for a float), from the SeedSequence it reached.
+REJECTED_SEEDS = {
+    "task spec seed -1": lambda: sample_task(Gmm(d=2, seed=-1), 3, 0),
+    "task spec seed 1.5": lambda: sample_task(Gmm(d=2, seed=1.5), 3, 0),
+    "sample_task seed -1": lambda: sample_task(Gmm(d=2), 3, -1),
+    "make_support_and_eval seed -1": lambda: make_support_and_eval(Gmm(d=2), 3, 0, -1),
+    "split_table seed -1": lambda: split_table(anisotropic_gaussian_features(10, 2), 3, 0, -1),
+    "neff_profile seed -1": lambda: neff_profile(_support(), PathSchedule(), seed=-1),
+    "anisotropic_gaussian_features seed -1": lambda: anisotropic_gaussian_features(10, 2, seed=-1),
+    "exp_realization_fuzz seed -1": lambda: exp_realization_fuzz(n_configs=1, seed=-1),
+    "exp_kde_identity seed -1": lambda: exp_kde_identity(n_configs=1, seed=-1),
+}
+
+
+@pytest.mark.parametrize("case", REJECTED_SEEDS)
+def test_rejected_seed_is_config_error(case):
+    with pytest.raises(ConfigError, match="need seed >= 0, got"):
+        REJECTED_SEEDS[case]()
 
 
 # (call, first shape, second shape): a batch entry point given arrays that are not rows of one width.

@@ -258,7 +258,7 @@ def test_whiten_singular_covariance():
 def test_whiten_config_validation():
     table = anisotropic_gaussian_features(20, 2, seed=0)
     for strength in (1.5, -0.1, float("nan")):
-        with pytest.raises(ValueError, match="strength must lie in"):
+        with pytest.raises(ValueError, match="strength must"):
             whiten(table, strength)
     for strength in (0.0, 0.5):
         for ridge in (-1.0, float("nan"), float("inf")):
