@@ -6,12 +6,12 @@ outputs are byte-deterministic for a fixed resolved configuration: floats
 print through 17-significant-digit round-trip formatting and nothing time-
 or host-dependent is written (wall clock goes to stderr).
 
-A flag takes precedence over the --config file, which takes precedence over
-the parser's defaults; an unset --seed comes from NWFLOW_SEED, else 0.  Library
-parameters are passed on only when their flag is set, so their defaults live
-in the library signatures alone.  Every command takes --out and --config and,
-beyond them, only the flags it reads, so an unread or abbreviated flag (or
-config key) exits 2; the experiments also take --jobs, which they ignore.
+A flag beats the --config file, which beats the parser's defaults; an unset
+--seed comes from NWFLOW_SEED, else 0, and a run given --seeds reads no root
+seed.  Library parameters are passed on only when their flag is set, so their
+defaults live in the library signatures alone.  Each command takes --out,
+--config and only the flags it reads, so an unread or abbreviated flag (or
+config key) exits 2, bar --jobs on endpoint-check and variance-scaling.
 """
 
 from __future__ import annotations
@@ -201,16 +201,16 @@ EXPERIMENTS = {
     "whitening-control": ({"table": "features", "m": "m"}, 4),
     "anisotropic-shells": ({"d": "d", "m": "m"}, 3),
 }
+# The experiments that take --jobs and ignore it, as perfbench's argv pass them --jobs 1;
+# the benchmark change that drops that argument deletes this.
+_JOBS_IGNORED = ("endpoint-check", "variance-scaling")
 
 
 def _seed_list(args: argparse.Namespace, count: int) -> list[int]:
     """--seeds as given, else --n-seeds (or `count`) consecutive seeds from the seed."""
-    if args.seeds is not None:
-        _reject_set(args, ["n_seeds"], "--seeds")
-        return args.seeds
     if args.n_seeds is not None:
         count = _count(args.n_seeds, "--n-seeds")
-    return list(range(args.seed, args.seed + count))
+    return args.seeds or list(range(args.seed, args.seed + count))
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
@@ -268,7 +268,7 @@ _FLAGS = {
     "seed": {"type": _seed, "help": "root seed (default: env NWFLOW_SEED, else 0)"},
     "out": {"default": ".", "help": "output directory"},
     "jobs": {"type": _at_least(1, "a worker count >= 1"), "default": os.cpu_count() or 1,
-             "help": "generate's worker threads (default: the CPU count); experiments ignore it"},
+             "help": "generate's worker threads (default: CPU count); endpoint-check and variance-scaling ignore it"},
     "config": {"help": "JSON config file mirroring these flags"},
     "task": {"help": "task name, e.g. gmm2d, shell16d, fourier8d, moons"},
     "task_seed": {"type": _seed, "help": "task instance seed (default: the seed)"},
@@ -321,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("experiment", help="run one named experiment", allow_abbrev=False)
     names = p_exp.add_subparsers(dest="name", required=True)
     for name, (flags, seeds) in EXPERIMENTS.items():
-        dests = ["seed", "jobs", *flags.values()]  # --jobs, unread: perfbench's experiment argv pass it
+        dests = ["seed", *(["jobs"] if name in _JOBS_IGNORED else []), *flags.values()]
         if "table" in flags:
             dests.append("format")
         if seeds:
@@ -370,10 +370,12 @@ def _parse(argv: Optional[Sequence[str]]) -> argparse.Namespace:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     if args.config is not None:
-        flags = set(vars(args)) - {"command", "func", "name"}
+        flags = set(vars(args)) - {"command", "func", "name", "config"}
         at = 2 if args.command == "experiment" else 1  # after the command and experiment name
         args = build_parser().parse_args(argv[:at] + _config_argv(args.config, flags) + argv[at:])
-    if "seed" in args and args.seed is None:
+    if getattr(args, "seeds", None) is not None:  # a run given --seeds reads no root seed
+        _reject_set(args, ["seed", "n_seeds"], "--seeds")
+    elif "seed" in args and args.seed is None:
         try:
             args.seed = _seed(os.environ.get("NWFLOW_SEED", "0"))
         except argparse.ArgumentTypeError as exc:

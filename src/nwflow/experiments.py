@@ -15,7 +15,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, NumericalError, _count
+from .errors import ConfigError, NumericalError, _count, _scale
 from .kernels import SupportSet, _logsumexp, _smooth, kde_descaled_log_density, nw_local_means
 from .metrics import c2st_1nn, fit_power_law, median_heuristic, mmd2_unbiased, neff_profile
 from .ode import AdaptiveRK45, Euler, generate, kde_direct_sample
@@ -114,12 +114,12 @@ def _base_config(experiment: str, **params) -> dict:
     return {"experiment": experiment, "library_version": __version__, "rng": _RNG_NOTE, **params}
 
 
-def _seed_list(seeds: Sequence[int]) -> list[int]:
-    """The seeds as ints >= 0; an experiment calls this before any work, so no seed is no verdict."""
-    seeds = [_count(s, "seed", least=0) for s in seeds]
-    if not seeds:
-        raise ConfigError("need at least one seed, got none")
-    return seeds
+def _int_list(values: Sequence[int], name: str, least: int) -> list[int]:
+    """A nonempty seed list or grid as ints >= `least`, checked before any work: an empty one gives no verdict."""
+    values = [_count(v, name, least) for v in values]
+    if not values:
+        raise ConfigError(f"need at least one {name}, got none")
+    return values
 
 
 def _spec_echo(spec: TaskSpec) -> dict:
@@ -177,6 +177,7 @@ def exp_kde_identity(n_configs: int = 200, n_points: int = 16, seed: int = 0) ->
     uses bandwidth h(t) directly.
     """
     rng = np.random.default_rng(np.random.SeedSequence([102, _count(seed, "seed", least=0)]))
+    n_points = _count(n_points, "n_points")
     rows = []
     worst = 0.0
     checked = 0
@@ -230,7 +231,8 @@ def exp_neff_collapse(
     collapse (about 9 at d=2 down to about 1 at d=16), and the config echoes
     them in full.
     """
-    seeds = _seed_list(seeds)
+    seeds = _int_list(seeds, "seed", 0)
+    dims = _int_list(dims, "dims entry", 1)
     rows = []
     medians: dict[int, float] = {}
     for d in dims:
@@ -250,7 +252,7 @@ def exp_neff_collapse(
         config=_base_config(
             "neff-collapse",
             seeds=seeds,
-            dims=list(dims),
+            dims=dims,
             m=m,
             t_star=_T_STAR,
             n_queries=n_queries,
@@ -287,7 +289,8 @@ def exp_variance_scaling(
     family's documented dimension; only the documented (family, d) pairs
     have acceptance bands.
     """
-    seeds = _seed_list(seeds)
+    seeds = _int_list(seeds, "seed", 0)
+    m_grid = _int_list(m_grid, "m_grid entry", 1)
     if family not in _VARIANCE_DIMS:
         raise ConfigError(f"unknown family {family!r}; expected 'fourier' or 'gmm'")
     if d is None:
@@ -295,7 +298,7 @@ def exp_variance_scaling(
     family_cls = FourierDensity if family == "fourier" else Gmm
     alpha_range, r2_min = _VARIANCE_BANDS.get((family, d), (None, None))
     rows = []
-    vals: dict[int, list[float]] = {int(m): [] for m in m_grid}
+    vals: dict[int, list[float]] = {m: [] for m in m_grid}
     for seed in seeds:
         spec = family_cls(d=d, seed=seed)
         queries = sample_task(spec, n_queries, 60_000 + seed)
@@ -303,11 +306,11 @@ def exp_variance_scaling(
         # The reference support lives for this one call, and its sampled rows only until copied.
         ref = nw_local_means(queries, SupportSet(sample_task(spec, m_ref, 50_000 + seed)), hs)
         for m, h, ref_means in zip(m_grid, hs, ref):
-            sm = sample_task(spec, int(m), 70_000 + 1000 * seed + int(m))
+            sm = sample_task(spec, m, 70_000 + 1000 * seed + m)
             gap = nw_local_means(queries, sm, h) - ref_means
             v = float(np.mean(np.sum(gap * gap, axis=1)))
-            vals[int(m)].append(v)
-            rows.append({"family": family, "d": d, "seed": seed, "m": int(m), "h": h, "value": v})
+            vals[m].append(v)
+            rows.append({"family": family, "d": d, "seed": seed, "m": m, "h": h, "value": v})
     points = [(float(m), float(np.mean(vs))) for m, vs in vals.items()]
     fit = fit_power_law(points)
     checks = {}
@@ -322,7 +325,7 @@ def exp_variance_scaling(
             seeds=seeds,
             family=family,
             d=d,
-            m_grid=[int(m) for m in m_grid],
+            m_grid=m_grid,
             m_ref=m_ref,
             n_queries=n_queries,
             bandwidth_rule="m**(-1/(4+d)), same h for test and reference supports",
@@ -357,7 +360,7 @@ def exp_endpoint_check(
     share a comparable kernel; the null MMD distribution comes from pairs of
     independent reference draws.
     """
-    seeds = _seed_list(seeds)
+    seeds = _int_list(seeds, "seed", 0)
     ref_bandwidth = _SCHED.sigma_min * bandwidth_factor
     rows = []
     mmd_bw: Optional[float] = mmd_bandwidth
@@ -427,7 +430,7 @@ def exp_solver_control(
 
     Each is scored by MMD^2 against held-out draws of the same task.
     """
-    seeds = _seed_list(seeds)
+    seeds = _int_list(seeds, "seed", 0)
     rk = AdaptiveRK45(rtol=rtol, atol=atol)
     rows = []
     mmd_bw: Optional[float] = mmd_bandwidth
@@ -479,8 +482,12 @@ def exp_sphere_rate(
     control reuses the smallest-m concentration everywhere and must fit a
     strictly smaller exponent (its bias no longer shrinks).
     """
-    seeds = _seed_list(seeds)
+    seeds = _int_list(seeds, "seed", 0)
+    m_grid = _int_list(m_grid, "m_grid entry", 1)
+    c_grid = [_scale(c, "c_grid entry") for c in c_grid]
+    _count(len(c_grid), "len(c_grid)")  # an empty grid has no best c per m
     d_k = _count(d_k, "d_k")
+    n_queries = _count(n_queries, "n_queries")
     target_exp = 4.0 / (d_k + 3)
     kappa_pow = 2.0 / (d_k + 3)
     sphere = Shell(d=d_k, radius_std=0.0)  # uniform on the unit sphere
@@ -490,7 +497,7 @@ def exp_sphere_rate(
         rng = np.random.default_rng(np.random.SeedSequence([tag, seed]))
         queries = _sample_shell(sphere, n_queries, rng)
         out = []
-        for m in map(int, m_grid):
+        for m in m_grid:
             design = _sample_shell(sphere, m, rng)
             y = design[:, 0] + _SPHERE_NOISE * rng.standard_normal(m)
             support, values = SupportSet(design), np.column_stack([y, np.ones(m)])
@@ -504,24 +511,20 @@ def exp_sphere_rate(
     mse: dict[tuple[float, int], list[float]] = {}
     for seed in seeds:
         per_m = sphere_mse(301, seed, lambda m: [c * float(m) ** kappa_pow for c in c_grid])
-        for m, vals in zip(map(int, m_grid), per_m):
+        for m, vals in zip(m_grid, per_m):
             for c, val in zip(c_grid, vals):
-                mse.setdefault((float(c), m), []).append(val)
-                rows.append(
-                    {"seed": seed, "m": m, "c": float(c), "kappa": c * float(m) ** kappa_pow, "mse": val}
-                )
-    envelope = [
-        (float(m), min(float(np.mean(mse[(float(c), int(m))])) for c in c_grid)) for m in m_grid
-    ]
+                mse.setdefault((c, m), []).append(val)
+                rows.append({"seed": seed, "m": m, "c": c, "kappa": c * float(m) ** kappa_pow, "mse": val})
+    envelope = [(float(m), min(float(np.mean(mse[(c, m)])) for c in c_grid)) for m in m_grid]
     fit = fit_power_law(envelope)
 
     # fixed-kappa control: freeze the best c's kappa at the smallest m
-    m0 = int(m_grid[0])
-    best_c = min(c_grid, key=lambda c: float(np.mean(mse[(float(c), m0)])))
+    m0 = m_grid[0]
+    best_c = min(c_grid, key=lambda c: float(np.mean(mse[(c, m0)])))
     kappa0 = best_c * float(m0) ** kappa_pow
-    ctrl: dict[int, list[float]] = {int(m): [] for m in m_grid}
+    ctrl: dict[int, list[float]] = {m: [] for m in m_grid}
     for seed in seeds:
-        for m, (val,) in zip(map(int, m_grid), sphere_mse(302, seed, lambda m: [kappa0])):
+        for m, (val,) in zip(m_grid, sphere_mse(302, seed, lambda m: [kappa0])):
             ctrl[m].append(val)
     fit_ctrl = fit_power_law([(float(m), float(np.mean(v))) for m, v in ctrl.items()])
 
@@ -532,8 +535,8 @@ def exp_sphere_rate(
             "sphere-rate",
             seeds=seeds,
             d_k=d_k,
-            m_grid=[int(m) for m in m_grid],
-            c_grid=[float(c) for c in c_grid],
+            m_grid=m_grid,
+            c_grid=c_grid,
             n_queries=n_queries,
             observation_noise=_SPHERE_NOISE,
             kappa_rule="c * m**(2/(d_k+3)); best c per m by minimum MSE",
@@ -569,7 +572,8 @@ def exp_whitening_control(
     strength grid.  Defaults to a synthetic anisotropic table; at most the
     table's rows beyond the support are held out.
     """
-    seeds = _seed_list(seeds)
+    seeds = _int_list(seeds, "seed", 0)
+    _count(len(strengths), "len(strengths)")  # an empty grid has no endpoints
     if table is None:
         table = anisotropic_gaussian_features(4096, 16, seed=0)
     n_eval = max(0, min(n_eval, table.n - m))
@@ -647,7 +651,7 @@ def exp_anisotropic_shells(
     A fixed global metric cannot track the radial direction around the
     sphere, so no hard criterion applies; the report records MMD ratios.
     """
-    seeds = _seed_list(seeds)
+    seeds = _int_list(seeds, "seed", 0)
     rows = []
     mmd_bw: Optional[float] = None
     ratios: dict[str, list[float]] = {name: [] for name in _SHELL_METRICS}

@@ -23,7 +23,7 @@ def read(path: str) -> bytes:
 
 def experiment_flags(name: str) -> set[str]:
     """The flag dests `experiment <name>` accepts beyond --out and --config, which every command takes,
-    and --seed and --jobs, which every experiment takes."""
+    --seed, which every experiment takes, and --jobs, which endpoint-check and variance-scaling take."""
     args = build_parser().parse_args(["experiment", name])
     return set(vars(args)) - {"command", "func", "name", "seed", "out", "jobs", "config"}
 
@@ -479,6 +479,8 @@ def test_infinite_rk45_tolerance_exits_2(tmp_path, capsys, argv):
         (["whiten", "--features", "t.csv"], {"jobs": 2}),
         (["ingest", "--features", "t.csv"], {"seed": 1}),
         (["ingest", "--features", "t.csv"], {"jobs": 2}),
+        (["ingest", "--features", "t.csv"], {"config": "c2.json"}),
+        (["experiment", "neff-collapse", "--m", "8", "--seeds", "0"], {"seed": 3}),
     ],
 )
 def test_unread_flag_exits_2(tmp_path, monkeypatch, argv, config):
@@ -500,6 +502,13 @@ def test_unread_flag_exits_2(tmp_path, monkeypatch, argv, config):
         ["ingest", "--features", "t.csv", "--seed", "1"],
         ["ingest", "--features", "t.csv", "--jobs", "2"],
         ["diag-neff", "--task", "gmm2d", "--m", "5", "--n", "4", "--jobs", "2"],
+        ["experiment", "realization-fuzz", "--configs", "1", "--jobs", "2"],
+        ["experiment", "kde-identity", "--configs", "1", "--jobs", "2"],
+        ["experiment", "neff-collapse", "--m", "8", "--jobs", "2"],
+        ["experiment", "solver-control", "--n-seeds", "1", "--jobs", "2"],
+        ["experiment", "sphere-rate", "--n-seeds", "1", "--jobs", "2"],
+        ["experiment", "whitening-control", "--n-seeds", "1", "--jobs", "2"],
+        ["experiment", "anisotropic-shells", "--n-seeds", "1", "--jobs", "2"],
     ],
 )
 def test_seed_and_jobs_only_where_read(tmp_path, monkeypatch, capsys, argv):
@@ -517,6 +526,7 @@ def test_seed_and_jobs_only_where_read(tmp_path, monkeypatch, capsys, argv):
         (["ingest", "--features", "t.csv"], 0),
         (["generate", "--task", "gmm2d", "--m", "5", "--n", "4"], 2),
         (["diag-neff", "--task", "gmm2d", "--m", "5", "--n", "4"], 2),
+        (["experiment", "neff-collapse", "--m", "8", "--seeds", "0"], 1),  # --seeds: no root seed read
     ],
 )
 def test_env_seed_read_only_by_commands_with_a_seed(tmp_path, monkeypatch, capsys, argv, code):
@@ -538,10 +548,11 @@ def test_env_seed_read_only_by_commands_with_a_seed(tmp_path, monkeypatch, capsy
     ],
 )
 def test_each_command_takes_seed_and_jobs_as_it_reads_them(argv):
-    # The experiments keep an unread --jobs while perfbench's experiment command lines pass it.
+    # Two experiments keep an unread --jobs while perfbench's command lines for them pass it.
     args = build_parser().parse_args(argv)
     assert ("seed" in args) == (argv[0] in ("generate", "diag-neff", "experiment"))
-    assert ("jobs" in args) == (argv[0] in ("generate", "experiment"))
+    takes_jobs = argv[0] == "generate" or argv[-1] in ("endpoint-check", "variance-scaling")
+    assert ("jobs" in args) == takes_jobs
     assert args.out == "." and args.config is None
 
 
@@ -553,6 +564,7 @@ def test_each_command_takes_seed_and_jobs_as_it_reads_them(argv):
         ["experiment", "neff-collapse", "--m", "8", "--seeds", "0", "--n-seeds", "3"],  # two seed lists
         ["experiment", "--m", "8", "neff-collapse"],  # experiment flags follow the name
         ["experiment", "--seed", "3", "kde-identity", "--configs", "1"],
+        ["experiment", "neff-collapse", "--m", "8", "--seed", "3", "--seeds", "0"],  # a root seed beside --seeds
     ],
 )
 def test_abbreviated_or_misplaced_flag_exits_2(tmp_path, argv):

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from nwflow.errors import ConfigError, NwflowError, _count, _scale
-from nwflow.experiments import exp_kde_identity, exp_realization_fuzz, exp_sphere_rate, exp_variance_scaling
+from nwflow.experiments import (
+    exp_kde_identity,
+    exp_neff_collapse,
+    exp_realization_fuzz,
+    exp_sphere_rate,
+    exp_variance_scaling,
+    exp_whitening_control,
+)
 from nwflow.kernels import BilinearLogit, IsotropicGaussian, Mahalanobis, SupportSet, Vmf, nw_local_means
 from nwflow.metrics import c2st_1nn, median_heuristic, mmd2_unbiased, neff_profile
 from nwflow.ode import AdaptiveRK45, Euler, integrate
@@ -97,6 +104,14 @@ REJECTED = {
     "exp_sphere_rate d_k 0": lambda: exp_sphere_rate(d_k=0),
     "exp_variance_scaling family": lambda: exp_variance_scaling(family="blob"),
     "experiment seed 1.5": lambda: exp_sphere_rate(seeds=[1.5]),
+    "exp_neff_collapse dims ()": lambda: exp_neff_collapse(dims=()),
+    "exp_whitening_control strengths ()": lambda: exp_whitening_control(strengths=()),
+    "exp_variance_scaling m_grid 0": lambda: exp_variance_scaling(m_grid=(0, 10, 20)),
+    "exp_variance_scaling m_grid 30.5": lambda: exp_variance_scaling(m_grid=(10, 20, 30.5)),
+    "exp_sphere_rate c_grid ()": lambda: exp_sphere_rate(c_grid=()),
+    "exp_sphere_rate c_grid -1": lambda: exp_sphere_rate(c_grid=(-1.0,)),
+    "exp_sphere_rate n_queries 0": lambda: exp_sphere_rate(n_queries=0),
+    "exp_kde_identity n_points 0": lambda: exp_kde_identity(n_points=0),
 }
 
 
