@@ -3,8 +3,9 @@
 `exit_code` is the `nwflow` command's exit status for each error, so the class
 alone decides it: 2 for a configuration or input error, 3 for a numerical
 failure.  Every rejected parameter is a ConfigError, which is also a
-ValueError.  A count goes through `_count` and a scale through `_scale`, so
-each kind of parameter has one check and one message everywhere.
+ValueError.  A count goes through `_count`, a scale through `_scale` and a
+value in the unit interval through `_unit`, so each kind of parameter has one
+check and one message everywhere.
 """
 
 import math
@@ -43,4 +44,12 @@ def _scale(value: object, name: str, zero: bool = False) -> float:
     x = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
     if not (math.isfinite(x) and (x > 0.0 or zero and x == 0.0)):
         raise ConfigError(f"{name} must be {'>= 0' if zero else 'positive'} and finite, got {value!r}")
+    return x
+
+
+def _unit(value: object, name: str, zero: bool = False) -> float:
+    """`value` as a float in (0, 1] ([0, 1] with `zero`), else ConfigError."""
+    x = _scale(value, name, zero)
+    if x > 1.0:
+        raise ConfigError(f"{name} must lie in {'[' if zero else '('}0, 1], got {value!r}")
     return x

@@ -3,7 +3,8 @@
 Each experiment is a pure function of its configuration and seed list: the
 report JSON it produces is bit-identical across re-runs.  Every PASS/FAIL
 threshold lives in the config echo; reports carry no timing, so nothing
-perturbs the deterministic outputs.
+perturbs the deterministic outputs.  The rows are the one record of what an
+experiment measured: its aggregates and verdict are computed from them.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, NumericalError, _count, _scale
+from .errors import ConfigError, NumericalError, _count, _scale, _unit
 from .kernels import SupportSet, _logsumexp, _smooth, kde_descaled_log_density, nw_local_means
 from .metrics import c2st_1nn, fit_power_law, median_heuristic, mmd2_unbiased, neff_profile
 from .ode import AdaptiveRK45, Euler, generate, kde_direct_sample
@@ -65,10 +66,10 @@ _T_STAR = 0.56  # mid-flow time of the n_eff profiles
 _NEFF_GMM = {"k_components": 5, "separation_scale": 4.0, "std_lo": 0.5, "std_hi": 1.5}
 _NEFF_BAND_LOW_D = (4.5, 13.5)
 _NEFF_BAND_HIGH_D = (1.0, 1.5)
-# variance-scaling: each family's default dimension, and the acceptance bands
-# (alpha range, r^2 floor) of the two documented (family, d) configurations;
-# any other configuration reports an exploratory verdict
-_VARIANCE_DIMS = {"fourier": 8, "gmm": 2}
+# variance-scaling: each family's task class and default dimension, and the
+# acceptance bands (alpha range, r^2 floor) of the two documented (family, d)
+# configurations; any other configuration reports an exploratory verdict
+_VARIANCE_FAMILIES = {"fourier": (FourierDensity, 8), "gmm": (Gmm, 2)}
 _VARIANCE_BANDS = {("fourier", 8): ((0.25, 0.40), 0.95), ("gmm", 2): ((0.9, float("inf")), None)}
 # endpoint-check: Euler steps, null MMD^2 pairs, the C2ST band and the MMD^2
 # band in null IQRs about the null median
@@ -114,12 +115,38 @@ def _base_config(experiment: str, **params) -> dict:
     return {"experiment": experiment, "library_version": __version__, "rng": _RNG_NOTE, **params}
 
 
-def _int_list(values: Sequence[int], name: str, least: int) -> list[int]:
-    """A nonempty seed list or grid as ints >= `least`, checked before any work: an empty one gives no verdict."""
-    values = [_count(v, name, least) for v in values]
+def _grid(values: list, name: str) -> list:
+    """A seed list or grid, checked before any work: an empty one has no verdict, and _by merges a repeat's rows."""
     if not values:
         raise ConfigError(f"need at least one {name}, got none")
+    if len(set(values)) < len(values):
+        raise ConfigError(f"repeated {name} in {values!r}")
     return values
+
+
+def _int_list(values: Sequence[int], name: str, least: int) -> list[int]:
+    """A nonempty seed list or grid of distinct ints >= `least`."""
+    return _grid([_count(v, name, least) for v in values], name)
+
+
+def _by(rows: list[dict], key: str | tuple[str, ...], value: str) -> dict:
+    """Per row[key] (the tuple of row[k] when key is a tuple), the list of row[value]; both in row order."""
+    out: dict = {}
+    for row in rows:
+        out.setdefault(tuple(row[k] for k in key) if isinstance(key, tuple) else row[key], []).append(row[value])
+    return out
+
+
+def _mmd(x: np.ndarray, y: np.ndarray, bandwidth: Optional[float]) -> tuple[float, float]:
+    """MMD^2 of x against y, and its bandwidth: `bandwidth`, else the median heuristic of (x, y)."""
+    if bandwidth is None:
+        bandwidth = median_heuristic(x, y)
+    return mmd2_unbiased(x, y, bandwidth), bandwidth
+
+
+def _median_neff(support: SupportSet, n_queries: int, seed: int) -> float:
+    """The median kernel n_eff at _T_STAR over n_queries path-marginal queries."""
+    return float(neff_profile(support, _SCHED, [_T_STAR], n_queries=n_queries, seed=seed).median[0])
 
 
 def _spec_echo(spec: TaskSpec) -> dict:
@@ -143,14 +170,13 @@ def exp_realization_fuzz(n_configs: int = 1000, seed: int = 0) -> RunReport:
     """
     rng = np.random.default_rng(np.random.SeedSequence([101, _count(seed, "seed", least=0)]))
     rows = []
-    worst = 0.0
     for i, (d, m, t, support) in enumerate(_fuzz_cases(rng, n_configs)):
         anchor = support.points[int(rng.integers(m))]
         x = t * anchor + _SCHED.sigma(t) * rng.standard_normal(d)
         fld = PluginField(support, _SCHED)
         dev = float(np.max(np.abs(attention_realized_velocity(support, _SCHED, x, t) - fld(x, t))))
-        worst = max(worst, dev)
         rows.append({"config": i, "d": d, "m": m, "t": t, "deviation": dev})
+    worst = max(0.0, *(r["deviation"] for r in rows))
     return RunReport(
         config=_base_config(
             "realization-fuzz",
@@ -179,7 +205,6 @@ def exp_kde_identity(n_configs: int = 200, n_points: int = 16, seed: int = 0) ->
     rng = np.random.default_rng(np.random.SeedSequence([102, _count(seed, "seed", least=0)]))
     n_points = _count(n_points, "n_points")
     rows = []
-    worst = 0.0
     checked = 0
     for i, (d, m, t, support) in enumerate(_fuzz_cases(rng, n_configs)):
         sig = _SCHED.sigma(t)
@@ -200,8 +225,8 @@ def exp_kde_identity(n_configs: int = 200, n_points: int = 16, seed: int = 0) ->
             )
             config_worst = max(config_worst, abs(log_mix - log_kde))
             checked += 1
-        worst = max(worst, config_worst)
         rows.append({"config": i, "d": d, "m": m, "t": t, "max_log_diff": config_worst})
+    worst = max(0.0, *(r["max_log_diff"] for r in rows))
     return RunReport(
         config=_base_config(
             "kde-identity",
@@ -234,17 +259,12 @@ def exp_neff_collapse(
     seeds = _int_list(seeds, "seed", 0)
     dims = _int_list(dims, "dims entry", 1)
     rows = []
-    medians: dict[int, float] = {}
     for d in dims:
-        per_seed = []
         for seed in seeds:
-            spec = Gmm(d=d, **_NEFF_GMM, seed=seed)
-            support = SupportSet(sample_task(spec, m, 10_000 + seed))
-            prof = neff_profile(support, _SCHED, [_T_STAR], n_queries=n_queries, seed=seed)
-            per_seed.append(float(prof.median[0]))
-            rows.append({"d": d, "seed": seed, "median_neff": per_seed[-1]})
-        medians[d] = float(np.median(per_seed))
-    ordered = [medians[d] for d in dims]
+            support = SupportSet(sample_task(Gmm(d=d, **_NEFF_GMM, seed=seed), m, 10_000 + seed))
+            rows.append({"d": d, "seed": seed, "median_neff": _median_neff(support, n_queries, seed)})
+    medians = {d: float(np.median(v)) for d, v in _by(rows, "d", "median_neff").items()}
+    ordered = list(medians.values())
     monotone = all(a > b for a, b in zip(ordered, ordered[1:]))
     lo_ok = _NEFF_BAND_LOW_D[0] <= medians[dims[0]] <= _NEFF_BAND_LOW_D[1]
     hi_ok = _NEFF_BAND_HIGH_D[0] <= medians[dims[-1]] <= _NEFF_BAND_HIGH_D[1]
@@ -264,7 +284,7 @@ def exp_neff_collapse(
         ),
         rows=rows,
         aggregates={
-            "median_by_dim": {str(d): medians[d] for d in dims},
+            "median_by_dim": {str(d): v for d, v in medians.items()},
             "strictly_decreasing": monotone,
             "low_dim_in_band": lo_ok,
             "high_dim_in_band": hi_ok,
@@ -291,14 +311,13 @@ def exp_variance_scaling(
     """
     seeds = _int_list(seeds, "seed", 0)
     m_grid = _int_list(m_grid, "m_grid entry", 1)
-    if family not in _VARIANCE_DIMS:
+    if family not in _VARIANCE_FAMILIES:
         raise ConfigError(f"unknown family {family!r}; expected 'fourier' or 'gmm'")
+    family_cls, default_d = _VARIANCE_FAMILIES[family]
     if d is None:
-        d = _VARIANCE_DIMS[family]
-    family_cls = FourierDensity if family == "fourier" else Gmm
+        d = default_d
     alpha_range, r2_min = _VARIANCE_BANDS.get((family, d), (None, None))
     rows = []
-    vals: dict[int, list[float]] = {m: [] for m in m_grid}
     for seed in seeds:
         spec = family_cls(d=d, seed=seed)
         queries = sample_task(spec, n_queries, 60_000 + seed)
@@ -309,10 +328,9 @@ def exp_variance_scaling(
             sm = sample_task(spec, m, 70_000 + 1000 * seed + m)
             gap = nw_local_means(queries, sm, h) - ref_means
             v = float(np.mean(np.sum(gap * gap, axis=1)))
-            vals[m].append(v)
             rows.append({"family": family, "d": d, "seed": seed, "m": m, "h": h, "value": v})
-    points = [(float(m), float(np.mean(vs))) for m, vs in vals.items()]
-    fit = fit_power_law(points)
+    means = {m: float(np.mean(vs)) for m, vs in _by(rows, "m", "value").items()}
+    fit = fit_power_law([(float(m), v) for m, v in means.items()])
     checks = {}
     if alpha_range is not None:
         checks["alpha_in_band"] = bool(alpha_range[0] <= fit.alpha <= alpha_range[1])
@@ -338,7 +356,7 @@ def exp_variance_scaling(
         aggregates={
             "alpha": fit.alpha,
             "r_squared": fit.r_squared,
-            "mean_by_m": {str(m): float(np.mean(vs)) for m, vs in vals.items()},
+            "mean_by_m": {str(m): v for m, v in means.items()},
             **checks,
         },
         passed=passed,
@@ -365,30 +383,26 @@ def exp_endpoint_check(
     rows = []
     mmd_bw: Optional[float] = mmd_bandwidth
     null_median = null_iqr = None
-    all_ok = True
     for seed in seeds:
         support, _ = make_support_and_eval(Gmm(d=2, seed=seed), m, 0, 20_000 + seed)
         fld = PluginField(support, _SCHED)
         gen = generate(fld, n, seed=seed, method=Euler(_ENDPOINT_STEPS))
         ref = kde_direct_sample(support, ref_bandwidth, n, seed=90_000 + seed)
-        if mmd_bw is None:
-            mmd_bw = median_heuristic(gen, ref)
+        mmd, mmd_bw = _mmd(gen, ref, mmd_bw)
         if null_median is None:
-            nulls = []
-            for k in range(_NULL_PAIRS):
-                a = kde_direct_sample(support, ref_bandwidth, n, seed=100_000 + k)
-                b = kde_direct_sample(support, ref_bandwidth, n, seed=200_000 + k)
-                nulls.append(mmd2_unbiased(a, b, mmd_bw))
+            nulls = [
+                mmd2_unbiased(kde_direct_sample(support, ref_bandwidth, n, seed=100_000 + k),
+                              kde_direct_sample(support, ref_bandwidth, n, seed=200_000 + k), mmd_bw)
+                for k in range(_NULL_PAIRS)
+            ]
             null_median = float(np.median(nulls))
             q75, q25 = np.percentile(nulls, [75, 25])
             null_iqr = float(q75 - q25)
             if null_iqr == 0.0:
                 raise NumericalError(f"null MMD^2 IQR is exactly 0 at MMD bandwidth {mmd_bw!r}")
-        mmd = mmd2_unbiased(gen, ref, mmd_bw)
         acc = c2st_1nn(gen, ref)
         mmd_ok = abs(mmd - null_median) <= _NULL_IQR_FACTOR * null_iqr
         c2st_ok = _C2ST_BAND[0] <= acc <= _C2ST_BAND[1]
-        all_ok = all_ok and mmd_ok and c2st_ok
         rows.append({"seed": seed, "mmd2": mmd, "c2st_1nn": acc, "mmd_ok": mmd_ok, "c2st_ok": c2st_ok})
     return RunReport(
         config=_base_config(
@@ -414,7 +428,7 @@ def exp_endpoint_check(
             "median_c2st": float(np.median([r["c2st_1nn"] for r in rows])),
             "median_mmd2": float(np.median([r["mmd2"] for r in rows])),
         },
-        passed=bool(all_ok),
+        passed=all(r["mmd_ok"] and r["c2st_ok"] for r in rows),
     )
 
 
@@ -439,9 +453,7 @@ def exp_solver_control(
         fld = PluginField(support, _SCHED)
         gen_e = generate(fld, n, seed=seed)
         gen_r = generate(fld, n, seed=seed, method=rk)
-        if mmd_bw is None:
-            mmd_bw = median_heuristic(eval_rows, gen_e)
-        mmd_e = mmd2_unbiased(gen_e, eval_rows, mmd_bw)
+        mmd_e, mmd_bw = _mmd(eval_rows, gen_e, mmd_bw)
         mmd_r = mmd2_unbiased(gen_r, eval_rows, mmd_bw)
         if mmd_e == 0.0:
             raise NumericalError(f"Euler MMD^2 is exactly 0 at MMD bandwidth {mmd_bw!r}")
@@ -484,19 +496,17 @@ def exp_sphere_rate(
     """
     seeds = _int_list(seeds, "seed", 0)
     m_grid = _int_list(m_grid, "m_grid entry", 1)
-    c_grid = [_scale(c, "c_grid entry") for c in c_grid]
-    _count(len(c_grid), "len(c_grid)")  # an empty grid has no best c per m
+    c_grid = _grid([_scale(c, "c_grid entry") for c in c_grid], "c_grid entry")
     d_k = _count(d_k, "d_k")
     n_queries = _count(n_queries, "n_queries")
     target_exp = 4.0 / (d_k + 3)
     kappa_pow = 2.0 / (d_k + 3)
     sphere = Shell(d=d_k, radius_std=0.0)  # uniform on the unit sphere
 
-    def sphere_mse(tag: int, seed: int, kappas: Callable[[int], list[float]]) -> list[list[float]]:
+    def sphere_mse(tag: int, seed: int, kappas: Callable[[int], list[float]]) -> Iterator[list[float]]:
         """Per m of m_grid, the vMF smoother's MSE at each of kappas(m), on the (tag, seed) draw."""
         rng = np.random.default_rng(np.random.SeedSequence([tag, seed]))
         queries = _sample_shell(sphere, n_queries, rng)
-        out = []
         for m in m_grid:
             design = _sample_shell(sphere, m, rng)
             y = design[:, 0] + _SPHERE_NOISE * rng.standard_normal(m)
@@ -504,29 +514,24 @@ def exp_sphere_rate(
             # On the unit sphere kappa cos = kappa - kappa ||x - s||^2 / 2: the vMF smoother
             # is the core's Gaussian smoother at sigma^2 = 1 / kappa and t = 1.
             est = _smooth(queries, support, 1.0, [k ** -0.5 for k in kappas(m)], values)[:, :, 0]
-            out.append([float(np.mean((e - queries[:, 0]) ** 2)) for e in est])
-        return out
+            yield [float(np.mean((e - queries[:, 0]) ** 2)) for e in est]
 
     rows = []
-    mse: dict[tuple[float, int], list[float]] = {}
     for seed in seeds:
         per_m = sphere_mse(301, seed, lambda m: [c * float(m) ** kappa_pow for c in c_grid])
         for m, vals in zip(m_grid, per_m):
             for c, val in zip(c_grid, vals):
-                mse.setdefault((c, m), []).append(val)
                 rows.append({"seed": seed, "m": m, "c": c, "kappa": c * float(m) ** kappa_pow, "mse": val})
-    envelope = [(float(m), min(float(np.mean(mse[(c, m)])) for c in c_grid)) for m in m_grid]
+    mse = {cm: float(np.mean(v)) for cm, v in _by(rows, ("c", "m"), "mse").items()}
+    envelope = [(float(m), min(mse[(c, m)] for c in c_grid)) for m in m_grid]
     fit = fit_power_law(envelope)
 
     # fixed-kappa control: freeze the best c's kappa at the smallest m
     m0 = m_grid[0]
-    best_c = min(c_grid, key=lambda c: float(np.mean(mse[(c, m0)])))
+    best_c = min(c_grid, key=lambda c: mse[(c, m0)])
     kappa0 = best_c * float(m0) ** kappa_pow
-    ctrl: dict[int, list[float]] = {m: [] for m in m_grid}
-    for seed in seeds:
-        for m, (val,) in zip(m_grid, sphere_mse(302, seed, lambda m: [kappa0])):
-            ctrl[m].append(val)
-    fit_ctrl = fit_power_law([(float(m), float(np.mean(v))) for m, v in ctrl.items()])
+    ctrl = [list(sphere_mse(302, seed, lambda m: [kappa0])) for seed in seeds]  # per seed, per m: [MSE], unrecorded
+    fit_ctrl = fit_power_law([(float(m), float(np.mean([v for (v,) in vs]))) for m, vs in zip(m_grid, zip(*ctrl))])
 
     in_band = abs(fit.alpha - target_exp) <= _EXPONENT_TOL
     ctrl_smaller = fit_ctrl.alpha < fit.alpha
@@ -573,34 +578,23 @@ def exp_whitening_control(
     table's rows beyond the support are held out.
     """
     seeds = _int_list(seeds, "seed", 0)
-    _count(len(strengths), "len(strengths)")  # an empty grid has no endpoints
+    _grid([_unit(lam, "strength", zero=True) for lam in strengths], "strength")  # the rows keep them as given
     if table is None:
         table = anisotropic_gaussian_features(4096, 16, seed=0)
     n_eval = max(0, min(n_eval, table.n - m))
     rows = []
-    neff_by_lam: dict[float, float] = {}
-    mmd_by_lam: dict[float, float] = {}
     mmd_bw: Optional[float] = None
     for lam in strengths:
         tab_l, _ = whiten(table, lam)
-        per_neff = []
-        per_mmd = []
         for seed in seeds:
             support, eval_rows = split_table(tab_l, m, n_eval, 40_000 + seed)
-            prof = neff_profile(support, _SCHED, [_T_STAR], n_queries=256, seed=seed)
-            fld = PluginField(support, _SCHED)
-            gen = generate(fld, n, seed=seed)
-            if mmd_bw is None:
-                mmd_bw = median_heuristic(eval_rows, gen)
-            mmd = mmd2_unbiased(gen, eval_rows, mmd_bw)
-            per_neff.append(float(prof.median[0]))
-            per_mmd.append(mmd)
-            rows.append({"strength": lam, "seed": seed, "median_neff": per_neff[-1], "mmd2": mmd})
-        neff_by_lam[lam] = float(np.median(per_neff))
-        mmd_by_lam[lam] = float(np.median(per_mmd))
-    lam_lo, lam_hi = strengths[0], strengths[-1]
-    drop = neff_by_lam[lam_lo] / max(neff_by_lam[lam_hi], 1e-12)
-    mmds = [v for v in mmd_by_lam.values()]
+            neff = _median_neff(support, 256, seed)
+            mmd, mmd_bw = _mmd(eval_rows, generate(PluginField(support, _SCHED), n, seed=seed), mmd_bw)
+            rows.append({"strength": lam, "seed": seed, "median_neff": neff, "mmd2": mmd})
+    neff_by_lam = {k: float(np.median(v)) for k, v in _by(rows, "strength", "median_neff").items()}
+    mmd_by_lam = {k: float(np.median(v)) for k, v in _by(rows, "strength", "mmd2").items()}
+    drop = neff_by_lam[strengths[0]] / max(neff_by_lam[strengths[-1]], 1e-12)
+    mmds = list(mmd_by_lam.values())
     return RunReport(
         config=_base_config(
             "whitening-control",
@@ -654,21 +648,16 @@ def exp_anisotropic_shells(
     seeds = _int_list(seeds, "seed", 0)
     rows = []
     mmd_bw: Optional[float] = None
-    ratios: dict[str, list[float]] = {name: [] for name in _SHELL_METRICS}
     for seed in seeds:
         spec = Shell(d=d, seed=seed)
         support, eval_rows = make_support_and_eval(spec, m, n, 50_000 + seed)
         iso = PluginField(support, _SCHED)
-        gen_iso = generate(iso, n, seed=seed)
-        if mmd_bw is None:
-            mmd_bw = median_heuristic(eval_rows, gen_iso)
-        mmd_iso = mmd2_unbiased(gen_iso, eval_rows, mmd_bw)
+        mmd_iso, mmd_bw = _mmd(eval_rows, generate(iso, n, seed=seed), mmd_bw)
         for name in _SHELL_METRICS:
             fld = PluginField(support, _SCHED, _shell_metric(name, d))
             gen_m = generate(fld, n, seed=seed)
             mmd_m = mmd2_unbiased(gen_m, eval_rows, mmd_bw)
             ratio = mmd_iso / mmd_m if mmd_m != 0 else float("inf")
-            ratios[name].append(ratio)
             rows.append(
                 {
                     "seed": seed,
@@ -678,6 +667,7 @@ def exp_anisotropic_shells(
                     "ratio_iso_over_metric": ratio,
                 }
             )
+    ratios = _by(rows, "metric", "ratio_iso_over_metric")
     return RunReport(
         config=_base_config(
             "anisotropic-shells",

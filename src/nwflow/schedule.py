@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConfigError, NumericalError, _scale
+from .errors import NumericalError, _unit
 
 __all__ = ["PathSchedule"]
 
@@ -22,10 +22,7 @@ class PathSchedule:
     sigma_min: float = 0.01
 
     def __post_init__(self) -> None:
-        s = _scale(self.sigma_min, "sigma_min")
-        if s > 1.0:
-            raise ConfigError(f"sigma_min must lie in (0, 1], got {self.sigma_min!r}")
-        object.__setattr__(self, "sigma_min", s)
+        object.__setattr__(self, "sigma_min", _unit(self.sigma_min, "sigma_min"))
 
     def sigma(self, t: float) -> float:
         """Noise scale at time t: 1 - (1 - sigma_min) * t.

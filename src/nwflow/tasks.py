@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, _count, _scale
+from .errors import ConfigError, NumericalError, _count, _scale, _unit
 from .kernels import SupportSet, _readonly
 
 __all__ = [
@@ -381,9 +381,7 @@ def whiten(
     strength 0 returns the rows untouched (full identity, mean included);
     strength 1 makes the sample covariance the identity up to the ridge.
     """
-    lam = _scale(strength, "strength", zero=True)
-    if lam > 1.0:
-        raise ConfigError(f"strength must lie in [0, 1], got {strength!r}")
+    lam = _unit(strength, "strength", zero=True)
     eps = _scale(ridge, "regularization", zero=True)
     rows = table.rows
     mean = rows.mean(axis=0)

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from nwflow import experiments
 from nwflow.errors import ConfigError
 from nwflow.experiments import (
     exp_anisotropic_shells,
@@ -17,6 +18,8 @@ from nwflow.experiments import (
     exp_whitening_control,
     save_report,
 )
+from nwflow.metrics import fit_power_law
+from nwflow.tasks import anisotropic_gaussian_features
 
 
 def _report_bytes(report, outdir):
@@ -172,3 +175,128 @@ def test_empty_seed_list_is_config_error(run):
     # medians, a KeyError, or NaN aggregates after RuntimeWarnings.
     with pytest.raises(ConfigError, match="at least one seed"):
         run(seeds=())
+
+
+def _col(report, key, k, value):
+    """The `value` column of the rows whose `key` is k, in row order."""
+    return [r[value] for r in report.rows if r[key] == k]
+
+
+def _medians(report, key, keys, value):
+    return {str(k): float(np.median(_col(report, key, k, value))) for k in keys}
+
+
+def _max_from_rows(report, value):
+    return max(0.0, *(r[value] for r in report.rows))
+
+
+def _variance_from_rows(report):
+    means = {m: float(np.mean(_col(report, "m", m, "value"))) for m in (10, 40, 20)}
+    fit = fit_power_law([(float(m), v) for m, v in means.items()])
+    return {"alpha": fit.alpha, "r_squared": fit.r_squared, "mean_by_m": {str(m): v for m, v in means.items()}}
+
+
+def _sphere_from_rows(report):
+    mse = {
+        (c, m): float(np.mean([r["mse"] for r in report.rows if (r["c"], r["m"]) == (c, m)]))
+        for c in (1.0, 2.0)
+        for m in (16, 32, 64)
+    }
+    fit = fit_power_law([(float(m), min(mse[(c, m)] for c in (1.0, 2.0))) for m in (16, 32, 64)])
+    return {"alpha": fit.alpha, "r_squared": fit.r_squared}
+
+
+def _whitening_from_rows(report):
+    neff = _medians(report, "strength", (0.0, 0.5, 1.0), "median_neff")
+    return {
+        "median_neff_by_strength": neff,
+        "median_mmd2_by_strength": _medians(report, "strength", (0.0, 0.5, 1.0), "mmd2"),
+        "neff_drop": neff["0.0"] / max(neff["1.0"], 1e-12),
+    }
+
+
+_TABLE = anisotropic_gaussian_features(300, 4, seed=1)
+
+# experiment -> (small run, its aggregates and verdict recomputed from its rows alone)
+FROM_ROWS = {
+    "realization-fuzz": (
+        lambda: exp_realization_fuzz(n_configs=20, seed=2),
+        lambda r: {"max_deviation": _max_from_rows(r, "deviation")},
+    ),
+    "kde-identity": (
+        lambda: exp_kde_identity(n_configs=10, n_points=4, seed=2),
+        lambda r: {"max_log_diff": _max_from_rows(r, "max_log_diff")},
+    ),
+    "neff-collapse": (
+        lambda: exp_neff_collapse(dims=(8, 2), m=16, seeds=(2, 0, 1), n_queries=32),
+        lambda r: {"median_by_dim": _medians(r, "d", (8, 2), "median_neff")},
+    ),
+    "variance-scaling": (
+        lambda: exp_variance_scaling(family="gmm", d=2, m_grid=(10, 40, 20), m_ref=400, seeds=(1, 0), n_queries=32),
+        _variance_from_rows,
+    ),
+    "endpoint-check": (
+        lambda: exp_endpoint_check(m=10, n=100, seeds=(0, 2, 1)),
+        lambda r: {
+            "median_c2st": float(np.median([row["c2st_1nn"] for row in r.rows])),
+            "median_mmd2": float(np.median([row["mmd2"] for row in r.rows])),
+            "pass": all(row["mmd_ok"] and row["c2st_ok"] for row in r.rows),
+        },
+    ),
+    "solver-control": (
+        lambda: exp_solver_control(m=10, n=100, seeds=(1, 0)),
+        lambda r: {"median_rel_change": float(np.median([row["rel_change"] for row in r.rows]))},
+    ),
+    "sphere-rate": (
+        lambda: exp_sphere_rate(m_grid=(16, 32, 64), c_grid=(1.0, 2.0), seeds=(0, 1), n_queries=24),
+        _sphere_from_rows,
+    ),
+    "whitening-control": (
+        lambda: exp_whitening_control(table=_TABLE, strengths=(0.0, 0.5, 1.0), m=20, seeds=(0, 1), n=40, n_eval=40),
+        _whitening_from_rows,
+    ),
+    "anisotropic-shells": (
+        lambda: exp_anisotropic_shells(d=3, m=12, seeds=(0, 1), n=40),
+        lambda r: {"median_ratio_by_metric": _medians(r, "metric", r.config["metric_names"], "ratio_iso_over_metric")},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", FROM_ROWS)
+def test_aggregates_are_computed_from_rows(name):
+    # The rows are the one record of what an experiment measured; json.dumps pins the
+    # exact floats and the grid order of each per-key table.
+    run, from_rows = FROM_ROWS[name]
+    report = run()
+    want = from_rows(report)
+    got = {**report.aggregates, "pass": report.passed}
+    assert json.dumps({k: got[k] for k in want}) == json.dumps(want)
+
+
+# Each repeat was merged or dropped silently: whitening-control (0.0, 1.0, 0.0) compared the
+# first strength with the last, neff-collapse (2, 2) reported the second pass only, and
+# sphere-rate (64, 64, 128) fitted three points for the main exponent and two for the control.
+REPEATED = {
+    "seeds": lambda: exp_anisotropic_shells(d=3, m=12, seeds=(0, 1, 0), n=40),
+    "neff-collapse dims": lambda: exp_neff_collapse(dims=(2, 2), m=16, seeds=(0,), n_queries=32),
+    "variance-scaling m_grid": lambda: exp_variance_scaling(m_grid=(10, 20, 10), m_ref=400, seeds=(0,), n_queries=32),
+    "sphere-rate m_grid": lambda: exp_sphere_rate(m_grid=(64, 64, 128), seeds=(0,), n_queries=24),
+    "sphere-rate c_grid": lambda: exp_sphere_rate(m_grid=(16, 32, 64), c_grid=(1.0, 2.0, 1), seeds=(0,), n_queries=24),
+    "whitening-control strengths": lambda: exp_whitening_control(
+        table=_TABLE, strengths=(0.0, 1.0, 0.0), m=20, seeds=(0,), n=40, n_eval=40
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REPEATED)
+def test_repeated_entry_is_config_error(case):
+    with pytest.raises(ConfigError, match="repeated"):
+        REPEATED[case]()
+
+
+def test_whitening_strengths_are_checked_before_any_generation(monkeypatch):
+    calls = []
+    monkeypatch.setattr(experiments, "generate", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ConfigError, match=r"strength must lie in \[0, 1\], got 2.0"):
+        exp_whitening_control(strengths=(0.0, 2.0), seeds=[0])
+    assert calls == []
