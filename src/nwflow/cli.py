@@ -12,6 +12,8 @@ seed.  Library parameters are passed on only when their flag is set, so their
 defaults live in the library signatures alone.  Each command takes --out,
 --config and only the flags it reads, so an unread or abbreviated flag (or
 config key) exits 2, bar --jobs on endpoint-check and variance-scaling.
+A --features table's format is read from its first bytes (NWF1 binary, else
+UTF-8 CSV), never from a flag or the file name.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .ode import AdaptiveRK45, Euler, generate
 from .schedule import PathSchedule
 from .tasks import (
     FeatureTable,
+    _table_format,
     load_feature_table,
     make_support_and_eval,
     parse_task,
@@ -57,21 +60,13 @@ def _given(args: argparse.Namespace, **keywords: str) -> dict:
 def _load_table(args: argparse.Namespace) -> FeatureTable:
     if args.features is None:
         raise ConfigError(f"{args.command} needs --features")
-    return load_feature_table(args.features, _table_format(args))
-
-
-def _table_format(args: argparse.Namespace) -> str:
-    """--format when given, else the format the --features extension names."""
-    if args.format is not None:
-        return args.format
-    return "bin" if args.features.endswith(".bin") else "csv"
+    return load_feature_table(args.features)
 
 
 def _support(args: argparse.Namespace):
     if args.features is not None:
         _reject_set(args, ["task", "task_seed"], "--features")
         return split_table(_load_table(args), args.m, 0, args.seed)[0]
-    _reject_set(args, ["format"], "a run without --features")
     if args.task is None:
         raise ConfigError("need --task or --features")
     task_seed = args.seed if args.task_seed is None else args.task_seed
@@ -142,8 +137,8 @@ def cmd_diag_neff(args: argparse.Namespace) -> int:
 def cmd_whiten(args: argparse.Namespace) -> int:
     table = _load_table(args)
     whitened, record = whiten(table, **_given(args, strength="strength", ridge="ridge"))
-    fmt = _table_format(args)
-    save_feature_table(whitened.rows, os.path.join(args.out, f"whitened.{fmt}"), fmt=fmt, names=table.names)
+    fmt = _table_format(args.features)  # the format it read
+    save_feature_table(whitened.rows, os.path.join(args.out, f"whitened.{fmt}"), names=table.names)
     write_json(
         os.path.join(args.out, "transform.json"),
         {
@@ -162,10 +157,8 @@ def cmd_whiten(args: argparse.Namespace) -> int:
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     table = _load_table(args)
-    fmt = args.to
-    if fmt is None:  # convert to the other format
-        fmt = "bin" if _table_format(args) == "csv" else "csv"
-    save_feature_table(table.rows, os.path.join(args.out, f"table.{fmt}"), fmt=fmt, names=table.names)
+    fmt = args.to or ("bin" if _table_format(args.features) == "csv" else "csv")  # default: the other format
+    save_feature_table(table.rows, os.path.join(args.out, f"table.{fmt}"), names=table.names)
     write_json(
         os.path.join(args.out, "table_meta.json"),
         {
@@ -218,8 +211,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     kwargs = _given(args, **flags)
     if "table" in kwargs:
         kwargs["table"] = _load_table(args)
-    elif "table" in flags:
-        _reject_set(args, ["format"], "a run without --features")
     if seeds:
         kwargs["seeds"] = _seed_list(args, seeds)
     else:
@@ -272,8 +263,7 @@ _FLAGS = {
     "config": {"help": "JSON config file mirroring these flags"},
     "task": {"help": "task name, e.g. gmm2d, shell16d, fourier8d, moons"},
     "task_seed": {"type": _seed, "help": "task instance seed (default: the seed)"},
-    "features": {"help": "path to a feature table (csv or NWF1 binary)"},
-    "format": {"choices": ["csv", "bin"], "help": "feature table format"},
+    "features": {"help": "path to a feature table: NWF1 binary if it opens with that magic, else UTF-8 CSV"},
     "m": {"type": int, "help": "support size"},
     "n": {"type": int, "help": "sample / query count"},
     "d": {"type": int, "help": "dimension"},
@@ -295,7 +285,7 @@ _FLAGS = {
     "to": {"choices": ["csv", "bin"], "help": "output format"},
 }
 # generate and diag-neff: the seed, the support, the sample or query count and the schedule
-_FIELD_FLAGS = ("seed", "task", "task_seed", "features", "format", "m", "n", "sigma_min")
+_FIELD_FLAGS = ("seed", "task", "task_seed", "features", "m", "n", "sigma_min")
 
 
 def _add_command(sub, name: str, func: Callable, dests, help: Optional[str] = None, **defaults) -> None:
@@ -322,16 +312,14 @@ def build_parser() -> argparse.ArgumentParser:
     names = p_exp.add_subparsers(dest="name", required=True)
     for name, (flags, seeds) in EXPERIMENTS.items():
         dests = ["seed", *(["jobs"] if name in _JOBS_IGNORED else []), *flags.values()]
-        if "table" in flags:
-            dests.append("format")
         if seeds:
             dests += ["seeds", "n_seeds"]
         _add_command(names, name, cmd_experiment, dests)
     _add_command(sub, "diag-neff", cmd_diag_neff, _FIELD_FLAGS + ("t_grid",),
                  "effective-sample-size profile along the flow", m=50)
-    _add_command(sub, "whiten", cmd_whiten, ("features", "format", "strength", "ridge"),
+    _add_command(sub, "whiten", cmd_whiten, ("features", "strength", "ridge"),
                  "whiten a feature table")
-    _add_command(sub, "ingest", cmd_ingest, ("features", "format", "to"),
+    _add_command(sub, "ingest", cmd_ingest, ("features", "to"),
                  "validate and convert a feature table")
     return parser
 

@@ -57,6 +57,8 @@ _SCHED = PathSchedule()  # every experiment's path schedule, sigma_min included
 
 # Fixed thresholds and calibrated task parameters, echoed in the configs that use them.
 _FUZZ_DIMS = (1, 2, 4, 8, 16)  # realization-fuzz and kde-identity: the drawn dimensions
+_FUZZ_M_RANGE = (1, 64)  # realization-fuzz and kde-identity: the drawn support sizes, ends included
+_FUZZ_T_RANGE = (1e-3, 1.0)  # realization-fuzz and kde-identity: the drawn flow times
 _FUZZ_TOL = 1e-10  # realization-fuzz: max |attention - plug-in|
 _KDE_TOL = 1e-12  # kde-identity: max |log mixture - log KDE|
 _KDE_DENSITY_FLOOR = 1e-280  # kde-identity: skip points whose KDE density is below this
@@ -81,7 +83,6 @@ _SOLVER_REL_TOL = 0.10  # solver-control: median |rk45 - euler| / euler MMD^2
 _SPHERE_NOISE = 0.5  # sphere-rate: observation noise std
 _EXPONENT_TOL = 0.15  # sphere-rate: |alpha - target exponent|
 _NEFF_DROP_MIN = 3.0  # whitening-control: n_eff ratio, weakest over strongest whitening
-_SHELL_METRICS = ("identity", "radial-rank1", "random-spd")  # anisotropic-shells: see _shell_metric
 _MMD_BANDWIDTH_RULE = "median heuristic, first seed, shared across seeds"  # without mmd_bandwidth
 
 
@@ -157,8 +158,8 @@ def _fuzz_cases(rng: np.random.Generator, n_configs: int) -> Iterator[tuple[int,
     """n_configs fuzz cases (d, m, t, an m x d N(0, 2^2) support), drawn in this order from rng."""
     for _ in range(_count(n_configs, "n_configs")):
         d = int(rng.choice(_FUZZ_DIMS))
-        m = int(rng.integers(1, 65))
-        t = float(rng.uniform(1e-3, 1.0))
+        m = int(rng.integers(_FUZZ_M_RANGE[0], _FUZZ_M_RANGE[1] + 1))
+        t = float(rng.uniform(*_FUZZ_T_RANGE))
         yield d, m, t, SupportSet(rng.normal(0.0, 2.0, (m, d)))
 
 
@@ -183,9 +184,9 @@ def exp_realization_fuzz(n_configs: int = 1000, seed: int = 0) -> RunReport:
             n_configs=n_configs,
             seed=seed,
             sigma_min=_SCHED.sigma_min,
-            t_range=[1e-3, 1.0],
+            t_range=list(_FUZZ_T_RANGE),
             dims=list(_FUZZ_DIMS),
-            m_range=[1, 64],
+            m_range=list(_FUZZ_M_RANGE),
             tolerance=_FUZZ_TOL,
             query_law="path-marginal",
         ),
@@ -578,7 +579,7 @@ def exp_whitening_control(
     table's rows beyond the support are held out.
     """
     seeds = _int_list(seeds, "seed", 0)
-    _grid([_unit(lam, "strength", zero=True) for lam in strengths], "strength")  # the rows keep them as given
+    strengths = _grid([_unit(lam, "strength", zero=True) for lam in strengths], "strength")
     if table is None:
         table = anisotropic_gaussian_features(4096, 16, seed=0)
     n_eval = max(0, min(n_eval, table.n - m))
@@ -599,7 +600,7 @@ def exp_whitening_control(
         config=_base_config(
             "whitening-control",
             seeds=seeds,
-            strengths=[float(s) for s in strengths],
+            strengths=strengths,
             m=m,
             n=n,
             n_eval=n_eval,
@@ -620,18 +621,17 @@ def exp_whitening_control(
     )
 
 
-def _shell_metric(name: str, d: int) -> np.ndarray:
-    if name == "identity":
-        return np.eye(d)
-    if name == "radial-rank1":
-        e0 = np.zeros(d)
-        e0[0] = 1.0
-        return np.eye(d) + 3.0 * np.outer(e0, e0)
-    if name == "random-spd":
-        rng = np.random.default_rng(np.random.SeedSequence([303, d]))
-        a = rng.standard_normal((d, d))
-        return a @ a.T / d + 0.5 * np.eye(d)
-    raise ConfigError(f"unknown metric variant {name!r}")
+def _random_spd_metric(d: int) -> np.ndarray:
+    a = np.random.default_rng(np.random.SeedSequence([303, d])).standard_normal((d, d))
+    return a @ a.T / d + 0.5 * np.eye(d)
+
+
+# anisotropic-shells: metric name -> its d x d metric, in report order
+_SHELL_METRICS = {
+    "identity": np.eye,
+    "radial-rank1": lambda d: np.eye(d) + 3.0 * np.outer(np.eye(d)[0], np.eye(d)[0]),
+    "random-spd": _random_spd_metric,
+}
 
 
 def exp_anisotropic_shells(
@@ -653,8 +653,8 @@ def exp_anisotropic_shells(
         support, eval_rows = make_support_and_eval(spec, m, n, 50_000 + seed)
         iso = PluginField(support, _SCHED)
         mmd_iso, mmd_bw = _mmd(eval_rows, generate(iso, n, seed=seed), mmd_bw)
-        for name in _SHELL_METRICS:
-            fld = PluginField(support, _SCHED, _shell_metric(name, d))
+        for name, metric in _SHELL_METRICS.items():
+            fld = PluginField(support, _SCHED, metric(d))
             gen_m = generate(fld, n, seed=seed)
             mmd_m = mmd2_unbiased(gen_m, eval_rows, mmd_bw)
             ratio = mmd_iso / mmd_m if mmd_m != 0 else float("inf")

@@ -407,18 +407,23 @@ def whiten(
 _MAGIC = b"NWF1"
 
 
-def load_feature_table(path: str, fmt: str = "csv") -> FeatureTable:
-    """Read a feature table from CSV or the NWF1 binary layout."""
-    if fmt == "csv":
-        return _load_csv(path)
-    if fmt == "bin":
-        return _load_bin(path)
-    raise ConfigError(f"unknown format {fmt!r}; expected 'csv' or 'bin'")
+def _table_format(path: str) -> str:
+    """The one decision of a table's format: "bin" if the file opens with the NWF1 magic, else "csv"."""
+    with open(path, "rb") as fh:
+        return "bin" if fh.read(4) == _MAGIC else "csv"
+
+
+def load_feature_table(path: str) -> FeatureTable:
+    """Read a feature table: the NWF1 binary layout if the file opens with its magic, else UTF-8 CSV."""
+    return _load_bin(path) if _table_format(path) == "bin" else _load_csv(path)
 
 
 def _load_csv(path: str) -> FeatureTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is neither an NWF1 table nor UTF-8 text ({exc})") from exc
     if not lines:
         raise ConfigError(f"{path} holds no rows")
     cells = [ln.split(",") for ln in lines]
@@ -443,8 +448,6 @@ def _load_csv(path: str) -> FeatureTable:
 def _load_bin(path: str) -> FeatureTable:
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob[:4] != _MAGIC:
-        raise ConfigError(f"{path}: bad magic {blob[:4]!r}, expected {_MAGIC!r}")
     if len(blob) < 12:
         raise ConfigError(f"{path}: truncated header")
     n, d = struct.unpack("<II", blob[4:12])
@@ -457,22 +460,16 @@ def _load_bin(path: str) -> FeatureTable:
     return FeatureTable(rows=rows.astype(np.float64), source=path)
 
 
-def save_feature_table(
-    rows: np.ndarray,
-    path: str,
-    fmt: str = "csv",
-    names: Optional[tuple[str, ...]] = None,
-) -> None:
+def save_feature_table(rows: np.ndarray, path: str, names: Optional[tuple[str, ...]] = None) -> None:
+    """Write rows in the NWF1 binary layout if the path ends in .bin, else as CSV under the names."""
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    if fmt == "csv":
-        write_csv(path, rows, header=names)
-    elif fmt == "bin":
+    if path.endswith(".bin"):
         with open(path, "wb") as fh:
             fh.write(_MAGIC)
             fh.write(struct.pack("<II", rows.shape[0], rows.shape[1]))
             fh.write(np.ascontiguousarray(rows, dtype="<f8").tobytes())
     else:
-        raise ConfigError(f"unknown format {fmt!r}; expected 'csv' or 'bin'")
+        write_csv(path, rows, header=names)
 
 
 def _fmt(v: object) -> str:

@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -230,11 +231,19 @@ def test_whiten_and_ingest_roundtrip(tmp_path):
     assert meta["n"] == 80 and meta["d"] == 3
     assert meta["written_format"] == "bin"
     back = str(tmp_path / "back")
-    assert main(
-        ["ingest", "--features", os.path.join(iout, "table.bin"), "--format", "bin", "--out", back]
-    ) == 0
+    assert main(["ingest", "--features", os.path.join(iout, "table.bin"), "--out", back]) == 0
     round_rows = np.loadtxt(os.path.join(back, "table.csv"), delimiter=",")
     assert np.allclose(round_rows, rows, atol=0)
+    # the format comes from the file's first bytes, not its name
+    dat_table, dat = str(tmp_path / "t.dat"), str(tmp_path / "dat")
+    shutil.copyfile(os.path.join(iout, "table.bin"), dat_table)
+    assert main(["ingest", "--features", dat_table, "--out", dat]) == 0
+    assert read(os.path.join(dat, "table.csv")) == read(os.path.join(back, "table.csv"))
+    csv_named_bin, wcsv = str(tmp_path / "t.bin"), str(tmp_path / "wcsv")
+    shutil.copyfile(src, csv_named_bin)
+    assert main(["whiten", "--features", csv_named_bin, "--strength", "1.0", "--out", wcsv]) == 0
+    assert sorted(os.listdir(wcsv)) == ["transform.json", "whitened.csv"]
+    assert read(os.path.join(wcsv, "whitened.csv")) == read(os.path.join(wout, "whitened.csv"))
 
     # whiten writes its output in the format of its input
     wbin = str(tmp_path / "wbin")
@@ -246,13 +255,17 @@ def test_whiten_missing_features_is_config_error(tmp_path):
     assert main(["whiten", "--out", str(tmp_path)]) == 2
 
 
-def test_bad_feature_file_exit_codes(tmp_path):
+def test_bad_feature_file_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("1,2\n3\n")
     assert main(["generate", "--features", str(bad), "--out", str(tmp_path)]) == 2
     nan = tmp_path / "nan.csv"
     nan.write_text("1,2\nnan,4\n")
     assert main(["generate", "--features", str(nan), "--out", str(tmp_path)]) == 2
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes(b"caf\xe9,b\n1,2\n")
+    assert main(["whiten", "--features", str(latin1), "--out", str(tmp_path)]) == 2
+    assert "neither an NWF1 table nor UTF-8 text" in capsys.readouterr().err
 
 
 def test_config_file_precedence(tmp_path):
@@ -472,9 +485,9 @@ def test_infinite_rk45_tolerance_exits_2(tmp_path, capsys, argv):
         (["generate", "--task", "gmm2d", "--features", "t.csv"], None),
         (["generate", "--task-seed", "3", "--features", "t.csv"], None),
         (["diag-neff", "--task", "gmm2d", "--features", "t.csv"], None),
-        (["generate", "--task", "gmm2d", "--format", "csv"], None),
-        (["diag-neff", "--task", "gmm2d", "--format", "csv"], None),
-        (["experiment", "whitening-control", "--n-seeds", "1", "--format", "csv"], None),
+        (["generate", "--features", "t.csv", "--format", "csv"], None),
+        (["diag-neff", "--features", "t.csv", "--format", "csv"], None),
+        (["experiment", "whitening-control", "--features", "t.csv", "--format", "csv"], None),
         (["whiten", "--features", "t.csv"], {"seed": 1}),
         (["whiten", "--features", "t.csv"], {"jobs": 2}),
         (["ingest", "--features", "t.csv"], {"seed": 1}),
@@ -516,6 +529,22 @@ def test_seed_and_jobs_only_where_read(tmp_path, monkeypatch, capsys, argv):
     (tmp_path / "t.csv").write_text("".join(f"{i},{i % 7}\n" for i in range(60)))
     assert main(argv + ["--out", "o"]) == 2
     assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["generate", "--features", "t.csv"], ["diag-neff", "--features", "t.csv"], ["whiten", "--features", "t.csv"],
+     ["ingest", "--features", "t.csv"], *(["experiment", name] for name in sorted(EXPERIMENTS))],
+)
+def test_format_is_read_from_the_table_not_a_flag(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.csv").write_text("".join(f"{i},{i % 7}\n" for i in range(60)))
+    assert main(argv + ["--format", "csv", "--out", "o"]) == 2
+    assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+    (tmp_path / "cfg.json").write_text(json.dumps({"format": "csv"}))
+    assert main(argv + ["--config", "cfg.json", "--out", "o"]) == 2
+    assert "config file keys ['format'] are not recognized flags" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -645,7 +674,7 @@ def test_error_classes_alone_decide_exit_codes():
         ({"m": 5.5}, "argument --m: invalid int value: '5.5'"),
         ({"m": "abc"}, "argument --m: invalid int value: 'abc'"),
         ({"sigma_min": [0.1]}, None),  # a list joins to "0.1", which parses
-        ({"format": "xml"}, "argument --format: invalid choice: 'xml'"),
+        ({"format": "csv"}, "keys ['format']"),  # no flag names a table's format
         ({"rk45": "yes"}, "argument --rk45: ignored explicit argument 'yes'"),
         ({"name": "kde-identity"}, "config file keys ['name'] are not recognized flags"),
     ],

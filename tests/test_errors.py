@@ -1,5 +1,8 @@
 """The input contract: every rejected parameter is a ConfigError, which is also a ValueError."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
 
@@ -24,6 +27,7 @@ from nwflow.tasks import (
     Shell,
     Spirals,
     anisotropic_gaussian_features,
+    load_feature_table,
     make_support_and_eval,
     sample_task,
     split_table,
@@ -31,6 +35,15 @@ from nwflow.tasks import (
 )
 
 NAN, INF = float("nan"), float("inf")
+
+
+def _load_bytes(blob: bytes):
+    """load_feature_table on a temporary file that holds `blob`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.csv")
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        return load_feature_table(path)
 
 
 def test_config_error_is_a_value_error():
@@ -97,6 +110,7 @@ REJECTED = {
     "whiten strength 2": lambda: whiten(anisotropic_gaussian_features(10, 2), 2.0),
     "whiten strength str": lambda: whiten(anisotropic_gaussian_features(10, 2), strength="0.5"),
     "whiten strength True": lambda: whiten(anisotropic_gaussian_features(10, 2), strength=True),
+    "load_feature_table non-UTF-8": lambda: _load_bytes(b"1,2\n\xff,4\n"),  # was UnicodeDecodeError
     "neff_profile n_queries 0": lambda: neff_profile(_support(), PathSchedule(), n_queries=0),
     "neff_profile t 0": lambda: neff_profile(_support(), PathSchedule(), [0.0]),
     "integrate jobs 1.5": lambda: integrate(lambda x, t: x, np.zeros((3, 2)), Euler(2), jobs=1.5),

@@ -300,3 +300,13 @@ def test_whitening_strengths_are_checked_before_any_generation(monkeypatch):
     with pytest.raises(ConfigError, match=r"strength must lie in \[0, 1\], got 2.0"):
         exp_whitening_control(strengths=(0.0, 2.0), seeds=[0])
     assert calls == []
+
+
+def test_whitening_strengths_report_alike_as_ints_or_floats():
+    runs = [
+        exp_whitening_control(table=_TABLE, strengths=lams, m=20, seeds=(0,), n=40, n_eval=40)
+        for lams in ((0, 1), (0.0, 1.0))
+    ]
+    as_ints, as_floats = (json.dumps([r.config, r.rows, r.aggregates, r.passed]) for r in runs)
+    assert as_ints == as_floats
+    assert list(runs[0].aggregates["median_neff_by_strength"]) == ["0.0", "1.0"]

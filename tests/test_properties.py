@@ -97,7 +97,7 @@ def test_exp_floor_bound_never_misses(seed, m, d, t, sigma, offset, scale):
 
 
 # A valid value for each flag, so that a rejection is about the flag being unread.
-_VALUES = {"format": "csv", "to": "csv", "task": "gmm2d", "features": "t.csv", "seeds": "1,2",
+_VALUES = {"to": "csv", "task": "gmm2d", "features": "t.csv", "seeds": "1,2",
            "t_grid": "0.5", "family": "gmm", "rk45": None}
 
 

@@ -270,14 +270,14 @@ def test_csv_roundtrip(tmp_path):
     path = os.path.join(tmp_path, "t.csv")
     with open(path, "w") as fh:
         fh.write("1,2\n3,4\n5,6\n")
-    table = load_feature_table(path, "csv")
+    table = load_feature_table(path)
     assert table.rows.shape == (3, 2)
     assert table.names is None
 
     path2 = os.path.join(tmp_path, "named.csv")
     with open(path2, "w") as fh:
         fh.write("a,b\n1.5,2.5\n")
-    named = load_feature_table(path2, "csv")
+    named = load_feature_table(path2)
     assert named.names == ("a", "b")
     assert named.rows.shape == (1, 2)
 
@@ -305,49 +305,71 @@ def test_csv_errors(tmp_path):
     with open(header_only, "w") as fh:
         fh.write("a,b\n")
     with pytest.raises(ConfigError, match="header but no data rows"):
-        load_feature_table(header_only, "csv")
+        load_feature_table(header_only)
 
     ragged = os.path.join(tmp_path, "r.csv")
     with open(ragged, "w") as fh:
         fh.write("1,2\n3\n")
     with pytest.raises(ConfigError, match="ragged rows"):
-        load_feature_table(ragged, "csv")
+        load_feature_table(ragged)
 
     nan_file = os.path.join(tmp_path, "n.csv")
     with open(nan_file, "w") as fh:
         fh.write("1,2\nnan,4\n")
     with pytest.raises(ConfigError, match="contains non-finite values"):
-        load_feature_table(nan_file, "csv")
+        load_feature_table(nan_file)
+
+    latin1 = os.path.join(tmp_path, "l.csv")
+    with open(latin1, "wb") as fh:
+        fh.write(b"caf\xe9,b\n1,2\n")
+    with pytest.raises(ConfigError, match=r"l\.csv is neither an NWF1 table nor UTF-8 text"):
+        load_feature_table(latin1)
 
 
 def test_binary_roundtrip(tmp_path):
     rows = np.random.default_rng(0).normal(size=(17, 3))
     path = os.path.join(tmp_path, "t.bin")
-    save_feature_table(rows, path, fmt="bin")
-    table = load_feature_table(path, "bin")
+    save_feature_table(rows, path)
+    table = load_feature_table(path)
     assert np.array_equal(table.rows, rows)
     with open(path, "rb") as fh:
         assert fh.read(4) == b"NWF1"
 
 
-def test_binary_errors(tmp_path):
-    bad_magic = os.path.join(tmp_path, "bad.bin")
-    with open(bad_magic, "wb") as fh:
-        fh.write(b"XXXX" + b"\x00" * 8)
-    with pytest.raises(ConfigError, match="bad magic"):
-        load_feature_table(bad_magic, "bin")
+def test_table_format_is_read_from_the_file(tmp_path):
+    rows = np.random.default_rng(1).normal(size=(5, 2))
+    binary = os.path.join(tmp_path, "t.bin")
+    save_feature_table(rows, binary)
+    renamed = os.path.join(tmp_path, "t.dat")  # an NWF1 table loads under any name
+    os.rename(binary, renamed)
+    assert np.array_equal(load_feature_table(renamed).rows, rows)
 
+    text = os.path.join(tmp_path, "c.bin")  # a CSV named *.bin loads as CSV
+    save_feature_table(rows, os.path.join(tmp_path, "c.csv"), names=("a", "b"))
+    os.rename(os.path.join(tmp_path, "c.csv"), text)
+    table = load_feature_table(text)
+    assert table.names == ("a", "b") and np.array_equal(table.rows, rows)
+
+    # a CSV that opens with the magic reads as NWF1, and its bytes are no valid table
+    magic_csv = os.path.join(tmp_path, "m.csv")
+    with open(magic_csv, "w") as fh:
+        fh.write("NWF1,b\n1,2\n3,4\n")
+    with pytest.raises(ConfigError, match="expected"):
+        load_feature_table(magic_csv)
+
+
+def test_binary_errors(tmp_path):
     truncated = os.path.join(tmp_path, "short.bin")
     with open(truncated, "wb") as fh:
         fh.write(b"NWF1" + (2).to_bytes(4, "little") + (2).to_bytes(4, "little") + b"\x00" * 8)
     with pytest.raises(ConfigError, match="expected 44 bytes for 2x2, got 20"):
-        load_feature_table(truncated, "bin")
+        load_feature_table(truncated)
 
     no_columns = os.path.join(tmp_path, "empty.bin")
     with open(no_columns, "wb") as fh:
         fh.write(b"NWF1" + (5).to_bytes(4, "little") + (0).to_bytes(4, "little"))
     with pytest.raises(ConfigError, match="5 rows and 0 columns"):
-        load_feature_table(no_columns, "bin")
+        load_feature_table(no_columns)
 
 
 def test_feature_table_validation():

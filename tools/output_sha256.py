@@ -9,7 +9,8 @@ flags (sphere-rate at d = 2, whitening-control on the table below), four
 weight blocks), three `diag-neff` runs (one over a 20,000-row support, whose
 smoother calls walk the logit spans of several column tiles), and
 `whiten`/`ingest` on an 80 x 3 CSV table with a header that the script writes
-from a fixed seed.  The checkout's `src` goes first on the path, so running
+from a fixed seed, and `whiten` on an NWF1 binary table cut short, which
+exits 2.  The checkout's `src` goes first on the path, so running
 the script from two checkouts and diffing the two outputs compares their
 bytes.  It prints a markdown table `| output | sha256 |`, then one
 `| run | exit code |` table.  DIR also gets `exit_codes.json`, so
@@ -37,6 +38,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 from nwflow.cli import EXPERIMENTS, main  # noqa: E402
 
 TABLE = "table.csv"
+SHORT_TABLE = "short.bin"  # NWF1 magic and an 80 x 3 header, but no rows
 
 # run directory -> argv (without --out)
 RUNS = {
@@ -55,7 +57,7 @@ RUNS = {
     "diag-large": ["diag-neff", "--task", "gmm8d", "--m", "20000", "--n", "64"],
     "whiten": ["whiten", "--features", TABLE, "--strength", "0.5", "--ridge", "0.01"],
     "whiten0": ["whiten", "--features", TABLE, "--strength", "0.0"],
-    "whiten-bin": ["whiten", "--features", TABLE, "--format", "bin"],  # a CSV read as binary
+    "whiten-bin": ["whiten", "--features", SHORT_TABLE],
     "ingest": ["ingest", "--features", TABLE],
     "ingest-csv": ["ingest", "--features", TABLE, "--to", "csv"],
 }
@@ -82,6 +84,8 @@ def run_all(root: str) -> tuple[list[tuple[str, str]], dict[str, int]]:
     os.chdir(root)
     try:
         write_table(TABLE)
+        with open(SHORT_TABLE, "wb") as fh:
+            fh.write(b"NWF1" + (80).to_bytes(4, "little") + (3).to_bytes(4, "little"))
         codes = {}
         for name, argv in RUNS.items():
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
